@@ -50,7 +50,6 @@ from .orbits import (
     StandardRep,
     act,
     congruence_solution_check,
-    congruence_solution_count,
     coset_normal_form_check,
     discriminant,
     group_order,
@@ -67,7 +66,6 @@ from .orbits import (
 )
 from .residue import (
     CapacityError,
-    Residue,
     ResidueRing,
     SquareClassLabel,
     kronecker,

@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +43,10 @@ from .meanvalue import (
     predicted_prefactor,
 )
 from .orbits import (
+    StandardRep,
+    congruence_count_closed,
     congruence_solution_check,
-    congruence_solution_count,
+    congruence_solution_set,
     coset_normal_form_check,
     group_order,
     lift_saturation_check,
@@ -54,8 +55,15 @@ from .orbits import (
     stabilizer_order,
     standard_representatives,
     torus_order,
+    torus_order_closed,
 )
-from .residue import ResidueRing, is_prime, square_class_labels, SquareClassLabel
+from .residue import (
+    CapacityError,
+    ResidueRing,
+    SquareClassLabel,
+    is_prime,
+    square_class_labels,
+)
 
 # loose sanity bound for non-final checkpoints; the final checkpoint of a
 # sweep must land within the tight bound
@@ -63,14 +71,6 @@ FINAL_RATIO_TOL = 0.05
 CONTEXT_RATIO_TOL = 0.5
 
 _DIRECT_COUNT_MAX_MODULUS = 32
-
-
-@dataclass(frozen=True)
-class Item:
-    anchor: str
-    expected: object
-    got: object
-    passed: bool
 
 
 def _jsonable(v):
@@ -87,10 +87,6 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return v
-
-
-def _item_from_check(check: IdentityCheck) -> Item:
-    return Item(check.name, check.expected, check.got, check.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +108,8 @@ def _group_order_direct(ring: ResidueRing) -> int:
     return units * matrices
 
 
-def _census_items(p: int) -> list[Item]:
-    items = [_item_from_check(census_check(p))]
-    items.extend(_item_from_check(c) for c in remark_sums_check(p))
-    items.append(_item_from_check(mass_identity_check(p)))
+def _census_items(p: int) -> list[IdentityCheck]:
+    items = [census_check(p), *remark_sums_check(p), mass_identity_check(p)]
     expected_vals = sorted(
         [0, 0] + [d for d, cnt in census_expected(p).items() for _ in range(cnt)]
     )
@@ -123,131 +117,92 @@ def _census_items(p: int) -> list[Item]:
         SquareClassLabel(p, lab).disc_valuation for lab in square_class_labels(p)
     )
     items.append(
-        Item(
-            f"square-class-valuations[p={p}]",
-            expected_vals,
-            got_vals,
-            expected_vals == got_vals,
-        )
+        IdentityCheck.compare(f"square-class-valuations[p={p}]", expected_vals, got_vals)
     )
     return items
 
 
-def _local_items(p: int) -> list[Item]:
-    items: list[Item] = []
+def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list[IdentityCheck]:
+    """Torus, stabilizer and congruence checks of a ramified representative.
+
+    The stabilizer list is the largest local artifact; it is dropped on
+    return, before the lift check or the next representative's scan.
+    """
+    at = f"p={rep.p},{rep.algebra},level={rep.n}"
+    expected_torus = torus_order_closed(rep, ring)
+    expected_cong = congruence_count_closed(rep)
+    expected_stab = expected_cong * expected_torus
+    got_torus = torus_order(rep, ring)
+    stab = stabilizer_elements(rep, ring)
+    solutions = congruence_solution_set(rep, ring)
+    cc = congruence_solution_check(rep, ring, solutions)
+    cn = coset_normal_form_check(rep, ring, stab, got_torus, solutions)
+    return [
+        IdentityCheck.compare(f"torus-order[{at}]", expected_torus, got_torus),
+        IdentityCheck.compare(
+            f"stabilizer-order[{at}]", expected_stab, stabilizer_order(ring, got_orbit)
+        ),
+        IdentityCheck.compare(f"stabilizer-scan[{at}]", expected_stab, len(stab)),
+        IdentityCheck.compare(f"congruence-count[{at}]", expected_cong, len(solutions)),
+        IdentityCheck(
+            f"congruence-structure[{at}]", sorted(cc.solutions), sorted(cc.described), cc.passed
+        ),
+        IdentityCheck(
+            f"coset-normal-form[{at}]",
+            {"fiber": cn.torus_size, "cosets": expected_cong},
+            {"fiber": cn.torus_size if cn.passed else -1, "cosets": cn.coset_count},
+            cn.passed,
+        ),
+    ]
+
+
+def _rep_items(rep: StandardRep) -> list[IdentityCheck]:
+    """The checks of one representative, each local artifact computed once."""
+    p, n = rep.p, rep.n
+    tag = f"p={p},{rep.algebra}"
+    ring = rep.natural_ring()
+    vol = orbital_volume_closed(rep)
+    expected_orbit = vol * p ** (3 * n)
+    assert expected_orbit.denominator == 1
+    got_orbit = orbit_size(rep, ring)
+    items = [
+        IdentityCheck.compare(f"orbit-size[{tag},level={n}]", int(expected_orbit), got_orbit)
+    ]
+    if rep.is_ramified:
+        items += _ramified_items(rep, ring, got_orbit)
+    ls = lift_saturation_check(rep, n + 1)
+    return items + [
+        IdentityCheck.compare(
+            f"volume-match[{tag},level={n}]", vol, Fraction(got_orbit, p ** (3 * n))
+        ),
+        IdentityCheck.compare(
+            f"lift-saturation[{tag},level={n + 1}]",
+            {"lifts": p**3, "missing": 0},
+            {"lifts": ls.lifts, "missing": len(ls.missing)},
+        ),
+        IdentityCheck.compare(
+            f"volume-stable[{tag},level={n + 1}]",
+            vol,
+            Fraction(ls.orbit_size, p ** (3 * (n + 1))),
+        ),
+    ]
+
+
+def _local_items(p: int) -> list[IdentityCheck]:
+    items: list[IdentityCheck] = []
     reps = standard_representatives(p)
-    levels = sorted({r.n for r in reps})
-    for n in levels:
+    for n in sorted({r.n for r in reps}):
         ring = ResidueRing(p, n)
         if ring.modulus <= _DIRECT_COUNT_MAX_MODULUS:
             items.append(
-                Item(
+                IdentityCheck.compare(
                     f"group-order-direct[p={p},level={n}]",
                     group_order(ring),
                     _group_order_direct(ring),
-                    group_order(ring) == _group_order_direct(ring),
                 )
             )
     for rep in reps:
-        tag = f"p={p},{rep.algebra}"
-        ring = rep.natural_ring()
-        vol = orbital_volume_closed(rep)
-        expected_orbit = vol * p ** (3 * rep.n)
-        assert expected_orbit.denominator == 1
-        got_orbit = orbit_size(rep, ring)
-        items.append(
-            Item(
-                f"orbit-size[{tag},level={rep.n}]",
-                int(expected_orbit),
-                got_orbit,
-                int(expected_orbit) == got_orbit,
-            )
-        )
-        got_stab = stabilizer_order(rep, ring)
-        if rep.is_ramified:
-            q, n, delta = p, rep.n, rep.delta
-            expected_torus = q ** (2 * n - 1) * (q - 1)
-            got_torus = torus_order(rep, ring)
-            items.append(
-                Item(
-                    f"torus-order[{tag},level={n}]",
-                    expected_torus,
-                    got_torus,
-                    expected_torus == got_torus,
-                )
-            )
-            expected_stab = 2 * q**delta * expected_torus
-            items.append(
-                Item(
-                    f"stabilizer-order[{tag},level={n}]",
-                    expected_stab,
-                    got_stab,
-                    expected_stab == got_stab,
-                )
-            )
-            scan = len(stabilizer_elements(rep, ring))
-            items.append(
-                Item(
-                    f"stabilizer-scan[{tag},level={n}]",
-                    expected_stab,
-                    scan,
-                    expected_stab == scan,
-                )
-            )
-            expected_cong = 2 * q**delta
-            got_cong = congruence_solution_count(rep, ring)
-            items.append(
-                Item(
-                    f"congruence-count[{tag},level={n}]",
-                    expected_cong,
-                    got_cong,
-                    expected_cong == got_cong,
-                )
-            )
-            cc = congruence_solution_check(rep, ring)
-            items.append(
-                Item(
-                    f"congruence-structure[{tag},level={n}]",
-                    sorted(cc.solutions),
-                    sorted(cc.described),
-                    cc.passed,
-                )
-            )
-            cn = coset_normal_form_check(rep, ring)
-            items.append(
-                Item(
-                    f"coset-normal-form[{tag},level={n}]",
-                    {"fiber": cn.torus_size, "cosets": expected_cong},
-                    {"fiber": cn.torus_size if cn.passed else -1, "cosets": cn.coset_count},
-                    cn.passed,
-                )
-            )
-        items.append(
-            Item(
-                f"volume-match[{tag},level={rep.n}]",
-                vol,
-                Fraction(got_orbit, p ** (3 * rep.n)),
-                vol == Fraction(got_orbit, p ** (3 * rep.n)),
-            )
-        )
-        ls = lift_saturation_check(rep, rep.n + 1)
-        items.append(
-            Item(
-                f"lift-saturation[{tag},level={rep.n + 1}]",
-                {"lifts": p**3, "missing": 0},
-                {"lifts": ls.lifts, "missing": len(ls.missing)},
-                ls.passed and ls.lifts == p**3,
-            )
-        )
-        deeper = Fraction(ls.orbit_size, p ** (3 * (rep.n + 1)))
-        items.append(
-            Item(
-                f"volume-stable[{tag},level={rep.n + 1}]",
-                vol,
-                deeper,
-                vol == deeper,
-            )
-        )
+        items.extend(_rep_items(rep))
     items.extend(_census_items(p))
     return items
 
@@ -266,23 +221,23 @@ def _parse_primes(text: str) -> list[int]:
     return out
 
 
-def _run_verify_local(args) -> tuple[dict, list[Item]]:
+def _run_verify_local(args) -> tuple[dict, list[IdentityCheck]]:
     primes = _parse_primes(args.primes)
-    items: list[Item] = []
+    items: list[IdentityCheck] = []
     for p in primes:
         items.extend(_local_items(p))
     return {"primes": primes}, items
 
 
-def _run_census(args) -> tuple[dict, list[Item]]:
+def _run_census(args) -> tuple[dict, list[IdentityCheck]]:
     primes = _parse_primes(args.primes)
-    items: list[Item] = []
+    items: list[IdentityCheck] = []
     for p in primes:
         items.extend(_census_items(p))
     return {"primes": primes}, items
 
 
-def _run_constant(args) -> tuple[dict, list[Item]]:
+def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
     sign = condition_sign(conds)  # validates the archimedean part
     pref = predicted_prefactor(conds)
@@ -291,9 +246,9 @@ def _run_constant(args) -> tuple[dict, list[Item]]:
     tol = 1.02 * euler_tail_bound(max(args.euler_cutoff // 10, 10))
     rel = abs(const - const_tenth) / const
     items = [
-        Item(f"exact-prefactor[{args.cond}]", None, pref, True),
-        Item(f"predicted-constant[{args.cond}]", None, const, True),
-        Item(
+        IdentityCheck(f"exact-prefactor[{args.cond}]", None, pref, True),
+        IdentityCheck(f"predicted-constant[{args.cond}]", None, const, True),
+        IdentityCheck(
             f"euler-cutoff-stability[{args.cond}]",
             f"relative move under cutoff/10 <= {tol:.3e}",
             rel,
@@ -307,7 +262,7 @@ def _run_constant(args) -> tuple[dict, list[Item]]:
     }, items
 
 
-def _run_mean_value(args) -> tuple[dict, list[Item]]:
+def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
     sign = condition_sign(conds)
     limit = args.X
@@ -325,7 +280,7 @@ def _run_mean_value(args) -> tuple[dict, list[Item]]:
     for row in rows:
         tol = FINAL_RATIO_TOL if row.upto == final else CONTEXT_RATIO_TOL
         items.append(
-            Item(
+            IdentityCheck(
                 f"sum-ratio[{args.cond}]@X={row.upto}",
                 {"predicted": row.predicted, "within": tol},
                 {"empirical": row.empirical, "ratio": row.ratio},
@@ -336,7 +291,7 @@ def _run_mean_value(args) -> tuple[dict, list[Item]]:
         first_dev = abs(rows[0].ratio - 1)
         last_dev = abs(rows[-1].ratio - 1)
         items.append(
-            Item(
+            IdentityCheck(
                 f"convergence-trend[{args.cond}]",
                 f"deviation at X={final} below deviation at X={rows[0].upto}",
                 {"first": first_dev, "final": last_dev},
@@ -358,7 +313,7 @@ def _run_mean_value(args) -> tuple[dict, list[Item]]:
 # output
 # ---------------------------------------------------------------------------
 
-def _emit(command: str, config: dict, items: list[Item], fmt: str, out) -> None:
+def _emit(command: str, config: dict, items: list[IdentityCheck], fmt: str, out) -> None:
     passed = sum(1 for i in items if i.passed)
     summary = {"total": len(items), "passed": passed, "failed": len(items) - passed}
     if fmt == "json":
@@ -367,7 +322,7 @@ def _emit(command: str, config: dict, items: list[Item], fmt: str, out) -> None:
             "config": _jsonable(config),
             "items": [
                 {
-                    "anchor": i.anchor,
+                    "anchor": i.name,
                     "expected": _jsonable(i.expected),
                     "got": _jsonable(i.got),
                     "pass": i.passed,
@@ -383,14 +338,14 @@ def _emit(command: str, config: dict, items: list[Item], fmt: str, out) -> None:
         writer.writerow(["anchor", "expected", "got", "pass"])
         for i in items:
             writer.writerow(
-                [i.anchor, json.dumps(_jsonable(i.expected)),
+                [i.name, json.dumps(_jsonable(i.expected)),
                  json.dumps(_jsonable(i.got)), json.dumps(i.passed)]
             )
     else:
-        width = max((len(i.anchor) for i in items), default=0)
+        width = max((len(i.name) for i in items), default=0)
         for i in items:
             mark = "pass" if i.passed else "FAIL"
-            out.write(f"[{mark}] {i.anchor:<{width}}  expected={i.expected}  got={i.got}\n")
+            out.write(f"[{mark}] {i.name:<{width}}  expected={i.expected}  got={i.got}\n")
         out.write(
             f"{summary['passed']}/{summary['total']} checks passed"
             + (f", {summary['failed']} FAILED\n" if summary["failed"] else "\n")
@@ -445,7 +400,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         config, items = _RUNNERS[args.command](args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args.command, config, items, args.format, out)

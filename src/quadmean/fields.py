@@ -175,12 +175,27 @@ def class_number_imaginary(d: int) -> int:
     return count
 
 
-def _imag_hist_range(limit: int, start: int, stride: int) -> np.ndarray:
-    """Histogram of reduced-form counts over 0..limit for a in the
-    residue class start mod stride."""
+def _class_sum(fn, workers: int, *args):
+    """Sum of fn(*args, offset, workers) over offset in range(workers), one
+    worker process per offset; a direct call fn(*args, 0, 1) when
+    workers <= 1.  Each call covers the share of the work selected by its
+    offset mod workers, and the parts are added in offset order."""
+    if workers <= 1:
+        return fn(*args, 0, 1)
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        parts = ex.map(fn, *([a] * workers for a in args), range(workers), [workers] * workers)
+        total = next(parts)
+        for part in parts:
+            total += part
+    return total
+
+
+def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
+    """Histogram of reduced-form counts over 0..limit for a = 1 + offset
+    mod stride."""
     hist = np.zeros(limit + 1, dtype=np.int64)
     amax = isqrt(limit // 3)
-    for a in range(start, amax + 1, stride):
+    for a in range(1 + offset, amax + 1, stride):
         step = 4 * a
         for b in range(a + 1):
             first = 4 * a * a - b * b
@@ -197,15 +212,7 @@ def _imag_hist_range(limit: int, start: int, stride: int) -> np.ndarray:
 def imaginary_class_number_histogram(limit: int, workers: int = 1) -> np.ndarray:
     """hist[n] = h(-n) for every fundamental -n with n <= limit (entries at
     non-fundamental indices are form counts without meaning)."""
-    if workers <= 1:
-        return _imag_hist_range(limit, 1, 1)
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = ex.map(_imag_hist_range, [limit] * workers,
-                       range(1, workers + 1), [workers] * workers)
-        total = np.zeros(limit + 1, dtype=np.int64)
-        for part in parts:
-            total += part
-    return total
+    return _class_sum(_imag_hist_range, workers, limit)
 
 
 def analytic_class_number_imaginary(d: int) -> Fraction:
@@ -339,12 +346,12 @@ def hr_real(d: int) -> float:
     )
 
 
-def _real_hr_range(limit: int, start: int, stride: int) -> np.ndarray:
+def _real_hr_range(limit: int, offset: int, stride: int) -> np.ndarray:
     """Sum of log((b + sqrt(D))/(2c)) into hist[D] over reduced forms
-    (a, b, -c) with a > 0, for a in the residue class start mod stride."""
+    (a, b, -c) with a = 1 + offset mod stride."""
     hist = np.zeros(limit + 1, dtype=np.float64)
     smax = isqrt(limit)
-    for a in range(start, smax, stride):
+    for a in range(1 + offset, smax, stride):
         for c in range(1, smax - a + 1):
             fourac = 4 * a * c
             if fourac >= limit:
@@ -362,19 +369,14 @@ def _real_hr_range(limit: int, start: int, stride: int) -> np.ndarray:
 def real_hr_histogram(limit: int, workers: int = 1) -> np.ndarray:
     """hist[D] = h(D)*R(D) for fundamental D <= limit (other indices carry
     meaningless partial sums)."""
-    if workers <= 1:
-        return _real_hr_range(limit, 1, 1)
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = ex.map(_real_hr_range, [limit] * workers,
-                       range(1, workers + 1), [workers] * workers)
-        total = np.zeros(limit + 1, dtype=np.float64)
-        for part in parts:
-            total += part
-    return total
+    return _class_sum(_real_hr_range, workers, limit)
 
 
-def _regulator_range(ds: list[int]) -> list[float]:
-    return [regulator_real(int(d)) for d in ds]
+def _regulator_range(mags: np.ndarray, offset: int, stride: int) -> np.ndarray:
+    """Regulators at mags[offset::stride], zero at the other positions."""
+    out = np.zeros(mags.size, dtype=np.float64)
+    out[offset::stride] = [regulator_real(int(d)) for d in mags[offset::stride]]
+    return out
 
 
 def analytic_hr_real(d: int) -> float:
@@ -443,15 +445,7 @@ class DiscriminantTable:
 
     @staticmethod
     def _regulators(mags: np.ndarray, workers: int) -> np.ndarray:
-        ds = [int(v) for v in mags]
-        if workers <= 1:
-            return np.array(_regulator_range(ds), dtype=np.float64)
-        chunks = [ds[k::workers] for k in range(workers)]
-        out = np.empty(len(ds), dtype=np.float64)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for k, vals in enumerate(ex.map(_regulator_range, chunks)):
-                out[k::workers] = vals
-        return out
+        return _class_sum(_regulator_range, workers, mags)
 
     # -- persistence --------------------------------------------------------
 

@@ -83,14 +83,6 @@ class GroupElement:
         return (self.a * self.d - self.b * self.c) % self.ring.modulus
 
     @property
-    def scalar_character(self) -> int:
-        return self.t
-
-    @property
-    def det_character(self) -> int:
-        return self.det
-
-    @property
     def character(self) -> int:
         """Product character t * det(g2); the discriminant scales by its square."""
         return self.t * self.det % self.ring.modulus
@@ -370,6 +362,14 @@ def torus_order(x: StandardRep, ring: ResidueRing) -> int:
     return count
 
 
+def torus_order_closed(x: StandardRep, ring: ResidueRing) -> int:
+    """q^(2N-1) (q - 1): the torus order of an Eisenstein representative."""
+    if not x.is_ramified:
+        raise ValueError("torus counting implemented for ramified representatives")
+    q, n = ring.p, ring.n
+    return q ** (2 * n - 1) * (q - 1)
+
+
 def group_order(ring: ResidueRing) -> int:
     """|GL1 x GL2 (Z/p^N)| = p^(N-1)(p-1) * p^(4(N-1))(p^2-1)(p^2-p)."""
     p, n = ring.p, ring.n
@@ -388,11 +388,10 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
     group generator u."""
     gens = [(1, 1, 1, 0, 1), (1, 1, 0, 1, 1)]
     for u in unit_group_generators(ring):
-        uv = u.value
-        if uv == 1:
+        if u == 1:
             continue
-        gens.append((1, uv, 0, 0, 1))
-        gens.append((uv, 1, 0, 0, 1))
+        gens.append((1, u, 0, 0, 1))
+        gens.append((u, 1, 0, 0, 1))
     return gens
 
 
@@ -433,13 +432,13 @@ def orbit_size(x: StandardRep | BinaryQF, ring: ResidueRing) -> int:
     return _orbit_bitset(form, ring)[1]
 
 
-def stabilizer_order(x: StandardRep | BinaryQF, ring: ResidueRing) -> int:
-    """|G| / |orbit|, with exact divisibility asserted."""
-    orb = orbit_size(x, ring)
+def stabilizer_order(ring: ResidueRing, orbit: int) -> int:
+    """|G| / |orbit| for an orbit of the given size, with exact divisibility
+    asserted."""
     g = group_order(ring)
-    if g % orb != 0:
+    if g % orbit != 0:
         raise ArithmeticError("orbit size does not divide the group order")
-    return g // orb
+    return g // orbit
 
 
 def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
@@ -525,12 +524,20 @@ class CosetNormalForm:
     detail: str
 
 
-def coset_normal_form_check(x: StandardRep, ring: ResidueRing) -> CosetNormalForm:
+def coset_normal_form_check(
+    x: StandardRep,
+    ring: ResidueRing,
+    stab: list[GroupElement],
+    tsize: int,
+    solutions: set[tuple[int, int]],
+) -> CosetNormalForm:
     """Verify that every stabilizer element factors as (torus element) *
     (1, [[1, 0], [u, s]]) with exactly one lower-triangular representative
     per torus coset, and that the (u, s) set is the congruence solution set.
+
+    stab, tsize and solutions are stabilizer_elements, torus_order and
+    congruence_solution_set of x at ring.
     """
-    stab = stabilizer_elements(x, ring)
     m = ring.modulus
     fibers: dict[tuple[int, int], int] = {}
     for g in stab:
@@ -556,9 +563,7 @@ def coset_normal_form_check(x: StandardRep, ring: ResidueRing) -> CosetNormalFor
                                    "left factor escaped the torus")
         key = (g2.c, g2.d)
         fibers[key] = fibers.get(key, 0) + 1
-    tsize = torus_order(x, ring)
     ok = all(v == tsize for v in fibers.values())
-    solutions = congruence_solution_set(x, ring)
     ok = ok and set(fibers) == solutions
     ok = ok and len(fibers) * tsize == len(stab)
     detail = "" if ok else "fiber sizes or representative set mismatch"
@@ -589,8 +594,12 @@ def congruence_solution_set(x: StandardRep, ring: ResidueRing) -> set[tuple[int,
     return out
 
 
-def congruence_solution_count(x: StandardRep, ring: ResidueRing) -> int:
-    return len(congruence_solution_set(x, ring))
+def congruence_count_closed(x: StandardRep) -> int:
+    """2 q^delta: the number of congruence solutions of a ramified
+    representative, and the stabilizer's index over its torus."""
+    if not x.is_ramified:
+        raise ValueError("congruence system applies to ramified representatives")
+    return 2 * x.p**x.delta
 
 
 @dataclass(frozen=True)
@@ -609,8 +618,11 @@ def _mod_inverse_fraction(q: Fraction, m: int) -> int:
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
-def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> CongruenceCharacterization:
-    """Compare the brute-force solution set with its closed description.
+def congruence_solution_check(
+    x: StandardRep, ring: ResidueRing, solutions: set[tuple[int, int]]
+) -> CongruenceCharacterization:
+    """Compare the brute-force solution set, congruence_solution_set of x at
+    ring, with its closed description.
 
     Odd trace valuation (delta = 2m+1, trace 0 here): u = 0 mod p^(3m+2)
     and s^2 = 1 mod p^(4m+1).  Even delta = 2l <= 2m: two disjoint coset
@@ -622,7 +634,7 @@ def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> CongruenceCh
     m_ord = x.m
     p = ring.p
     mod = ring.modulus
-    brute = frozenset(congruence_solution_set(x, ring))
+    brute = frozenset(solutions)
     described: set[tuple[int, int]] = set()
     if x.delta == 2 * m_ord + 1:
         pu = p ** (3 * m_ord + 2)

@@ -53,9 +53,6 @@ class ResidueRing:
             raise CapacityError(f"modulus {self.p}^{self.n} exceeds {MAX_MODULUS}")
         object.__setattr__(self, "modulus", m)
 
-    def reduce(self, v: int) -> int:
-        return v % self.modulus
-
     def is_unit(self, v: int) -> bool:
         return v % self.p != 0
 
@@ -74,87 +71,12 @@ class ResidueRing:
             k += 1
         return k
 
-    def units(self):
-        """Iterate the unit classes of the ring."""
-        return (v for v in range(self.modulus) if v % self.p != 0)
-
-    def __call__(self, v: int) -> "Residue":
-        return Residue(v % self.modulus, self)
-
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.n}"
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A residue class in Z/p^n, stored by its canonical representative."""
-
-    value: int
-    ring: ResidueRing
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.ring.modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.ring != self.ring:
-                raise ValueError("mixed rings")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return Residue(self.value + v, self.ring)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return Residue(self.value - v, self.ring)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return Residue(v - self.value, self.ring)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return Residue(self.value * v, self.ring)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.ring)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.value)
-
-    def inverse(self) -> "Residue":
-        if not self.is_unit:
-            raise ValueError(f"{self.value} is not a unit in {self.ring}")
-        return Residue(self.ring.inv(self.value), self.ring)
-
-    def valuation(self) -> int:
-        return self.ring.valuation(self.value)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def valuation(v, ring: ResidueRing) -> int:
-    """p-adic valuation of v in Z/p^n; v may be an int or a Residue."""
-    if isinstance(v, Residue):
-        v = v.value
+def valuation(v: int, ring: ResidueRing) -> int:
+    """p-adic valuation of v in Z/p^n."""
     return ring.valuation(v)
 
 
@@ -178,7 +100,7 @@ def _primitive_root_mod_p(p: int) -> int:
         g += 1
 
 
-def unit_group_generators(ring: ResidueRing) -> list[Residue]:
+def unit_group_generators(ring: ResidueRing) -> list[int]:
     """Generators of (Z/p^n)^x.
 
     Odd p: one generator, the smallest primitive root mod p promoted to
@@ -187,15 +109,15 @@ def unit_group_generators(ring: ResidueRing) -> list[Residue]:
     p, n = ring.p, ring.n
     if p == 2:
         if n == 1:
-            return [ring(1)]
+            return [1]
         if n == 2:
-            return [ring(-1)]
-        return [ring(-1), ring(5)]
+            return [3]
+        return [ring.modulus - 1, 5]
     g = _primitive_root_mod_p(p)
     # g stays primitive mod p^n unless g^(p-1) = 1 mod p^2
     if n >= 2 and pow(g, p - 1, p * p) == 1:
         g += p
-    return [ring(g)]
+    return [g]
 
 
 def kronecker(a: int, n: int) -> int:

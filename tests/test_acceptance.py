@@ -32,8 +32,9 @@ from quadmean.meanvalue import (
 )
 from quadmean.orbits import (
     congruence_solution_check,
-    congruence_solution_count,
+    congruence_solution_set,
     lift_saturation_check,
+    orbit_size,
     standard_representatives,
     stabilizer_order,
     torus_order,
@@ -77,15 +78,17 @@ def test_criterion_2_stabilizer_and_torus_orders_exact():
             n, delta = rep.n, rep.delta
             expected_torus = p ** (2 * n - 1) * (p - 1)
             assert torus_order(rep, ring) == expected_torus, rep.algebra
-            assert stabilizer_order(rep, ring) == 2 * p**delta * expected_torus, rep.algebra
+            orbit = orbit_size(rep, ring)
+            assert stabilizer_order(ring, orbit) == 2 * p**delta * expected_torus, rep.algebra
 
 
 def test_criterion_3_congruence_count_and_characterization():
     for p in (2, 3, 5):
         for rep in _ramified_reps(p):
             ring = rep.natural_ring()
-            assert congruence_solution_count(rep, ring) == 2 * p**rep.delta, rep.algebra
-            chk = congruence_solution_check(rep, ring)
+            solutions = congruence_solution_set(rep, ring)
+            assert len(solutions) == 2 * p**rep.delta, rep.algebra
+            chk = congruence_solution_check(rep, ring, solutions)
             assert chk.solutions == chk.described, rep.algebra
             assert chk.disjoint, rep.algebra
             if p == 2 and rep.delta % 2 == 0:

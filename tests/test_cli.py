@@ -7,7 +7,11 @@ import os
 
 import pytest
 
+import quadmean.cli
+import quadmean.orbits
 from quadmean.cli import build_parser, main
+from quadmean.orbits import BinaryQF, orbit_size
+from quadmean.residue import CapacityError, ResidueRing
 
 
 def run_cli(argv):
@@ -160,6 +164,56 @@ def test_error_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["verify-local", "--primes", "2,nope"]) == 2
     capsys.readouterr()
+
+
+def test_size_guard_refusal_exits_2(monkeypatch, capsys):
+    # the first orbit at p=3 lives in a space of 3^3 forms
+    monkeypatch.setattr(quadmean.orbits, "MAX_ORBIT_SPACE", 3**3 - 1)
+    code, out = run_cli(["verify-local", "--primes", "3"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_orbit_space_guard_boundary(monkeypatch):
+    # the deepest orbit of verify-local at p=3 is the level-3 lift check,
+    # in a space of exactly 3^9 forms
+    monkeypatch.setattr(quadmean.orbits, "MAX_ORBIT_SPACE", 3**9)
+    assert run_cli(["verify-local", "--primes", "3"])[0] == 0
+    split = BinaryQF(0, 1, 0)
+    assert orbit_size(split, ResidueRing(3, 3)) > 0
+    with pytest.raises(CapacityError):
+        orbit_size(split, ResidueRing(3, 4))
+
+
+def test_verify_local_computes_each_artifact_once(monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        raw = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return raw(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(quadmean.orbits, "_orbit_bitset",
+                        counted(quadmean.orbits, "_orbit_bitset"))
+    for name in ("stabilizer_elements", "congruence_solution_set"):
+        wrapper = counted(quadmean.orbits, name)
+        monkeypatch.setattr(quadmean.orbits, name, wrapper)
+        monkeypatch.setattr(quadmean.cli, name, wrapper)
+    code, _ = run_cli(["verify-local", "--primes", "3"])
+    assert code == 0
+    # four representatives: one orbit and one lift check each; the two
+    # ramified ones get one stabilizer scan and one congruence set each
+    assert calls == {
+        "_orbit_bitset": 8,
+        "stabilizer_elements": 2,
+        "congruence_solution_set": 2,
+    }
 
 
 def test_parser_rejects_unknown_command():

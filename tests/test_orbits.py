@@ -13,7 +13,6 @@ from quadmean.orbits import (
     StandardRep,
     act,
     congruence_solution_check,
-    congruence_solution_count,
     congruence_solution_set,
     coset_normal_form_check,
     discriminant,
@@ -164,7 +163,7 @@ def test_frozen_orbit_counts(p, idx, torus, orbit, stab, group):
     assert group_order(ring) == group
     assert torus_order(rep, ring) == torus
     assert orbit_size(rep, ring) == orbit
-    assert stabilizer_order(rep, ring) == stab
+    assert stabilizer_order(ring, orbit) == stab
     assert stab == 2 * p**rep.delta * torus
     assert orbit * stab == group
 
@@ -230,7 +229,7 @@ def test_congruence_counts_all_ramified():
             if not rep.is_ramified:
                 continue
             ring = rep.natural_ring()
-            assert congruence_solution_count(rep, ring) == 2 * p**rep.delta
+            assert len(congruence_solution_set(rep, ring)) == 2 * p**rep.delta
 
 
 def test_congruence_solution_set_frozen_dyadic():
@@ -249,7 +248,8 @@ def test_congruence_characterization():
         for rep in standard_representatives(p):
             if not rep.is_ramified:
                 continue
-            cc = congruence_solution_check(rep, rep.natural_ring())
+            ring = rep.natural_ring()
+            cc = congruence_solution_check(rep, ring, congruence_solution_set(rep, ring))
             assert cc.passed
             assert cc.disjoint
             assert sum(cc.branch_sizes) == 2 * p**rep.delta
@@ -264,7 +264,13 @@ def test_coset_normal_form():
     for p, idx in ((3, 2), (3, 3), (2, 2), (2, 3), (2, 4)):
         rep = standard_representatives(p)[idx]
         ring = rep.natural_ring()
-        res = coset_normal_form_check(rep, ring)
+        res = coset_normal_form_check(
+            rep,
+            ring,
+            stabilizer_elements(rep, ring),
+            torus_order(rep, ring),
+            congruence_solution_set(rep, ring),
+        )
         assert res.passed, res.detail
         assert res.coset_count == 2 * p**rep.delta
         assert res.stabilizer_size == res.coset_count * res.torus_size
@@ -275,7 +281,7 @@ def test_stabilizer_scan_matches_quotient():
         rep = standard_representatives(p)[idx]
         ring = rep.natural_ring()
         elems = stabilizer_elements(rep, ring)
-        assert len(elems) == stabilizer_order(rep, ring)
+        assert len(elems) == stabilizer_order(ring, orbit_size(rep, ring))
         m = ring.modulus
         for g in elems[:: max(1, len(elems) // 40)]:
             assert act(g, rep.form).coeffs() == tuple(v % m for v in rep.form.coeffs())
@@ -356,8 +362,8 @@ def test_stabilizer_factors_through_congruence_solutions():
             if not rep.is_ramified:
                 continue
             ring = rep.natural_ring()
-            product = congruence_solution_count(rep, ring) * torus_order(rep, ring)
-            assert stabilizer_order(rep, ring) == product, rep.algebra
+            product = len(congruence_solution_set(rep, ring)) * torus_order(rep, ring)
+            assert stabilizer_order(ring, orbit_size(rep, ring)) == product, rep.algebra
 
 
 def test_representative_discriminants_lie_in_distinct_square_classes():

@@ -7,7 +7,6 @@ import pytest
 
 from quadmean.residue import (
     CapacityError,
-    Residue,
     ResidueRing,
     SquareClassLabel,
     is_prime,
@@ -34,32 +33,16 @@ def test_ring_construction():
         ResidueRing(2, 64)
 
 
-def test_residue_arithmetic_matches_int_mod():
-    # ring ops must agree with plain integer arithmetic mod p^n
-    rng = random.Random(11)
-    for p, n in ((2, 5), (3, 3), (7, 2)):
-        ring = ResidueRing(p, n)
-        m = ring.modulus
-        for _ in range(200):
-            a = rng.randrange(-3 * m, 3 * m)
-            b = rng.randrange(-3 * m, 3 * m)
-            assert int(ring(a) + ring(b)) == (a + b) % m
-            assert int(ring(a) - ring(b)) == (a - b) % m
-            assert int(ring(a) * ring(b)) == (a * b) % m
-            assert int(-ring(a)) == (-a) % m
-            assert int(ring(a) + b) == (a + b) % m
-            assert int(a * ring(b)) == (a * b) % m
-
-
 def test_inverse_and_units():
     ring = ResidueRing(2, 4)
     for v in range(16):
         if v % 2:
-            assert (ring(v) * ring(v).inverse()).value == 1
+            assert ring.is_unit(v)
+            assert v * ring.inv(v) % ring.modulus == 1
         else:
-            assert not ring(v).is_unit
+            assert not ring.is_unit(v)
             with pytest.raises(ValueError):
-                ring(v).inverse()
+                ring.inv(v)
 
 
 def test_valuation():
@@ -70,7 +53,7 @@ def test_valuation():
     # the zero class has valuation n by convention
     assert valuation(81, ring) == 4
     assert valuation(0, ring) == 4
-    assert valuation(ring(-9), ring) == 2
+    assert valuation(-9, ring) == 2
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 1), (2, 1), (2, 2), (2, 3), (2, 5)])
@@ -182,17 +165,3 @@ def test_square_class_group_structure():
             lhs = square_class(a * b, p)
             rhs = square_class(square_class(a, p).label * square_class(b, p).label, p)
             assert lhs == rhs
-
-
-def test_residue_requires_matching_ring():
-    r1 = ResidueRing(3, 2)
-    r2 = ResidueRing(3, 3)
-    with pytest.raises(ValueError):
-        r1(1) + r2(1)
-
-
-def test_residue_str_roundtrip():
-    ring = ResidueRing(5, 2)
-    v = ring(27)
-    assert isinstance(v, Residue)
-    assert int(v) == 2
