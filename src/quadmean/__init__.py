@@ -20,7 +20,6 @@ from .fields import (
     cached_table,
     class_number_imaginary,
     class_number_real,
-    fundamental_discriminants,
     fundamental_unit_exact,
     hr_real,
     is_fundamental,
@@ -45,13 +44,11 @@ from .orbits import (
     ALG_REAL_PAIR,
     ALG_SPLIT,
     BinaryQF,
-    GroupElement,
     QuadraticAlgebraDescriptor,
     StandardRep,
     act,
     congruence_solution_check,
     coset_normal_form_check,
-    discriminant,
     group_order,
     lift_saturation_check,
     orbit_size,
@@ -59,8 +56,6 @@ from .orbits import (
     stabilizer_elements,
     stabilizer_order,
     standard_representatives,
-    torus_contains,
-    torus_element,
     torus_order,
     unramified_algebra,
 )

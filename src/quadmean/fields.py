@@ -72,20 +72,16 @@ def fundamental_magnitudes(sign: int, limit: int) -> np.ndarray:
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     sf = _squarefree_sieve(limit)
-    idx = np.arange(limit + 1, dtype=np.int64)
-    r16 = idx % 16
-    quarter = idx // 4
-    if sign < 0:
-        mask = ((idx % 4 == 3) & sf) | (((r16 == 4) | (r16 == 8)) & sf[quarter])
-    else:
-        mask = ((idx % 4 == 1) & sf) | (((r16 == 8) | (r16 == 12)) & sf[quarter])
-        mask[1] = False
-    mask[0] = False
-    return idx[mask]
-
-
-def fundamental_discriminants(sign: int, limit: int) -> np.ndarray:
-    return sign * fundamental_magnitudes(sign, limit)
+    mask = np.zeros(limit + 1, dtype=bool)
+    # odd |D|: squarefree with D = 1 mod 4; |D| = 4m: m squarefree with
+    # D/4 = 2, 3 mod 4, i.e. m = r mod 4 and |D| = 4r mod 16
+    odd, quarters = (3, (1, 2)) if sign < 0 else (1, (2, 3))
+    mask[odd::4] = sf[odd::4]
+    for r in quarters:
+        even = mask[4 * r :: 16]
+        even[:] = sf[r::4][: even.size]
+    mask[1:2] = False  # D = 1 is not a field discriminant
+    return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +392,7 @@ def analytic_hr_real(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 _INTEGRALITY_TOL = 1e-6
+_DAMAGED = "; the cache is damaged, delete it to rebuild"
 
 
 @dataclass
@@ -415,10 +412,6 @@ class DiscriminantTable:
 
     def __len__(self) -> int:
         return int(self.magnitude.size)
-
-    @property
-    def discriminants(self) -> np.ndarray:
-        return self.sign * self.magnitude
 
     def hr(self) -> np.ndarray:
         return self.h * self.reg
@@ -450,53 +443,48 @@ class DiscriminantTable:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
+        """Write the table as CSV to a temporary file beside path, then move
+        it onto path: an interrupted save never leaves a partial cache."""
         labels = [type_labels(p) for p in TRACKED_PRIMES]
-        with open(path, "w", newline="") as f:
-            f.write(f"#quadmean-table sign={self.sign} limit={self.limit}\n")
-            writer = csv.writer(f)
-            writer.writerow(["D", "h", "R", "fp2", "fp3", "fp5"])
-            for i in range(len(self)):
-                writer.writerow(
-                    [
-                        int(self.sign * self.magnitude[i]),
-                        int(self.h[i]),
-                        "%.17g" % self.reg[i],
-                        labels[0][self.codes[i, 0]],
-                        labels[1][self.codes[i, 1]],
-                        labels[2][self.codes[i, 2]],
-                    ]
-                )
+        tmp = f"{path}.{os.getpid()}.tmp"
+        f = open(tmp, "w", newline="")
+        try:
+            with f:
+                f.write(f"#quadmean-table sign={self.sign} limit={self.limit}\n")
+                writer = csv.writer(f)
+                writer.writerow(["D", "h", "R", "fp2", "fp3", "fp5"])
+                for i in range(len(self)):
+                    writer.writerow(
+                        [
+                            int(self.sign * self.magnitude[i]),
+                            int(self.h[i]),
+                            "%.17g" % self.reg[i],
+                            labels[0][self.codes[i, 0]],
+                            labels[1][self.codes[i, 1]],
+                            labels[2][self.codes[i, 2]],
+                        ]
+                    )
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "DiscriminantTable":
-        rev = [
-            {lab: k for k, lab in enumerate(type_labels(p))} for p in TRACKED_PRIMES
-        ]
-        with open(path, newline="") as f:
-            header = f.readline().strip()
-            if not header.startswith("#quadmean-table "):
-                raise ValueError(f"{path} is not a table cache")
-            meta = dict(kv.split("=") for kv in header.split()[1:])
-            sign, limit = int(meta["sign"]), int(meta["limit"])
-            reader = csv.reader(f)
-            next(reader)  # column header
-            mags, hs, regs, codes = [], [], [], []
-            for row in reader:
-                d = int(row[0])
-                if d * sign <= 0:
-                    raise ValueError("sign of cached row disagrees with header")
-                mags.append(abs(d))
-                hs.append(int(row[1]))
-                regs.append(float(row[2]))
-                codes.append([rev[j][row[3 + j]] for j in range(3)])
-        return cls(
-            sign,
-            limit,
-            np.array(mags, dtype=np.int64),
-            np.array(hs, dtype=np.int64),
-            np.array(regs, dtype=np.float64),
-            np.array(codes, dtype=np.int8),
-        )
+        """Read a cache written by save.  A damaged cache raises ValueError:
+        a malformed row or type label, or magnitudes other than exactly the
+        fundamental ones up to the header's limit."""
+        # the parsed row lists are the peak of a load; they are freed before
+        # the sieve that checks the magnitudes
+        table = cls(*_read_cache(path))
+        if not np.array_equal(
+            table.magnitude, fundamental_magnitudes(table.sign, table.limit)
+        ):
+            raise ValueError(
+                f"{path}: rows are not the fundamental discriminants up to "
+                f"{table.limit}{_DAMAGED}"
+            )
+        return table
 
     def truncated(self, limit: int) -> "DiscriminantTable":
         if limit > self.limit:
@@ -506,6 +494,42 @@ class DiscriminantTable:
             self.sign, limit, self.magnitude[keep], self.h[keep],
             self.reg[keep], self.codes[keep],
         )
+
+
+def _read_cache(path: str) -> tuple:
+    """(sign, limit, magnitude, h, reg, codes) from a cache file, with the
+    header and every row checked for shape, sign and type labels."""
+    rev = [{lab: k for k, lab in enumerate(type_labels(p))} for p in TRACKED_PRIMES]
+    with open(path, newline="") as f:
+        header = f.readline().strip()
+        if not header.startswith("#quadmean-table "):
+            raise ValueError(f"{path} is not a table cache")
+        reader = csv.reader(f)
+        mags, hs, regs, codes = [], [], [], []
+        try:
+            meta = dict(kv.split("=") for kv in header.split()[1:])
+            sign, limit = int(meta["sign"]), int(meta["limit"])
+            next(reader)  # column header
+            for row in reader:
+                d = int(row[0])
+                if d * sign <= 0:
+                    raise ValueError("sign of cached row disagrees with header")
+                mags.append(abs(d))
+                hs.append(int(row[1]))
+                regs.append(float(row[2]))
+                codes.append([rev[j][row[3 + j]] for j in range(3)])
+        except (IndexError, KeyError, ValueError, StopIteration) as exc:
+            raise ValueError(
+                f"{path}: bad line {reader.line_num + 1} ({exc!r}){_DAMAGED}"
+            ) from None
+    return (
+        sign,
+        limit,
+        np.array(mags, dtype=np.int64),
+        np.array(hs, dtype=np.int64),
+        np.array(regs, dtype=np.float64),
+        np.array(codes, dtype=np.int8),
+    )
 
 
 def cached_table(

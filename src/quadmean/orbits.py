@@ -25,6 +25,7 @@ from .residue import (
     square_class,
     unit_group_generators,
     unramified_label,
+    valuation,
 )
 
 # Guard for dense orbit enumeration: the bit-set is indexed by packed
@@ -53,72 +54,10 @@ class BinaryQF:
         return f"({self.x0}, {self.x1}, {self.x2})"
 
 
-def discriminant(x: BinaryQF) -> int:
-    """x1^2 - 4*x0*x2, exact."""
-    return x.discriminant()
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element (t, [[a, b], [c, d]]) of GL(1) x GL(2) over Z/p^n."""
-
-    ring: ResidueRing
-    t: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        m = self.ring.modulus
-        for name in ("t", "a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % m)
-        if not self.ring.is_unit(self.t):
-            raise ValueError("scalar part must be a unit")
-        if not self.ring.is_unit(self.det):
-            raise ValueError("matrix part must be invertible")
-
-    @property
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.ring.modulus
-
-    @property
-    def character(self) -> int:
-        """Product character t * det(g2); the discriminant scales by its square."""
-        return self.t * self.det % self.ring.modulus
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
-        return GroupElement(
-            self.ring,
-            self.t * other.t,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "GroupElement":
-        di = self.ring.inv(self.det)
-        return GroupElement(
-            self.ring,
-            self.ring.inv(self.t),
-            di * self.d,
-            -di * self.b,
-            -di * self.c,
-            di * self.a,
-        )
-
-    @classmethod
-    def identity(cls, ring: ResidueRing) -> "GroupElement":
-        return cls(ring, 1, 1, 0, 0, 1)
-
-
-def act(g: GroupElement, x: BinaryQF) -> BinaryQF:
-    """Apply (t, g2) to a form: substitute v -> v*g2, then scale by t."""
-    m = g.ring.modulus
-    t, a, b, c, d = g.t, g.a, g.b, g.c, g.d
+def act(g: tuple[int, int, int, int, int], x: BinaryQF, m: int) -> BinaryQF:
+    """Apply g = (t, a, b, c, d), the pair (t, [[a, b], [c, d]]), to a form
+    over Z/m: substitute v -> v*g2, then scale by t."""
+    t, a, b, c, d = g
     x0, x1, x2 = x.x0, x.x1, x.x2
     y0 = t * (x0 * a * a + x1 * a * b + x2 * b * b) % m
     y1 = t * (2 * x0 * a * c + x1 * (a * d + b * c) + 2 * x2 * b * d) % m
@@ -238,14 +177,15 @@ class StandardRep:
                 raise ValueError("unramified representative needs unit non-square disc")
             return
         # ramified: Eisenstein shape and the disc-valuation dichotomy
-        a1, a2 = self.a1, self.a2
-        v1 = _int_valuation(a1, self.p)
-        if not (v1 >= 1 and _int_valuation(a2, self.p) == 1):
+        a1, a2, p = self.a1, self.a2, self.p
+        # trace 0 has infinite valuation, past every m: the odd-delta case
+        v1 = valuation(a1, p) if a1 else self.m + 1
+        if v1 < 1 or a2 == 0 or valuation(a2, p) != 1:
             raise ValueError("ramified representative must be Eisenstein")
-        expected_delta = 2 * v1 if 1 <= v1 <= self.m else 2 * self.m + 1
+        expected_delta = 2 * v1 if v1 <= self.m else 2 * self.m + 1
         if self.delta != expected_delta:
             raise ValueError("disc valuation inconsistent with trace valuation")
-        if _int_valuation(disc, self.p) != self.delta:
+        if valuation(disc, p) != self.delta:
             raise ValueError("discriminant valuation must equal delta")
 
     def _expected_class(self) -> SquareClassLabel:
@@ -276,16 +216,6 @@ class StandardRep:
         return f"{self.algebra} rep {self.form} at p={self.p}"
 
 
-def _int_valuation(v: int, p: int) -> float:
-    if v == 0:
-        return float("inf")
-    k = 0
-    while v % p == 0:
-        v //= p
-        k += 1
-    return k
-
-
 def standard_representatives(p: int) -> list[StandardRep]:
     """One representative per separable quadratic algebra of Q_p.
 
@@ -313,34 +243,13 @@ def standard_representatives(p: int) -> list[StandardRep]:
 # the stabilizer torus
 # ---------------------------------------------------------------------------
 
-def torus_matrix(x: StandardRep, ring: ResidueRing, c: int, d: int) -> tuple[int, int, int, int]:
+def torus_matrix(x: StandardRep, ring: ResidueRing, c, d) -> tuple:
     """Matrix of multiplication by c + d*theta on the order Z[theta] of the
-    algebra of x, in the basis (1, theta): [[c, d], [-a2 d, c + a1 d]]."""
+    algebra of x, in the basis (1, theta): [[c, d], [-a2 d, c + a1 d]].
+    c and d are ints, or int64 arrays for a matrix per entry."""
     a1, a2 = x.a1, x.a2
     m = ring.modulus
     return (c % m, d % m, -a2 * d % m, (c + a1 * d) % m)
-
-
-def torus_element(x: StandardRep, ring: ResidueRing, c: int, d: int) -> GroupElement | None:
-    """The stabilizer element (det^-1, A) for A = torus_matrix(x, c, d),
-    or None when det A = x(c, d) is not a unit (rejection, not an error)."""
-    a, b, cc, dd = torus_matrix(x, ring, c, d)
-    det = (a * dd - b * cc) % ring.modulus
-    if not ring.is_unit(det):
-        return None
-    return GroupElement(ring, ring.inv(det), a, b, cc, dd)
-
-
-def torus_contains(x: StandardRep, g: GroupElement) -> bool:
-    """Whether g = (t, A) has the multiplication-matrix shape of the torus
-    of x with t = det(A)^-1."""
-    m = g.ring.modulus
-    a1, a2 = x.a1, x.a2
-    if (g.c + a2 * g.b) % m != 0:
-        return False
-    if (g.d - g.a - a1 * g.b) % m != 0:
-        return False
-    return g.t * g.det % m == 1
 
 
 def torus_order(x: StandardRep, ring: ResidueRing) -> int:
@@ -409,10 +318,11 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[bytearray, int]:
     start = (x0 * m + x1) * m + x2
     visited = bytearray((space + 7) // 8)
     visited[start >> 3] |= 1 << (start & 7)
-    frontier = [(x0, x1, x2)]
+    frontier = [start]
     count = 1
     while frontier:
-        x0, x1, x2 = frontier.pop()
+        x01, x2 = divmod(frontier.pop(), m)
+        x0, x1 = divmod(x01, m)
         for t, a, b, c, d in gens:
             y0 = t * (x0 * a * a + x1 * a * b + x2 * b * b) % m
             y1 = t * (2 * x0 * a * c + x1 * (a * d + b * c) + 2 * x2 * b * d) % m
@@ -421,7 +331,7 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[bytearray, int]:
             byte, bit = idx >> 3, 1 << (idx & 7)
             if not visited[byte] & bit:
                 visited[byte] |= bit
-                frontier.append((y0, y1, y2))
+                frontier.append(idx)
                 count += 1
     return visited, count
 
@@ -478,8 +388,9 @@ class LiftSaturation:
 # stabilizer enumeration and the coset normal form
 # ---------------------------------------------------------------------------
 
-def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> list[GroupElement]:
-    """All (t, g2) in G(Z/p^N) fixing the form of x, by scanning matrix rows.
+def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
+    """All (t, g2) in G(Z/p^N) fixing the form of x, by scanning matrix rows,
+    as an int64 array of rows (t, a, b, c, d) in increasing (a, b, c, d).
 
     The scalar is forced by the leading coefficient: t = x(a, b)^-1 for the
     top row (a, b), which must evaluate to a unit.  The bottom row is then
@@ -495,22 +406,22 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> list[GroupElement]
     p = ring.p
     cs = np.repeat(np.arange(m, dtype=np.int64), m)
     ds = np.tile(np.arange(m, dtype=np.int64), m)
-    cc = cs * cs % m
-    cd = cs * ds % m
-    dd = ds * ds % m
-    out: list[GroupElement] = []
+    norm = (cs * cs + a1 * cs * ds + a2 * ds * ds) % m
+    rows = []
     for a in range(m):
         for b in range(m):
             xab = (a * a + a1 * a * b + a2 * b * b) % m
             if xab % p == 0:
                 continue
             t = pow(xab, -1, m)
-            e1 = (t * (2 * a * cs + a1 * (a * ds + b * cs) + 2 * a2 * b * ds) - a1) % m == 0
-            e2 = (t * (cc + a1 * cd + a2 * dd) - a2) % m == 0
+            e1 = (t * ((2 * a + a1 * b) * cs + (a1 * a + 2 * a2 * b) * ds) - a1) % m == 0
+            e2 = (t * norm - a2) % m == 0
             unit = (a * ds - b * cs) % p != 0
-            for i in np.nonzero(e1 & e2 & unit)[0]:
-                out.append(GroupElement(ring, t, a, b, int(cs[i]), int(ds[i])))
-    return out
+            hit = np.flatnonzero(e1 & e2 & unit)
+            rows.append(np.column_stack(
+                (np.broadcast_to((t, a, b), (hit.size, 3)), cs[hit], ds[hit])
+            ))
+    return np.concatenate(rows)
 
 
 @dataclass(frozen=True)
@@ -524,48 +435,78 @@ class CosetNormalForm:
     detail: str
 
 
+# stabilizer rows factored at once; bounds the check's temporary arrays
+_COSET_BLOCK = 4096
+
+
 def coset_normal_form_check(
     x: StandardRep,
     ring: ResidueRing,
-    stab: list[GroupElement],
+    stab: np.ndarray,
     tsize: int,
     solutions: set[tuple[int, int]],
 ) -> CosetNormalForm:
     """Verify that every stabilizer element factors as (torus element) *
-    (1, [[1, 0], [u, s]]) with exactly one lower-triangular representative
-    per torus coset, and that the (u, s) set is the congruence solution set.
+    (1, [[1, 0], [u, v]]) with exactly one lower-triangular representative
+    per torus coset, and that the (u, v) set is the congruence solution set.
 
     stab, tsize and solutions are stabilizer_elements, torus_order and
-    congruence_solution_set of x at ring.
+    congruence_solution_set of x at ring.  The factorization is closed-form
+    array arithmetic over blocks of stabilizer rows.
     """
-    m = ring.modulus
-    fibers: dict[tuple[int, int], int] = {}
-    for g in stab:
-        # top-left entry of g2 reduces to a unit (the form is v1^2 mod p),
-        # so multiplying by torus elements clears the top row to (1, 0)
-        n1 = torus_element(x, ring, g.d, -g.b)
-        if n1 is None:
-            return CosetNormalForm(x, ring, len(stab), 0, 0, False,
-                                   f"row reduction rejected at {g}")
-        g1 = n1 * g
-        if g1.b % m != 0:
-            return CosetNormalForm(x, ring, len(stab), 0, 0, False,
-                                   "upper-right entry did not clear")
-        n2 = torus_element(x, ring, ring.inv(g1.a), 0)
-        g2 = n2 * g1
-        if not (g2.t == 1 and g2.a == 1 and g2.b == 0):
-            return CosetNormalForm(x, ring, len(stab), 0, 0, False,
-                                   "normal form is not unipotent-diagonal")
-        # the factored torus part must really lie in the torus
-        n_part = g * g2.inverse()
-        if not torus_contains(x, n_part):
-            return CosetNormalForm(x, ring, len(stab), 0, 0, False,
-                                   "left factor escaped the torus")
-        key = (g2.c, g2.d)
-        fibers[key] = fibers.get(key, 0) + 1
-    ok = all(v == tsize for v in fibers.values())
-    ok = ok and set(fibers) == solutions
-    ok = ok and len(fibers) * tsize == len(stab)
+    m, p = ring.modulus, ring.p
+    a1, a2 = x.a1, x.a2
+    inv = np.zeros(m, dtype=np.int64)  # 0 stands in for a non-unit's inverse
+    units = [v for v in range(m) if v % p]
+    inv[units] = [pow(v, -1, m) for v in units]
+    keys = np.empty(len(stab), dtype=np.int64)
+    for lo in range(0, len(stab), _COSET_BLOCK):
+        t, a, b, c, d = stab[lo : lo + _COSET_BLOCK].T
+        # top-left entry of g2 reduces to a unit (the form is v1^2 mod p), so
+        # the torus element n1 = (det1^-1, N1) clears the top row to (det g2, 0)
+        na, nb, nc, nd = torus_matrix(x, ring, d, -b)
+        det1 = (na * nd - nb * nc) % m
+        accepted = det1 % p != 0
+        top = (na * a + nb * c) % m
+        right = (na * b + nb * d) % m
+        cleared = right == 0
+        # the scalar torus element det(g2)^-1 normalizes the top row to (1, 0)
+        s = inv[top]
+        u = s * ((nc * a + nd * c) % m) % m
+        v = s * ((nc * b + nd * d) % m) % m
+        t2 = top * top % m * inv[det1] % m * t % m
+        unipotent = (t2 == 1) & (s * top % m == 1) & (s * right % m == 0)
+        # the left factor g * (1, [[1, 0], [u, v]])^-1 must lie in the torus
+        w = inv[v]
+        fb = b * w % m
+        fa = (a - fb * u) % m
+        fc = (c - d * w % m * u) % m
+        fd = d * w % m
+        in_torus = (
+            ((fc + a2 * fb) % m == 0)
+            & ((fd - fa - a1 * fb) % m == 0)
+            & (t * ((fa * fd - fb * fc) % m) % m == 1)
+        )
+        ok = accepted & cleared & unipotent & in_torus
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not accepted[i]:
+                detail = f"row reduction rejected at {tuple(int(e) for e in stab[lo + i])}"
+            elif not cleared[i]:
+                detail = "upper-right entry did not clear"
+            elif not unipotent[i]:
+                detail = "normal form is not unipotent-diagonal"
+            else:
+                detail = "left factor escaped the torus"
+            return CosetNormalForm(x, ring, len(stab), 0, 0, False, detail)
+        keys[lo : lo + len(t)] = u * m + v
+    fibers, counts = np.unique(keys, return_counts=True)
+    expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int64)
+    ok = (
+        bool((counts == tsize).all())
+        and np.array_equal(fibers, expected)
+        and len(fibers) * tsize == len(stab)
+    )
     detail = "" if ok else "fiber sizes or representative set mismatch"
     return CosetNormalForm(x, ring, len(stab), tsize, len(fibers), ok, detail)
 
@@ -655,7 +596,7 @@ def congruence_solution_check(
         b2 = Fraction(a1) - 4 * pi / a1
         b = b2 / b1
         # valuations claimed by the closed description
-        assert _fraction_valuation(b1, p) == 1 and _fraction_valuation(b2, p) == ell
+        assert valuation(b1, p) == 1 and valuation(b2, p) == ell
         step = p ** (ell + 2 * m_ord + 1)
         two_over_a1 = _mod_inverse_fraction(Fraction(2, a1), mod)
         u0_b = (-_mod_inverse_fraction(b, mod) * a2) % step
@@ -675,16 +616,3 @@ def congruence_solution_check(
     passed = described_f == brute and disjoint
     return CongruenceCharacterization(x, ring, brute, described_f, branches, disjoint, passed)
 
-
-def _fraction_valuation(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v

@@ -60,24 +60,24 @@ class ResidueRing:
         """Inverse of a unit; raises ValueError on a non-unit."""
         return pow(v, -1, self.modulus)
 
-    def valuation(self, v: int) -> int:
-        """p-adic valuation of v as an element of Z/p^n; the zero class gets n."""
-        v %= self.modulus
-        if v == 0:
-            return self.n
-        k = 0
-        while v % self.p == 0:
-            v //= self.p
-            k += 1
-        return k
-
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.n}"
 
 
-def valuation(v: int, ring: ResidueRing) -> int:
-    """p-adic valuation of v in Z/p^n."""
-    return ring.valuation(v)
+def valuation(q: int | Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero int or Fraction; ValueError on 0."""
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("valuation of 0")
+    num, den = q.numerator, q.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def _primitive_root_mod_p(p: int) -> int:
@@ -187,10 +187,6 @@ class SquareClassLabel:
             raise ValueError(f"{self.label} is not a square-class label at p={self.p}")
 
     @property
-    def is_trivial(self) -> bool:
-        return self.label == 1
-
-    @property
     def disc_valuation(self) -> int:
         """Valuation of the discriminant of Q_p(sqrt(label)) over Q_p."""
         if self.p != 2:
@@ -225,14 +221,9 @@ def square_class(a, p: int) -> SquareClassLabel:
     a = Fraction(a)
     if a == 0:
         raise ValueError("square class of 0 is undefined")
-    num, den = a.numerator, a.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    v = valuation(a, p)
+    unit = a / Fraction(p) ** v
+    num, den = unit.numerator, unit.denominator
     if p == 2:
         w = num * pow(den, -1, 8) % 8
         label = _TWO_ADIC_UNIT_LABEL[w]

@@ -13,6 +13,10 @@ from quadmean.cli import build_parser, main
 from quadmean.orbits import BinaryQF, orbit_size
 from quadmean.residue import CapacityError, ResidueRing
 
+GOLDEN_LOCAL = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "golden", "verify-local.json"
+)
+
 
 def run_cli(argv):
     buf = io.StringIO()
@@ -66,6 +70,11 @@ def test_verify_local_small_primes():
     ):
         assert any(stem in a and "p=2" in a for a in anchors), stem
         assert any(stem in a and "p=3" in a for a in anchors), stem
+    # exact expected/got, pinned against the recorded --primes 2,3,5 run
+    with open(GOLDEN_LOCAL) as f:
+        golden = {i["anchor"]: i for i in json.load(f)["items"]}
+    for item in doc["items"]:
+        assert item == golden[item["anchor"]]
 
 
 def test_constant_command_prefactor():
@@ -103,6 +112,40 @@ def test_mean_value_imaginary_small(tmp_path):
     assert code == 0
     assert os.path.getmtime(cache) == stamp
     assert json.loads(out2)["items"] == doc["items"]
+
+
+def _cut_at_line(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: len(lines) * 2 // 3])
+
+
+def _cut_mid_row(text):
+    row = text.index("\n", len(text) * 2 // 3) + 1
+    return text[: text.index(",", row) + 1]
+
+
+def _unknown_label(text):
+    return text.replace(",unram,", ",unramified,", 1)
+
+
+def _header_without_limit(text):
+    return text.replace(" limit=10000", "", 1)
+
+
+@pytest.mark.parametrize(
+    "damage", [_cut_at_line, _cut_mid_row, _unknown_label, _header_without_limit]
+)
+def test_damaged_cache_exits_2(tmp_path, capsys, damage):
+    cache = tmp_path / "neg.csv"
+    argv = ["mean-value", "--cond", "inf=C", "--X", "10000", "--cache", str(cache)]
+    assert run_cli(argv)[0] == 0
+    cache.write_text(damage(cache.read_text()))
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_mean_value_real_small(tmp_path):

@@ -15,7 +15,6 @@ from quadmean.fields import (
     cached_table,
     class_number_imaginary,
     class_number_real,
-    fundamental_discriminants,
     fundamental_magnitudes,
     fundamental_unit_exact,
     hr_real,
@@ -52,7 +51,7 @@ def test_fundamental_enumeration_agrees_with_predicate():
         listed = set(int(v) for v in mags)
         for n in range(2001):
             assert (n in listed) == is_fundamental(sign * n)
-        ds = fundamental_discriminants(sign, 2000)
+        ds = sign * fundamental_magnitudes(sign, 2000)
         assert all(is_fundamental(int(d)) for d in ds)
 
 
@@ -221,6 +220,20 @@ def test_cached_table(tmp_path):
     assert np.array_equal(
         t3.h[t3.magnitude <= 600], t1.h
     )
+
+
+def test_interrupted_save_keeps_the_old_cache(tmp_path):
+    path = str(tmp_path / "cache.csv")
+    DiscriminantTable.compute(-1, 300).save(path)
+    with open(path) as f:
+        before = f.read()
+    broken = DiscriminantTable.compute(-1, 600)
+    broken.codes = broken.codes[:10]  # the save fails after ten rows
+    with pytest.raises(IndexError):
+        broken.save(path)
+    with open(path) as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["cache.csv"]
 
 
 def test_cached_table_rejects_foreign_file(tmp_path):

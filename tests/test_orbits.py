@@ -2,20 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from quadmean.orbits import (
     ALG_SPLIT,
     BinaryQF,
     CapacityError,
-    GroupElement,
     QuadraticAlgebraDescriptor,
     StandardRep,
     act,
     congruence_solution_check,
     congruence_solution_set,
     coset_normal_form_check,
-    discriminant,
     group_order,
     lift_saturation_check,
     orbit_size,
@@ -23,46 +22,32 @@ from quadmean.orbits import (
     stabilizer_elements,
     stabilizer_order,
     standard_representatives,
-    torus_contains,
-    torus_element,
+    torus_matrix,
     torus_order,
     unramified_algebra,
 )
 from quadmean.residue import ResidueRing
 
 
-def random_element(rng: random.Random, ring: ResidueRing) -> GroupElement:
+IDENTITY = (1, 1, 0, 0, 1)
+
+
+def random_element(rng: random.Random, ring: ResidueRing) -> tuple[int, int, int, int, int]:
     m = ring.modulus
     p = ring.p
     while True:
         t = rng.randrange(m)
         a, b, c, d = (rng.randrange(m) for _ in range(4))
         if t % p and (a * d - b * c) % p:
-            return GroupElement(ring, t, a, b, c, d)
+            return (t, a, b, c, d)
 
 
-def test_group_element_validation():
-    ring = ResidueRing(3, 2)
-    with pytest.raises(ValueError):
-        GroupElement(ring, 3, 1, 0, 0, 1)  # scalar not a unit
-    with pytest.raises(ValueError):
-        GroupElement(ring, 1, 1, 1, 1, 1)  # determinant zero
-    e = GroupElement.identity(ring)
-    assert (e.t, e.a, e.b, e.c, e.d) == (1, 1, 0, 0, 1)
-
-
-def test_group_law_and_inverse():
-    rng = random.Random(3)
-    for p, n in ((2, 4), (3, 2), (5, 2)):
-        ring = ResidueRing(p, n)
-        e = GroupElement.identity(ring)
-        for _ in range(40):
-            g = random_element(rng, ring)
-            h = random_element(rng, ring)
-            k = random_element(rng, ring)
-            assert (g * h) * k == g * (h * k)
-            assert g * g.inverse() == e
-            assert g.inverse() * g == e
+def compose(g, h, m):
+    """(t, g2) * (s, h2) = (t s, g2 h2) over Z/m."""
+    t, a, b, c, d = g
+    s, e, f, k, l = h
+    return (t * s % m, (a * e + b * k) % m, (a * f + b * l) % m,
+            (c * e + d * k) % m, (c * f + d * l) % m)
 
 
 def test_act_is_left_action():
@@ -74,8 +59,8 @@ def test_act_is_left_action():
             x = BinaryQF(rng.randrange(m), rng.randrange(m), rng.randrange(m))
             g = random_element(rng, ring)
             h = random_element(rng, ring)
-            assert act(g, act(h, x)) == act(g * h, x)
-            assert act(GroupElement.identity(ring), x) == BinaryQF(x.x0 % m, x.x1 % m, x.x2 % m)
+            assert act(g, act(h, x, m), m) == act(compose(g, h, m), x, m)
+            assert act(IDENTITY, x, m) == BinaryQF(x.x0 % m, x.x1 % m, x.x2 % m)
 
 
 def test_act_substitutes_rows():
@@ -85,12 +70,12 @@ def test_act_substitutes_rows():
     m = ring.modulus
     for _ in range(50):
         x = BinaryQF(rng.randrange(m), rng.randrange(m), rng.randrange(m))
-        g = random_element(rng, ring)
-        y = act(g, x)
+        t, a, b, c, d = g = random_element(rng, ring)
+        y = act(g, x, m)
         v1, v2 = rng.randrange(m), rng.randrange(m)
-        w1 = v1 * g.a + v2 * g.c
-        w2 = v1 * g.b + v2 * g.d
-        assert y(v1, v2) % m == g.t * x(w1, w2) % m
+        w1 = v1 * a + v2 * c
+        w2 = v1 * b + v2 * d
+        assert y(v1, v2) % m == t * x(w1, w2) % m
 
 
 def test_discriminant_scales_by_square_of_character():
@@ -100,9 +85,9 @@ def test_discriminant_scales_by_square_of_character():
         m = ring.modulus
         for _ in range(60):
             x = BinaryQF(rng.randrange(m), rng.randrange(m), rng.randrange(m))
-            g = random_element(rng, ring)
-            lhs = discriminant(act(g, x)) % m
-            assert lhs == g.character**2 * discriminant(x) % m
+            t, a, b, c, d = g = random_element(rng, ring)
+            character = t * (a * d - b * c)
+            assert act(g, x, m).discriminant() % m == character**2 * x.discriminant() % m
 
 
 def test_standard_representatives_shape():
@@ -176,27 +161,6 @@ def test_group_order_small_levels():
     assert group_order(ResidueRing(3, 3)) == 23328 * 3**5
 
 
-def test_torus_is_multiplicative():
-    # products and inverses of torus elements stay in the torus shape
-    rng = random.Random(21)
-    for p in (2, 3):
-        for rep in standard_representatives(p):
-            if not rep.is_ramified:
-                continue
-            ring = rep.natural_ring()
-            m = ring.modulus
-            got = 0
-            while got < 25:
-                g = torus_element(rep, ring, rng.randrange(m), rng.randrange(m))
-                h = torus_element(rep, ring, rng.randrange(m), rng.randrange(m))
-                if g is None or h is None:
-                    continue
-                got += 1
-                assert torus_contains(rep, g)
-                assert torus_contains(rep, g * h)
-                assert torus_contains(rep, g.inverse())
-
-
 def test_torus_fixes_the_form():
     rng = random.Random(22)
     for p in (2, 3, 5):
@@ -207,20 +171,14 @@ def test_torus_fixes_the_form():
             m = ring.modulus
             got = 0
             while got < 15:
-                g = torus_element(rep, ring, rng.randrange(m), rng.randrange(m))
-                if g is None:
+                c, d = rng.randrange(m), rng.randrange(m)
+                norm = rep.form(c, d) % m
+                if norm % p == 0:
                     continue
                 got += 1
-                y = act(g, rep.form)
+                g = (pow(norm, -1, m), *torus_matrix(rep, ring, c, d))
+                y = act(g, rep.form, m)
                 assert y.coeffs() == tuple(v % m for v in rep.form.coeffs())
-
-
-def test_torus_element_rejects_non_unit_norm():
-    rep = standard_representatives(3)[2]
-    ring = rep.natural_ring()
-    # x(0, 1) = a2 = -3 has valuation 1, not a unit
-    assert torus_element(rep, ring, 0, 1) is None
-    assert torus_element(rep, ring, 3, 3) is None
 
 
 def test_congruence_counts_all_ramified():
@@ -276,15 +234,46 @@ def test_coset_normal_form():
         assert res.stabilizer_size == res.coset_count * res.torus_size
 
 
+def _move_c(stab, i, m):
+    stab[i, 3] = (stab[i, 3] + 1) % m
+    return stab
+
+
+def _scale_t(stab, i, m):
+    stab[i, 0] = stab[i, 0] * (m - 1) % m
+    return stab
+
+
+def _duplicate_row(stab, i, m):
+    return np.insert(stab, i, stab[i], axis=0)
+
+
+@pytest.mark.parametrize("corrupt", [_move_c, _scale_t, _duplicate_row])
+@pytest.mark.parametrize("p,idx", [(3, 2), (2, 4)])
+def test_coset_normal_form_rejects_a_corrupted_row(p, idx, corrupt):
+    # five eighths in: in the sixth of the 8 blocks of (2, 4)'s 32768 rows
+    rep = standard_representatives(p)[idx]
+    ring = rep.natural_ring()
+    stab = stabilizer_elements(rep, ring)
+    args = (torus_order(rep, ring), congruence_solution_set(rep, ring))
+    assert coset_normal_form_check(rep, ring, stab, *args).passed
+    bad = corrupt(stab.copy(), len(stab) * 5 // 8 + 3, ring.modulus)
+    res = coset_normal_form_check(rep, ring, bad, *args)
+    assert not res.passed
+    assert res.detail
+
+
 def test_stabilizer_scan_matches_quotient():
     for p, idx in ((3, 2), (2, 2)):
         rep = standard_representatives(p)[idx]
         ring = rep.natural_ring()
         elems = stabilizer_elements(rep, ring)
+        assert elems.dtype == np.int64 and elems.shape == (len(elems), 5)
         assert len(elems) == stabilizer_order(ring, orbit_size(rep, ring))
         m = ring.modulus
         for g in elems[:: max(1, len(elems) // 40)]:
-            assert act(g, rep.form).coeffs() == tuple(v % m for v in rep.form.coeffs())
+            g = tuple(int(v) for v in g)
+            assert act(g, rep.form, m).coeffs() == tuple(v % m for v in rep.form.coeffs())
 
 
 def test_lift_saturation():
@@ -314,14 +303,12 @@ def test_orbit_size_is_constant_on_the_orbit():
     base = orbit_size(rep, ring)
     for _ in range(5):
         g = random_element(rng, ring)
-        moved = act(g, rep.form)
+        moved = act(g, rep.form, ring.modulus)
         assert orbit_size(moved, ring) == base
 
 
 def test_multiplication_matrix_determinant_is_the_form_value():
     # exhaustive on small rings, sampled beyond
-    from quadmean.orbits import torus_matrix
-
     for p, n in ((2, 5), (2, 6), (3, 3)):
         for rep in standard_representatives(p):
             if rep.form.x0 != 1:
@@ -371,5 +358,5 @@ def test_representative_discriminants_lie_in_distinct_square_classes():
 
     for p in (2, 3, 5, 7):
         reps = standard_representatives(p)
-        labels = [square_class(discriminant(r.form), p).label for r in reps]
+        labels = [square_class(r.form.discriminant(), p).label for r in reps]
         assert len(set(labels)) == len(labels), (p, labels)

@@ -46,14 +46,17 @@ def test_inverse_and_units():
 
 
 def test_valuation():
-    ring = ResidueRing(3, 4)
-    assert valuation(1, ring) == 0
-    assert valuation(6, ring) == 1
-    assert valuation(27, ring) == 3
-    # the zero class has valuation n by convention
-    assert valuation(81, ring) == 4
-    assert valuation(0, ring) == 4
-    assert valuation(-9, ring) == 2
+    assert valuation(1, 3) == 0
+    assert valuation(6, 3) == 1
+    assert valuation(27, 3) == 3
+    assert valuation(81, 3) == 4
+    assert valuation(-9, 3) == 2
+    assert valuation(Fraction(2, 9), 3) == -2
+    assert valuation(Fraction(-12, 7), 2) == 2
+    assert valuation(Fraction(5, 4), 5) == 1
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            valuation(zero, 3)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 1), (2, 1), (2, 2), (2, 3), (2, 5)])
