@@ -28,8 +28,10 @@ from .residue import (
     valuation,
 )
 
-# Guard for dense orbit enumeration: the bit-set is indexed by packed
-# coefficient triples, so the ambient space p^(3n) must stay small.
+# Guard for dense orbit enumeration: the visited set is a bool array indexed
+# by packed coefficient triples, one byte per form of the ambient space
+# p^(3n), so it takes 64 MB at the guard.  The BFS packs triples into int32,
+# so the guard must stay below 2^31.
 MAX_ORBIT_SPACE = 1 << 26
 
 
@@ -304,35 +306,48 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
     return gens
 
 
-def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[bytearray, int]:
-    """Dense breadth-first closure of the G-orbit of a form.
+# frontier entries decoded at once; bounds the BFS's temporary arrays
+_BFS_BLOCK = 1 << 14
 
-    Returns (bit set keyed by packed coefficient triples, orbit size).
+
+def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
+    """Dense level-synchronous closure of the G-orbit of a form.
+
+    Each generator acts on (x0, x1, x2) by a 3x3 matrix mod m; every level
+    applies them all to the frontier, in blocks of packed coefficient
+    triples.  Returns (bool array keyed by packed triples, orbit size).
     """
     m = ring.modulus
     space = m**3
     if space > MAX_ORBIT_SPACE:
         raise CapacityError(f"orbit space {ring.p}^(3*{ring.n}) exceeds {MAX_ORBIT_SPACE}")
-    gens = _generators(ring)
+    mats = []
+    for t, a, b, c, d in _generators(ring):
+        rows = ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
+        mats.append([[t * k % m for k in row] for row in rows])
     x0, x1, x2 = (v % m for v in form.coeffs())
     start = (x0 * m + x1) * m + x2
-    visited = bytearray((space + 7) // 8)
-    visited[start >> 3] |= 1 << (start & 7)
-    frontier = [start]
+    visited = np.zeros(space, dtype=bool)
+    visited[start] = True
+    # packed triples (< m^3) and the sums k0*x0 + k1*x1 + k2*x2 (< 3 m^2) fit
+    # int32 for any space that passes the guard; int32 halves the temporaries
+    frontier = np.array([start], dtype=np.int32)
     count = 1
-    while frontier:
-        x01, x2 = divmod(frontier.pop(), m)
-        x0, x1 = divmod(x01, m)
-        for t, a, b, c, d in gens:
-            y0 = t * (x0 * a * a + x1 * a * b + x2 * b * b) % m
-            y1 = t * (2 * x0 * a * c + x1 * (a * d + b * c) + 2 * x2 * b * d) % m
-            y2 = t * (x0 * c * c + x1 * c * d + x2 * d * d) % m
-            idx = (y0 * m + y1) * m + y2
-            byte, bit = idx >> 3, 1 << (idx & 7)
-            if not visited[byte] & bit:
-                visited[byte] |= bit
-                frontier.append(idx)
-                count += 1
+    while frontier.size:
+        found = []
+        for lo in range(0, frontier.size, _BFS_BLOCK):
+            x01, x2 = np.divmod(frontier[lo : lo + _BFS_BLOCK], m)
+            x0, x1 = np.divmod(x01, m)
+            for mat in mats:
+                y0, y1, y2 = ((k0 * x0 + k1 * x1 + k2 * x2) % m for k0, k1, k2 in mat)
+                idx = (y0 * m + y1) * m + y2
+                # a generator permutes the forms, so distinct entries have
+                # distinct images: the unseen ones need no deduplication
+                new = idx[~visited[idx]]
+                visited[new] = True
+                found.append(new)
+        frontier = np.concatenate(found)
+        count += frontier.size
     return visited, count
 
 
@@ -361,17 +376,12 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
     m = ring.modulus
     step = x.p**n
     visited, orbit_count = _orbit_bitset(x.form, ring)
-    x0, x1, x2 = (v % step for v in x.form.coeffs())
-    lifts = 0
-    missing: list[tuple[int, int, int]] = []
-    for y0 in range(x0, m, step):
-        for y1 in range(x1, m, step):
-            for y2 in range(x2, m, step):
-                lifts += 1
-                idx = (y0 * m + y1) * m + y2
-                if not visited[idx >> 3] & (1 << (idx & 7)):
-                    missing.append((y0, y1, y2))
-    return LiftSaturation(x, level, lifts, orbit_count, tuple(missing[:16]), not missing)
+    y0, y1, y2 = (np.arange(v % step, m, step, dtype=np.int64) for v in x.form.coeffs())
+    # packed lifts in lexicographic (y0, y1, y2) order
+    idx = ((y0[:, None, None] * m + y1[:, None]) * m + y2).ravel()
+    absent = idx[~visited[idx]]
+    missing = tuple((v // (m * m), v // m % m, v % m) for v in absent[:16].tolist())
+    return LiftSaturation(x, level, idx.size, orbit_count, missing, not absent.size)
 
 
 @dataclass(frozen=True)
@@ -388,13 +398,23 @@ class LiftSaturation:
 # stabilizer enumeration and the coset normal form
 # ---------------------------------------------------------------------------
 
-def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
-    """All (t, g2) in G(Z/p^N) fixing the form of x, by scanning matrix rows,
-    as an int64 array of rows (t, a, b, c, d) in increasing (a, b, c, d).
+def _unit_inverses(ring: ResidueRing) -> np.ndarray:
+    """Inverse of every residue mod p^N as an int64 table, 0 at non-units."""
+    m, p = ring.modulus, ring.p
+    inv = np.zeros(m, dtype=np.int64)
+    units = [v for v in range(m) if v % p]
+    inv[units] = [pow(v, -1, m) for v in units]
+    return inv
 
-    The scalar is forced by the leading coefficient: t = x(a, b)^-1 for the
-    top row (a, b), which must evaluate to a unit.  The bottom row is then
-    scanned in bulk.
+
+def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
+    """All (t, g2) in G(Z/p^N) fixing the form of x, as an int64 array of
+    rows (t, a, b, c, d) in increasing (a, b, c, d).
+
+    g fixes x exactly when x(a, b) = t^-1, x(c, d) = a2 t^-1, the cross
+    term matches a1, and g2 is invertible.  Rows (a, b) and (c, d) are
+    bucketed by their form value, so each unit r = t^-1 pairs the bucket
+    of r (top rows) with the bucket of a2 r (bottom rows).
     """
     m = ring.modulus
     if m**4 > MAX_ORBIT_SPACE * 4:
@@ -404,24 +424,31 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     a1 = x.a1 % m
     a2 = x.a2 % m
     p = ring.p
-    cs = np.repeat(np.arange(m, dtype=np.int64), m)
-    ds = np.tile(np.arange(m, dtype=np.int64), m)
-    norm = (cs * cs + a1 * cs * ds + a2 * ds * ds) % m
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            xab = (a * a + a1 * a * b + a2 * b * b) % m
-            if xab % p == 0:
-                continue
-            t = pow(xab, -1, m)
-            e1 = (t * ((2 * a + a1 * b) * cs + (a1 * a + 2 * a2 * b) * ds) - a1) % m == 0
-            e2 = (t * norm - a2) % m == 0
-            unit = (a * ds - b * cs) % p != 0
-            hit = np.flatnonzero(e1 & e2 & unit)
-            rows.append(np.column_stack(
-                (np.broadcast_to((t, a, b), (hit.size, 3)), cs[hit], ds[hit])
-            ))
-    return np.concatenate(rows)
+    inv = _unit_inverses(ring)
+    # packed rows a*m + b, sorted by form value, increasing within a bucket
+    a = np.repeat(np.arange(m, dtype=np.int64), m)
+    b = np.tile(np.arange(m, dtype=np.int64), m)
+    value = (a * a + a1 * a * b + a2 * b * b) % m
+    order = np.argsort(value, kind="stable")
+    bounds = np.searchsorted(value[order], np.arange(m + 1))
+    keys = []
+    for r in np.flatnonzero(inv):
+        s = a2 * r % m
+        top = order[bounds[r] : bounds[r + 1]]
+        bot = order[bounds[s] : bounds[s + 1]]
+        ta, tb = a[top][:, None], b[top][:, None]
+        c, d = a[bot], b[bot]
+        cross = ((2 * ta + a1 * tb) % m * c + (a1 * ta + 2 * a2 * tb) % m * d) % m
+        hit = (inv[r] * cross % m == a1) & ((ta * d - tb * c) % p != 0)
+        keys.append((top[:, None] * (m * m) + bot)[hit])
+    keys = np.concatenate(keys)
+    keys.sort()
+    rows = np.empty((keys.size, 5), dtype=np.int64)
+    for j in (4, 3, 2, 1):  # peel d, c, b, a off the packed keys
+        keys, rows[:, j] = np.divmod(keys, m)
+    a, b = rows[:, 1], rows[:, 2]
+    rows[:, 0] = inv[(a * a + a1 * a * b + a2 * b * b) % m]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -456,9 +483,7 @@ def coset_normal_form_check(
     """
     m, p = ring.modulus, ring.p
     a1, a2 = x.a1, x.a2
-    inv = np.zeros(m, dtype=np.int64)  # 0 stands in for a non-unit's inverse
-    units = [v for v in range(m) if v % p]
-    inv[units] = [pow(v, -1, m) for v in units]
+    inv = _unit_inverses(ring)  # 0 stands in for a non-unit's inverse
     keys = np.empty(len(stab), dtype=np.int64)
     for lo in range(0, len(stab), _COSET_BLOCK):
         t, a, b, c, d = stab[lo : lo + _COSET_BLOCK].T

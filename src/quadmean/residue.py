@@ -53,13 +53,6 @@ class ResidueRing:
             raise CapacityError(f"modulus {self.p}^{self.n} exceeds {MAX_MODULUS}")
         object.__setattr__(self, "modulus", m)
 
-    def is_unit(self, v: int) -> bool:
-        return v % self.p != 0
-
-    def inv(self, v: int) -> int:
-        """Inverse of a unit; raises ValueError on a non-unit."""
-        return pow(v, -1, self.modulus)
-
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.n}"
 

@@ -77,6 +77,14 @@ def test_verify_local_small_primes():
         assert item == golden[item["anchor"]]
 
 
+def test_verify_local_reaches_p7():
+    code, out = run_cli(["--format", "json", "verify-local", "--primes", "7"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"] == {"total": 34, "passed": 34, "failed": 0}
+    assert all(item["pass"] for item in doc["items"])
+
+
 def test_constant_command_prefactor():
     code, out = run_cli(
         ["--format", "json", "constant", "--cond", "inf=C,2=ram:-1", "--euler-cutoff", "100000"]

@@ -5,12 +5,16 @@ import random
 import numpy as np
 import pytest
 
+import quadmean.orbits
 from quadmean.orbits import (
     ALG_SPLIT,
     BinaryQF,
     CapacityError,
     QuadraticAlgebraDescriptor,
     StandardRep,
+    _generators,
+    _orbit_bitset,
+    _unit_inverses,
     act,
     congruence_solution_check,
     congruence_solution_set,
@@ -283,6 +287,93 @@ def test_lift_saturation():
             assert res.passed
             assert res.lifts == p**3
             assert res.missing == ()
+
+
+def _scalar_orbit(form, ring):
+    """Depth-first closure of a form under _generators, one act at a time."""
+    m = ring.modulus
+    start = BinaryQF(*(v % m for v in form.coeffs()))
+    seen = {start}
+    stack = [start]
+    while stack:
+        y = stack.pop()
+        for g in _generators(ring):
+            z = act(g, y, m)
+            if z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return seen
+
+
+@pytest.mark.parametrize("p,level", [(2, 3), (3, 2), (5, 1)])
+def test_orbit_bitset_matches_scalar_closure(p, level):
+    ring = ResidueRing(p, level)
+    m = ring.modulus
+    for rep in standard_representatives(p):
+        visited, count = _orbit_bitset(rep.form, ring)
+        assert visited.dtype == bool and visited.shape == (m**3,)
+        got = {
+            BinaryQF(v // (m * m), v // m % m, v % m)
+            for v in np.flatnonzero(visited).tolist()
+        }
+        expected = _scalar_orbit(rep.form, ring)
+        assert got == expected, rep.algebra
+        assert count == len(expected)
+
+
+@pytest.mark.parametrize("p,level", [(3, 2), (2, 3)])
+def test_stabilizer_elements_matches_brute_force(p, level):
+    ring = ResidueRing(p, level)
+    m = ring.modulus
+    units = [t for t in range(m) if t % p]
+    for rep in standard_representatives(p):
+        if not rep.is_ramified:
+            continue
+        x = BinaryQF(*(v % m for v in rep.form.coeffs()))
+        brute = [
+            [t, a, b, c, d]
+            for a in range(m)
+            for b in range(m)
+            for c in range(m)
+            for d in range(m)
+            if (a * d - b * c) % p
+            for t in units
+            if act((t, a, b, c, d), x, m) == x
+        ]
+        assert stabilizer_elements(rep, ring).tolist() == brute, rep.algebra
+
+
+def test_unit_inverses_table():
+    for p, n in ((2, 4), (3, 2), (5, 2)):
+        ring = ResidueRing(p, n)
+        m = ring.modulus
+        inv = _unit_inverses(ring)
+        assert inv.dtype == np.int64 and inv.shape == (m,)
+        for v in range(m):
+            assert int(inv[v]) == (pow(v, -1, m) if v % p else 0)
+
+
+def test_lift_saturation_reports_missing_lifts(monkeypatch):
+    rep = standard_representatives(3)[2]
+    assert (rep.form.coeffs(), rep.n) == ((1, 0, -3), 2)
+    m = 27
+    # three lifts of (1, 0, 6) mod 9 to Z/27, out of lexicographic order
+    dropped = [(19, 0, 6), (1, 9, 24), (10, 18, 15)]
+    raw = quadmean.orbits._orbit_bitset
+
+    def leaky(form, ring):
+        visited, count = raw(form, ring)
+        for y0, y1, y2 in dropped:
+            i = (y0 * m + y1) * m + y2
+            assert visited[i]
+            visited[i] = False
+        return visited, count
+
+    monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)
+    res = lift_saturation_check(rep, 3)
+    assert not res.passed
+    assert res.lifts == 27
+    assert res.missing == tuple(sorted(dropped))
 
 
 def test_lift_saturation_level_guard():
