@@ -2,12 +2,11 @@
 
 Everything here is exact or reduces to sums of logarithms of exact
 integer data.  Class numbers of imaginary fields come from counting
-reduced positive forms; for real fields the product h*R comes from
-summing log((b + sqrt(D))/(2c)) over reduced indefinite forms with
-positive leading coefficient, the regulator comes from the continued
-fraction cycle of the maximal order's generator, and h is recovered as
-the (checked) integer ratio.  Per-field oracles and analytic character
-sums are provided for independent cross-checks.
+reduced positive forms.  For real fields, h*R sums log((b + sqrt(D))/(2c))
+over the reduced indefinite forms (a, b, -c) with a > 0, one array add per
+a; the regulators run the continued fraction cycle of the maximal order's
+generator in lockstep over all D; h is the (checked) integer ratio.
+Per-field oracles and analytic character sums are the scalar cross-checks.
 """
 
 from __future__ import annotations
@@ -226,6 +225,12 @@ def analytic_class_number_imaginary(d: int) -> Fraction:
 # real fields: regulator, unit, h*R
 # ---------------------------------------------------------------------------
 
+def _isqrt_array(n: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(n)) for int64 n < 2^53, where the float root is off by at most one."""
+    s = np.sqrt(n).astype(np.int64)
+    return s - (s * s > n) + ((s + 1) * (s + 1) <= n)
+
+
 def _surd_cycle(d: int) -> list[tuple[int, int]]:
     """Periodic (P, Q) states of the continued fraction of the maximal
     order generator (d mod 2 + sqrt(d))/2; each state is the purely
@@ -343,22 +348,19 @@ def hr_real(d: int) -> float:
 
 
 def _real_hr_range(limit: int, offset: int, stride: int) -> np.ndarray:
-    """Sum of log((b + sqrt(D))/(2c)) into hist[D] over reduced forms
-    (a, b, -c) with a = 1 + offset mod stride."""
+    """hist[D] += log((b + sqrt(D))/(2c)) over reduced forms (a, b, -c), a = 1 + offset
+    mod stride, all (c, b) at once: 4ac < limit, a + c <= isqrt(limit), |a - c| < b."""
     hist = np.zeros(limit + 1, dtype=np.float64)
     smax = isqrt(limit)
     for a in range(1 + offset, smax, stride):
-        for c in range(1, smax - a + 1):
-            fourac = 4 * a * c
-            if fourac >= limit:
-                break
-            bmin = abs(a - c) + 1
-            bmax = isqrt(limit - fourac)
-            if bmax < bmin:
-                continue
-            bs = np.arange(bmin, bmax + 1, dtype=np.int64)
-            ds = bs * bs + fourac
-            hist[ds] += np.log((bs + np.sqrt(ds.astype(np.float64))) / (2.0 * c))
+        c = np.arange(1, min(smax - a, (limit - 1) // (4 * a)) + 1, dtype=np.int64)
+        bmin = np.abs(a - c) + 1
+        counts = np.maximum(_isqrt_array(limit - 4 * a * c) - bmin + 1, 0)
+        b = np.repeat(bmin + counts - np.cumsum(counts), counts)
+        b += np.arange(b.size)
+        c = np.repeat(c, counts)
+        ds = b * b + 4 * a * c
+        np.add.at(hist, ds, np.log((b + np.sqrt(ds)) / (2.0 * c)))
     return hist
 
 
@@ -366,13 +368,6 @@ def real_hr_histogram(limit: int, workers: int = 1) -> np.ndarray:
     """hist[D] = h(D)*R(D) for fundamental D <= limit (other indices carry
     meaningless partial sums)."""
     return _class_sum(_real_hr_range, workers, limit)
-
-
-def _regulator_range(mags: np.ndarray, offset: int, stride: int) -> np.ndarray:
-    """Regulators at mags[offset::stride], zero at the other positions."""
-    out = np.zeros(mags.size, dtype=np.float64)
-    out[offset::stride] = [regulator_real(int(d)) for d in mags[offset::stride]]
-    return out
 
 
 def analytic_hr_real(d: int) -> float:
@@ -424,21 +419,36 @@ class DiscriminantTable:
             h = hist[mags]
             reg = np.ones(mags.size, dtype=np.float64)
         else:
-            hist = real_hr_histogram(limit, workers)
-            hr = hist[mags]
-            reg = cls._regulators(mags, workers)
-            ratio = hr / reg
+            reg = cls._regulators(mags)
+            ratio = real_hr_histogram(limit, workers)[mags] / reg
             h_float = np.round(ratio)
-            if not np.all(np.abs(ratio - h_float) < _INTEGRALITY_TOL):
-                worst = int(mags[np.argmax(np.abs(ratio - h_float))])
-                raise ArithmeticError(f"non-integral h*R/R at D={worst}")
+            err = np.abs(ratio - h_float)
+            if not np.all(err < _INTEGRALITY_TOL):
+                raise ArithmeticError(f"non-integral h*R/R at D={int(mags[np.argmax(err)])}")
             h = h_float.astype(np.int64)
         codes = local_type_codes(sign * mags)
         return cls(sign, limit, mags, h, reg, codes)
 
     @staticmethod
-    def _regulators(mags: np.ndarray, workers: int) -> np.ndarray:
-        return _class_sum(_regulator_range, workers, mags)
+    def _regulators(mags: np.ndarray) -> np.ndarray:
+        """regulator_real at every |D| in mags, all continued fractions in lockstep
+        from the first periodic state (one step from (d mod 2, 2)) until it recurs."""
+        d, s = mags, _isqrt_array(mags)
+        if np.any(s * s == d):
+            raise ValueError("discriminant must not be a square")
+        P = (d % 2 + s) // 2 * 2 - d % 2
+        Q = (d - P * P) // 2
+        P0, Q0, sd = P, Q, np.sqrt(d)
+        lane, acc, reg = np.arange(d.size), np.zeros(d.size), np.zeros(d.size)
+        while lane.size:
+            acc += np.log((P + sd) / Q)
+            P = (P + s) // Q * Q - P
+            Q = (d - P * P) // Q
+            live = (P != P0) | (Q != Q0)
+            reg[lane[~live]] = acc[~live]
+            lane, acc, P, Q = lane[live], acc[live], P[live], Q[live]
+            d, s, sd, P0, Q0 = d[live], s[live], sd[live], P0[live], Q0[live]
+        return reg
 
     # -- persistence --------------------------------------------------------
 

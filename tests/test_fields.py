@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from quadmean import fields
 from quadmean.fields import (
     DiscriminantTable,
     TRACKED_PRIMES,
@@ -27,6 +28,8 @@ from quadmean.fields import (
     reduction_cycle_count,
     regulator_real,
     type_labels,
+    _isqrt_array,
+    _surd_cycle,
 )
 
 
@@ -88,6 +91,29 @@ def test_regulator_frozen_values():
     assert regulator_real(12) == pytest.approx(1.3169578969248166, rel=1e-12)
 
 
+def test_isqrt_array_is_exact_below_2_53():
+    # near 2^53 the float root of k^2 - 1 rounds up to k
+    ks = [1, 2, 3, 1000, 2**26 - 1, 2**26, 94906265]
+    ns = np.array([k * k + e for k in ks for e in (-1, 0, 1) if 0 <= k * k + e < 2**53])
+    assert _isqrt_array(ns).tolist() == [math.isqrt(n) for n in ns.tolist()]
+
+
+def test_lockstep_regulators_match_scalar_oracle():
+    mags = fundamental_magnitudes(1, 20000)
+    reg = DiscriminantTable._regulators(mags)
+    for d, r in zip(mags.tolist(), reg.tolist()):
+        assert r == pytest.approx(regulator_real(d), rel=1e-13), d
+    # period-1 discriminants retire on their first step
+    assert [len(_surd_cycle(d)) for d in (5, 8, 13)] == [1, 1, 1]
+    short = DiscriminantTable._regulators(np.array([5, 8, 12, 13]))
+    assert short[:3] == pytest.approx(
+        [0.4812118250596034, 0.8813735870195430, 1.3169578969248166], rel=1e-12
+    )
+    assert short[3] == pytest.approx(math.log((3 + math.sqrt(13)) / 2), rel=1e-13)
+    with pytest.raises(ValueError):
+        DiscriminantTable._regulators(np.array([5, 16]))  # square
+
+
 def test_fundamental_unit_and_regulator_agree():
     rng = random.Random(47)
     mags = fundamental_magnitudes(1, 5000)
@@ -118,12 +144,29 @@ def test_real_hr_three_routes_agree():
 
 
 def test_real_histogram_matches_per_d():
-    hist = real_hr_histogram(3000)
-    rng = random.Random(59)
-    mags = fundamental_magnitudes(1, 3000)
-    for d in rng.sample([int(v) for v in mags], 30):
-        assert hist[d] == pytest.approx(hr_real(d), rel=1e-9)
-    assert hist[40] == pytest.approx(3.6368929184641347, rel=1e-9)
+    mags = fundamental_magnitudes(1, 3000).tolist()
+    expected = [hr_real(d) for d in mags]
+    for workers in (1, 2):
+        hist = real_hr_histogram(3000, workers)
+        for d, hr in zip(mags, expected):
+            assert hist[d] == pytest.approx(hr, rel=1e-12), (workers, d)
+        assert hist[40] == pytest.approx(3.6368929184641347, rel=1e-9)
+
+
+def test_real_histogram_equals_the_per_ac_loop():
+    # the per-(a, c) loop adds each D's logs in the same order, so the
+    # histogram is equal, not just close
+    limit = 5000
+    ref = np.zeros(limit + 1)
+    smax = math.isqrt(limit)
+    for a in range(1, smax):
+        for c in range(1, smax - a + 1):
+            if 4 * a * c >= limit:
+                break
+            bs = np.arange(abs(a - c) + 1, math.isqrt(limit - 4 * a * c) + 1)
+            ds = bs * bs + 4 * a * c
+            ref[ds] += np.log((bs + np.sqrt(ds.astype(np.float64))) / (2.0 * c))
+    assert np.array_equal(real_hr_histogram(limit), ref)
 
 
 def test_local_type_spot_values():
@@ -220,6 +263,28 @@ def test_cached_table(tmp_path):
     assert np.array_equal(
         t3.h[t3.magnitude <= 600], t1.h
     )
+
+
+def test_cached_table_rebuilds_a_wrong_sign_cache(tmp_path):
+    path = str(tmp_path / "cache.csv")
+    DiscriminantTable.compute(-1, 600).save(path)
+    t = cached_table(1, 600, path)
+    assert t.sign == 1 and t.limit == 600
+    assert np.array_equal(t.magnitude, fundamental_magnitudes(1, 600))
+    assert DiscriminantTable.load(path).sign == 1
+
+
+def test_integrality_guard_names_the_discriminant(monkeypatch):
+    real = fields.real_hr_histogram
+
+    def damaged(limit, workers=1):
+        hist = real(limit, workers)
+        hist[1993] += 0.3 * regulator_real(1993)
+        return hist
+
+    monkeypatch.setattr(fields, "real_hr_histogram", damaged)
+    with pytest.raises(ArithmeticError, match=r"D=1993\b"):
+        DiscriminantTable.compute(1, 2000)
 
 
 def test_interrupted_save_keeps_the_old_cache(tmp_path):
