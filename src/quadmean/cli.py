@@ -266,6 +266,8 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
     sign = condition_sign(conds)
     limit = args.X
+    if limit < 1:
+        raise ValueError(f"--X {limit} below 1")
     checkpoints = (
         [int(v) for v in args.checkpoints.split(",")]
         if args.checkpoints
@@ -380,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--X", type=int, required=True, help="discriminant bound")
     pm.add_argument("--checkpoints", default="",
                     help="comma-separated partial bounds (default X/100, X/10, X)")
-    pm.add_argument("--cache", default=None, help="CSV cache path for the table")
+    pm.add_argument("--cache", default=None, help="table cache path")
     pm.add_argument("--workers", type=int, default=1)
     pm.add_argument("--euler-cutoff", type=int, default=EULER_CUTOFF)
     return parser
@@ -400,7 +402,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         config, items = _RUNNERS[args.command](args)
-    except (ValueError, ArithmeticError, CapacityError) as exc:
+    except (ValueError, ArithmeticError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args.command, config, items, args.format, out)

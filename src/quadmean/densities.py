@@ -18,6 +18,7 @@ from .orbits import (
     QuadraticAlgebraDescriptor,
     StandardRep,
     orbit_size,
+    ramified_algebra,
     standard_representatives,
 )
 from .residue import ResidueRing, SquareClassLabel, ramified_labels
@@ -133,15 +134,14 @@ def census_check(p: int) -> IdentityCheck:
 
 
 def ramified_density_sum(p: int, parity: str) -> Fraction:
-    """Sum of census count times density over ramified classes whose
-    discriminant valuation has the given parity ("even" or "odd")."""
-    want_odd = parity == "odd"
-    q = Fraction(p)
-    total = Fraction(0)
-    for d, count in extension_census(p).items():
-        if d % 2 == (1 if want_odd else 0):
-            total += count * Fraction(1, 2) * q**-d * (1 - 1 / q) * (1 - q**-2)
-    return total
+    """Sum of local densities over the ramified classes whose discriminant
+    valuation has the given parity ("even" or "odd")."""
+    algebras = (ramified_algebra(p, lab) for lab in ramified_labels(p))
+    want = 1 if parity == "odd" else 0
+    return sum(
+        (local_density(alg, p) for alg in algebras if alg.disc_valuation % 2 == want),
+        Fraction(0),
+    )
 
 
 def remark_sums_check(p: int) -> list[IdentityCheck]:

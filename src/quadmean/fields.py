@@ -11,9 +11,9 @@ Per-field oracles and analytic character sums are the scalar cross-checks.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -388,6 +388,13 @@ def analytic_hr_real(d: int) -> float:
 
 _INTEGRALITY_TOL = 1e-6
 _DAMAGED = "; the cache is damaged, delete it to rebuild"
+_CACHE_VERSION = 1
+# name -> (dtype, number of dimensions) of every entry of a cache file
+_CACHE_ENTRIES = {
+    "version": (np.int64, 0), "sign": (np.int64, 0), "limit": (np.int64, 0),
+    "magnitude": (np.int64, 1), "h": (np.int64, 1), "reg": (np.float64, 1), "codes": (np.int8, 2),
+}
+_CODE_COUNTS = np.array([len(type_labels(p)) for p in TRACKED_PRIMES])
 
 
 @dataclass
@@ -407,9 +414,6 @@ class DiscriminantTable:
 
     def __len__(self) -> int:
         return int(self.magnitude.size)
-
-    def hr(self) -> np.ndarray:
-        return self.h * self.reg
 
     @classmethod
     def compute(cls, sign: int, limit: int, workers: int = 1) -> "DiscriminantTable":
@@ -453,27 +457,16 @@ class DiscriminantTable:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the table as CSV to a temporary file beside path, then move
-        it onto path: an interrupted save never leaves a partial cache."""
-        labels = [type_labels(p) for p in TRACKED_PRIMES]
+        """Write the header entries (version, sign, limit) and the columns as one uncompressed
+        .npz at exactly path, via a temporary file: a failed save never leaves a partial cache."""
         tmp = f"{path}.{os.getpid()}.tmp"
-        f = open(tmp, "w", newline="")
+        f = open(tmp, "wb")
         try:
             with f:
-                f.write(f"#quadmean-table sign={self.sign} limit={self.limit}\n")
-                writer = csv.writer(f)
-                writer.writerow(["D", "h", "R", "fp2", "fp3", "fp5"])
-                for i in range(len(self)):
-                    writer.writerow(
-                        [
-                            int(self.sign * self.magnitude[i]),
-                            int(self.h[i]),
-                            "%.17g" % self.reg[i],
-                            labels[0][self.codes[i, 0]],
-                            labels[1][self.codes[i, 1]],
-                            labels[2][self.codes[i, 2]],
-                        ]
-                    )
+                np.savez(
+                    f, version=_CACHE_VERSION, sign=self.sign, limit=self.limit,
+                    magnitude=self.magnitude, h=self.h, reg=self.reg, codes=self.codes,
+                )
             os.replace(tmp, path)
         except BaseException:
             os.remove(tmp)
@@ -481,19 +474,37 @@ class DiscriminantTable:
 
     @classmethod
     def load(cls, path: str) -> "DiscriminantTable":
-        """Read a cache written by save.  A damaged cache raises ValueError:
-        a malformed row or type label, or magnitudes other than exactly the
-        fundamental ones up to the header's limit."""
-        # the parsed row lists are the peak of a load; they are freed before
-        # the sieve that checks the magnitudes
-        table = cls(*_read_cache(path))
-        if not np.array_equal(
-            table.magnitude, fundamental_magnitudes(table.sign, table.limit)
-        ):
-            raise ValueError(
-                f"{path}: rows are not the fundamental discriminants up to "
-                f"{table.limit}{_DAMAGED}"
-            )
+        """Read a cache written by save.  A damaged cache raises ValueError: a cut or unreadable
+        archive or a member failing its CRC, a missing or mistyped entry, a value out of range,
+        or magnitudes other than exactly the fundamental ones up to the stored limit."""
+
+        def damaged(what: str) -> ValueError:
+            return ValueError(f"{path}: {what}{_DAMAGED}")
+
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                cols = {key: z[key] for key in _CACHE_ENTRIES}
+        # TypeError: a lone .npy array is not an archive
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as exc:
+            raise damaged(f"not a table cache ({exc!r})") from None
+        for key, (dtype, ndim) in _CACHE_ENTRIES.items():
+            if cols[key].dtype != dtype or cols[key].ndim != ndim:
+                raise damaged(f"{key} is {cols[key].ndim}-d {cols[key].dtype}")
+        version, sign, limit = (int(cols.pop(key)) for key in ("version", "sign", "limit"))
+        if version != _CACHE_VERSION or sign not in (-1, 1) or limit < 0:
+            raise damaged(f"header version={version} sign={sign} limit={limit}")
+        table = cls(sign, limit, **cols)
+        n = len(table)
+        if (table.h.size, table.reg.size, table.codes.shape) != (n, n, (n, len(TRACKED_PRIMES))):
+            raise damaged("columns of mismatched shapes")
+        if np.any((table.codes < 0) | (table.codes >= _CODE_COUNTS)):
+            raise damaged("a type code out of range")
+        if np.any(table.h < 1):
+            raise damaged("a class number below 1")
+        if not np.all(table.reg > 0) or (sign < 0 and not np.all(table.reg == 1)):
+            raise damaged("a regulator out of range")
+        if not np.array_equal(table.magnitude, fundamental_magnitudes(sign, limit)):
+            raise damaged(f"rows are not the fundamental discriminants up to {limit}")
         return table
 
     def truncated(self, limit: int) -> "DiscriminantTable":
@@ -504,42 +515,6 @@ class DiscriminantTable:
             self.sign, limit, self.magnitude[keep], self.h[keep],
             self.reg[keep], self.codes[keep],
         )
-
-
-def _read_cache(path: str) -> tuple:
-    """(sign, limit, magnitude, h, reg, codes) from a cache file, with the
-    header and every row checked for shape, sign and type labels."""
-    rev = [{lab: k for k, lab in enumerate(type_labels(p))} for p in TRACKED_PRIMES]
-    with open(path, newline="") as f:
-        header = f.readline().strip()
-        if not header.startswith("#quadmean-table "):
-            raise ValueError(f"{path} is not a table cache")
-        reader = csv.reader(f)
-        mags, hs, regs, codes = [], [], [], []
-        try:
-            meta = dict(kv.split("=") for kv in header.split()[1:])
-            sign, limit = int(meta["sign"]), int(meta["limit"])
-            next(reader)  # column header
-            for row in reader:
-                d = int(row[0])
-                if d * sign <= 0:
-                    raise ValueError("sign of cached row disagrees with header")
-                mags.append(abs(d))
-                hs.append(int(row[1]))
-                regs.append(float(row[2]))
-                codes.append([rev[j][row[3 + j]] for j in range(3)])
-        except (IndexError, KeyError, ValueError, StopIteration) as exc:
-            raise ValueError(
-                f"{path}: bad line {reader.line_num + 1} ({exc!r}){_DAMAGED}"
-            ) from None
-    return (
-        sign,
-        limit,
-        np.array(mags, dtype=np.int64),
-        np.array(hs, dtype=np.int64),
-        np.array(regs, dtype=np.float64),
-        np.array(codes, dtype=np.int8),
-    )
 
 
 def cached_table(

@@ -229,6 +229,8 @@ def convergence_report(
     const = predicted_constant(conds, cutoff)
     rows = []
     for x in sorted(checkpoints):
+        if x < 1:
+            raise ValueError(f"checkpoint {x} below 1")
         if x > table.limit:
             raise ValueError(f"checkpoint {x} beyond table limit {table.limit}")
         total = empirical_sum(table, conds, upto=x)

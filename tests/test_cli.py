@@ -1,15 +1,18 @@
 """End-to-end command checks: output schema, exit codes, cache reuse."""
 
 import csv
+import functools
 import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 import quadmean.cli
 import quadmean.orbits
 from quadmean.cli import build_parser, main
+from quadmean.fields import type_labels
 from quadmean.orbits import BinaryQF, orbit_size
 from quadmean.residue import CapacityError, ResidueRing
 
@@ -122,38 +125,161 @@ def test_mean_value_imaginary_small(tmp_path):
     assert json.loads(out2)["items"] == doc["items"]
 
 
-def _cut_at_line(text):
-    lines = text.splitlines(keepends=True)
-    return "".join(lines[: len(lines) * 2 // 3])
+def _cut_to_two_thirds(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) * 2 // 3])
 
 
-def _cut_mid_row(text):
-    row = text.index("\n", len(text) * 2 // 3) + 1
-    return text[: text.index(",", row) + 1]
+def _flip_a_byte_of_h(path):
+    """h[n // 2] += 256: a plausible class number that only the CRC of the
+    member catches."""
+    data = bytearray(path.read_bytes())
+    with np.load(path) as z:
+        h = z["h"]
+    data[data.index(h.tobytes()) + 8 * (h.size // 2) + 1] ^= 1
+    path.write_bytes(bytes(data))
 
 
-def _unknown_label(text):
-    return text.replace(",unram,", ",unramified,", 1)
+def _old_csv_cache(path):
+    path.write_text(
+        "#quadmean-table sign=-1 limit=10000\nD,h,R,fp2,fp3,fp5\n-3,1,1,unram,ram:-3,unram\n"
+    )
 
 
-def _header_without_limit(text):
-    return text.replace(" limit=10000", "", 1)
+def _rewrite(edit):
+    """Damage made by editing the entries and saving them whole again, so
+    that the archive itself is sound."""
+
+    @functools.wraps(edit)
+    def damage(path):
+        with np.load(path) as z:
+            entries = dict(z)
+        edit(entries)
+        with open(path, "wb") as f:
+            np.savez(f, **entries)
+
+    return damage
+
+
+@_rewrite
+def _unknown_label(entries):
+    entries["codes"][0, 1] = len(type_labels(3))
+
+
+@_rewrite
+def _header_without_limit(entries):
+    del entries["limit"]
+
+
+@_rewrite
+def _wrong_version(entries):
+    entries["version"] += 1
+
+
+@_rewrite
+def _sign_zero(entries):
+    entries["sign"] = np.int64(0)
+
+
+@_rewrite
+def _pickled_codes(entries):
+    entries["codes"] = entries["codes"].astype(object)
+
+
+@_rewrite
+def _reg_as_float32(entries):
+    entries["reg"] = entries["reg"].astype(np.float32)
+
+
+@_rewrite
+def _codes_flattened(entries):
+    entries["codes"] = entries["codes"].ravel()
+
+
+@_rewrite
+def _codes_two_columns(entries):
+    entries["codes"] = entries["codes"][:, :2]
+
+
+@_rewrite
+def _h_one_row_short(entries):
+    entries["h"] = entries["h"][:-1]
+
+
+@_rewrite
+def _h_zero_in_one_row(entries):
+    entries["h"][5] = 0
+
+
+@_rewrite
+def _reg_not_one(entries):
+    entries["reg"][5] = 2.0
+
+
+@_rewrite
+def _magnitude_not_fundamental(entries):
+    mags = entries["magnitude"]
+    mags[mags == 15] = 16  # 16 = 4 * 4, and 4 is not squarefree
 
 
 @pytest.mark.parametrize(
-    "damage", [_cut_at_line, _cut_mid_row, _unknown_label, _header_without_limit]
+    "damage",
+    [
+        _cut_to_two_thirds,
+        _flip_a_byte_of_h,
+        _old_csv_cache,
+        _unknown_label,
+        _header_without_limit,
+        _wrong_version,
+        _sign_zero,
+        _pickled_codes,
+        _reg_as_float32,
+        _codes_flattened,
+        _codes_two_columns,
+        _h_one_row_short,
+        _h_zero_in_one_row,
+        _reg_not_one,
+        _magnitude_not_fundamental,
+    ],
 )
 def test_damaged_cache_exits_2(tmp_path, capsys, damage):
     cache = tmp_path / "neg.csv"
     argv = ["mean-value", "--cond", "inf=C", "--X", "10000", "--cache", str(cache)]
     assert run_cli(argv)[0] == 0
-    cache.write_text(damage(cache.read_text()))
+    damage(cache)
     capsys.readouterr()
     code, out = run_cli(argv)
     assert code == 2
     assert out == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert err[0].endswith("the cache is damaged, delete it to rebuild")
+
+
+@pytest.mark.parametrize("cache", ["missing/dir/neg.csv", "."])
+def test_cache_at_a_bad_path_exits_2(tmp_path, capsys, cache):
+    code, out = run_cli(["mean-value", "--cond", "inf=C", "--X", "1000",
+                         "--cache", str(tmp_path / cache)])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "bounds, named",
+    [
+        (["--X", "1000", "--checkpoints=-5,1000"], "checkpoint -5"),
+        (["--X", "1000", "--checkpoints", "0"], "checkpoint 0"),
+        (["--X", "0"], "--X 0"),
+    ],
+)
+def test_non_positive_bound_exits_2(capsys, bounds, named):
+    code, out = run_cli(["--format", "json", "mean-value", "--cond", "inf=C", *bounds])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
 def test_mean_value_real_small(tmp_path):

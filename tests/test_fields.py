@@ -218,7 +218,7 @@ def test_table_compute_columns():
     assert t.codes.shape == (len(t), 3)
     i = int(np.nonzero(t.magnitude == 23)[0][0])
     assert t.h[i] == 3
-    assert t.hr()[i] == 3.0
+    assert t.h[i] * t.reg[i] == 3.0
 
     t = DiscriminantTable.compute(1, 500)
     i = int(np.nonzero(t.magnitude == 40)[0][0])
@@ -228,15 +228,15 @@ def test_table_compute_columns():
 
 def test_table_roundtrip(tmp_path):
     path = str(tmp_path / "t.csv")
-    t = DiscriminantTable.compute(1, 800)
-    t.save(path)
-    u = DiscriminantTable.load(path)
-    assert u.sign == t.sign and u.limit == t.limit
-    assert np.array_equal(u.magnitude, t.magnitude)
-    assert np.array_equal(u.h, t.h)
-    assert np.array_equal(u.codes, t.codes)
-    # 17 significant digits reproduce doubles exactly
-    assert np.array_equal(u.reg, t.reg)
+    for sign in (-1, 1):
+        t = DiscriminantTable.compute(sign, 800)
+        t.save(path)
+        u = DiscriminantTable.load(path)
+        assert u.sign == t.sign and u.limit == t.limit
+        assert np.array_equal(u.magnitude, t.magnitude)
+        assert np.array_equal(u.h, t.h)
+        assert np.array_equal(u.codes, t.codes)
+        assert np.array_equal(u.reg, t.reg)
 
 
 def test_table_truncation():
@@ -287,16 +287,23 @@ def test_integrality_guard_names_the_discriminant(monkeypatch):
         DiscriminantTable.compute(1, 2000)
 
 
-def test_interrupted_save_keeps_the_old_cache(tmp_path):
+def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.csv")
     DiscriminantTable.compute(-1, 300).save(path)
-    with open(path) as f:
+    with open(path, "rb") as f:
         before = f.read()
-    broken = DiscriminantTable.compute(-1, 600)
-    broken.codes = broken.codes[:10]  # the save fails after ten rows
-    with pytest.raises(IndexError):
-        broken.save(path)
-    with open(path) as f:
+    write_array = np.lib.format.write_array
+    written = []
+
+    def fail_after_first(*args, **kwargs):
+        if written:
+            raise OSError("disk full")
+        written.append(write_array(*args, **kwargs))
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_after_first)
+    with pytest.raises(OSError):
+        DiscriminantTable.compute(-1, 600).save(path)
+    with open(path, "rb") as f:
         assert f.read() == before
     assert os.listdir(tmp_path) == ["cache.csv"]
 
@@ -306,6 +313,19 @@ def test_cached_table_rejects_foreign_file(tmp_path):
     with open(path, "w") as f:
         f.write("D,h\n-3,1\n")
     with pytest.raises(ValueError):
+        DiscriminantTable.load(path)
+    with open(path, "wb") as f:
+        np.save(f, np.arange(3))  # one array, not an archive
+    with pytest.raises(ValueError):
+        DiscriminantTable.load(path)
+
+
+def test_load_rejects_a_non_positive_real_regulator(tmp_path):
+    path = str(tmp_path / "pos.csv")
+    t = DiscriminantTable.compute(1, 300)
+    t.reg[3] = 0.0
+    t.save(path)
+    with pytest.raises(ValueError, match="regulator out of range"):
         DiscriminantTable.load(path)
 
 
