@@ -298,7 +298,8 @@ def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
     def fail_after_first(*args, **kwargs):
         if written:
             raise OSError("disk full")
-        written.append(write_array(*args, **kwargs))
+        write_array(*args, **kwargs)
+        written.append(args[1].shape)
 
     monkeypatch.setattr(np.lib.format, "write_array", fail_after_first)
     with pytest.raises(OSError):
