@@ -27,7 +27,7 @@ from .orbits import (
     ramified_algebra,
     unramified_algebra,
 )
-from .residue import kronecker, ramified_labels, square_class
+from .residue import CapacityError, kronecker, ramified_labels, square_class
 
 TRACKED_PRIMES = (2, 3, 5)
 
@@ -113,38 +113,35 @@ def local_type_label(d: int, p: int) -> str:
     return f"ram:{alg.square_class.label}"
 
 
-_DYADIC_UNIT_CODE = np.zeros(8, dtype=np.int8)
-_DYADIC_V2_CODE = np.zeros(8, dtype=np.int8)
-_DYADIC_V3_CODE = np.zeros(8, dtype=np.int8)
-_RAM2 = ramified_labels(2)
-for _r, _lab in ((1, 1), (3, -5), (5, 5), (7, -1)):
-    _DYADIC_UNIT_CODE[_r] = 0 if _lab == 1 else 1
-    _DYADIC_V2_CODE[_r] = 2 + _RAM2.index(_lab) if _lab in _RAM2 else 0
-    _DYADIC_V3_CODE[_r] = 2 + _RAM2.index(2 * _lab)
+# The type at p of a fundamental discriminant D is fixed by D mod
+# _TYPE_MODULUS[p].  At odd p, v_p(D) <= 1 and the square class of the unit
+# part is fixed mod p, so D mod p^2 decides.  At p = 2, v_2(D) is 0, 2 or 3
+# and the square class of the unit part is fixed mod 8, so D mod 2^6
+# decides.  Each table is the scalar classifier run once per residue;
+# residues that no fundamental discriminant has stay 0.
+_TYPE_MODULUS = {p: 2**6 if p == 2 else p * p for p in TRACKED_PRIMES}
 
 
-def local_type_codes(d: np.ndarray) -> np.ndarray:
-    """Type codes at the tracked primes for an array of fundamental
-    discriminants; column j is the code at TRACKED_PRIMES[j], with
-    0 = split, 1 = unram, 2+k = k-th ramified label."""
-    d = np.asarray(d, dtype=np.int64)
-    out = np.zeros((d.size, len(TRACKED_PRIMES)), dtype=np.int8)
-    # p = 2 by residues
-    odd = d % 2 != 0
-    out[odd, 0] = _DYADIC_UNIT_CODE[d[odd] % 8]
-    v2 = ~odd & (d % 8 != 0)
-    out[v2, 0] = _DYADIC_V2_CODE[(d[v2] // 4) % 8]
-    v3 = ~odd & (d % 8 == 0)
-    out[v3, 0] = _DYADIC_V3_CODE[(d[v3] // 8) % 8]
-    for j, p in enumerate(TRACKED_PRIMES[1:], start=1):
-        leg = np.array([0] + [kronecker(a, p) for a in range(1, p)], dtype=np.int8)
-        r = d % p
-        unit = r != 0
-        out[unit, j] = np.where(leg[r[unit]] == 1, 0, 1)
-        ram = ~unit
-        unit_part = leg[(d[ram] // p) % p]
-        out[ram, j] = np.where(unit_part == 1, 2, 3)
-    return out
+def _is_fundamental_residue(r: int, p: int) -> bool:
+    if p == 2:
+        return r % 4 == 1 or r % 16 in (8, 12)
+    return r % (p * p) != 0
+
+
+_TYPE_CODES = {
+    p: np.array(
+        [type_labels(p).index(local_type_label(r, p)) if _is_fundamental_residue(r, p) else 0
+         for r in range(m)],
+        dtype=np.int8,
+    )
+    for p, m in _TYPE_MODULUS.items()
+}
+
+
+def local_type_codes(d: np.ndarray, p: int) -> np.ndarray:
+    """Type codes at the tracked prime p for an array of fundamental
+    discriminants: 0 = split, 1 = unram, 2+k = k-th ramified label."""
+    return _TYPE_CODES[p][np.asarray(d, dtype=np.int64) % _TYPE_MODULUS[p]]
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +383,26 @@ def analytic_hr_real(d: int) -> float:
 # the discriminant table
 # ---------------------------------------------------------------------------
 
+# Largest table bound: the sieve and the imaginary histogram allocate
+# limit + 1 entries, 800 MB of int64 at this bound.
+MAX_TABLE_LIMIT = 10**8
 _INTEGRALITY_TOL = 1e-6
 _DAMAGED = "; the cache is damaged, delete it to rebuild"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 # name -> (dtype, number of dimensions) of every entry of a cache file
 _CACHE_ENTRIES = {
     "version": (np.int64, 0), "sign": (np.int64, 0), "limit": (np.int64, 0),
-    "magnitude": (np.int64, 1), "h": (np.int64, 1), "reg": (np.float64, 1), "codes": (np.int8, 2),
+    "magnitude": (np.int64, 1), "h": (np.int64, 1), "reg": (np.float64, 1),
 }
-_CODE_COUNTS = np.array([len(type_labels(p)) for p in TRACKED_PRIMES])
 
 
 @dataclass
 class DiscriminantTable:
-    """Fundamental discriminants of one sign with h, R, and local types.
+    """Fundamental discriminants of one sign with h and R.
 
-    Columns: magnitude |D| (ascending), class number h, regulator R
-    (1.0 on the imaginary side), and one type code per tracked prime.
+    Columns: magnitude |D| (ascending), class number h and regulator R
+    (1.0 on the imaginary side).  Local types are computed from D by
+    local_type_codes when a condition asks for them.
     """
 
     sign: int
@@ -410,13 +410,14 @@ class DiscriminantTable:
     magnitude: np.ndarray
     h: np.ndarray
     reg: np.ndarray
-    codes: np.ndarray
 
     def __len__(self) -> int:
         return int(self.magnitude.size)
 
     @classmethod
     def compute(cls, sign: int, limit: int, workers: int = 1) -> "DiscriminantTable":
+        if limit > MAX_TABLE_LIMIT:
+            raise CapacityError(f"table bound {limit} exceeds {MAX_TABLE_LIMIT}")
         mags = fundamental_magnitudes(sign, limit)
         if sign < 0:
             hist = imaginary_class_number_histogram(limit, workers)
@@ -430,8 +431,7 @@ class DiscriminantTable:
             if not np.all(err < _INTEGRALITY_TOL):
                 raise ArithmeticError(f"non-integral h*R/R at D={int(mags[np.argmax(err)])}")
             h = h_float.astype(np.int64)
-        codes = local_type_codes(sign * mags)
-        return cls(sign, limit, mags, h, reg, codes)
+        return cls(sign, limit, mags, h, reg)
 
     @staticmethod
     def _regulators(mags: np.ndarray) -> np.ndarray:
@@ -465,7 +465,7 @@ class DiscriminantTable:
             with f:
                 np.savez(
                     f, version=_CACHE_VERSION, sign=self.sign, limit=self.limit,
-                    magnitude=self.magnitude, h=self.h, reg=self.reg, codes=self.codes,
+                    magnitude=self.magnitude, h=self.h, reg=self.reg,
                 )
             os.replace(tmp, path)
         except BaseException:
@@ -491,14 +491,12 @@ class DiscriminantTable:
             if cols[key].dtype != dtype or cols[key].ndim != ndim:
                 raise damaged(f"{key} is {cols[key].ndim}-d {cols[key].dtype}")
         version, sign, limit = (int(cols.pop(key)) for key in ("version", "sign", "limit"))
-        if version != _CACHE_VERSION or sign not in (-1, 1) or limit < 0:
+        if version != _CACHE_VERSION or sign not in (-1, 1) or not 0 <= limit <= MAX_TABLE_LIMIT:
             raise damaged(f"header version={version} sign={sign} limit={limit}")
         table = cls(sign, limit, **cols)
         n = len(table)
-        if (table.h.size, table.reg.size, table.codes.shape) != (n, n, (n, len(TRACKED_PRIMES))):
+        if (table.h.size, table.reg.size) != (n, n):
             raise damaged("columns of mismatched shapes")
-        if np.any((table.codes < 0) | (table.codes >= _CODE_COUNTS)):
-            raise damaged("a type code out of range")
         if np.any(table.h < 1):
             raise damaged("a class number below 1")
         if not np.all(table.reg > 0) or (sign < 0 and not np.all(table.reg == 1)):
@@ -512,8 +510,7 @@ class DiscriminantTable:
             raise ValueError("cannot extend a table by truncation")
         keep = self.magnitude <= limit
         return DiscriminantTable(
-            self.sign, limit, self.magnitude[keep], self.h[keep],
-            self.reg[keep], self.codes[keep],
+            self.sign, limit, self.magnitude[keep], self.h[keep], self.reg[keep]
         )
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .densities import PiPower, local_density
-from .fields import TRACKED_PRIMES, DiscriminantTable, type_labels
+from .fields import TRACKED_PRIMES, DiscriminantTable, local_type_codes, type_labels
 from .orbits import (
     ALG_COMPLEX,
     ALG_REAL_PAIR,
@@ -63,13 +63,6 @@ def euler_tail_bound(cutoff: int) -> float:
     each factor f(q) has |log f(q)| <= 2 q^-2 for q >= 2, and the prime
     sum is below the integer tail sum 2/(cutoff - 1)."""
     return 2.0 / (cutoff - 1)
-
-
-def log_factor_bound_margin(a: float) -> float:
-    """2a^2 - |log(1 - a^2 - a^3 + a^4)|, nonnegative on 0 < a <= 1/2."""
-    import math
-
-    return 2 * a * a - abs(math.log(1 - a * a - a**3 + a**4))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +149,8 @@ def condition_mask(table: DiscriminantTable, conditions: list[LocalCondition]) -
             if want != table.sign:
                 raise ValueError("archimedean condition contradicts the table sign")
             continue
-        col = TRACKED_PRIMES.index(c.prime)
         code = type_labels(c.prime).index(c.value)
-        mask &= table.codes[:, col] == code
+        mask &= local_type_codes(table.sign * table.magnitude, c.prime) == code
     return mask
 
 
@@ -227,13 +219,15 @@ def convergence_report(
     if condition_sign(conds) != table.sign:
         raise ValueError("conditions pin the other discriminant sign")
     const = predicted_constant(conds, cutoff)
+    mask = condition_mask(table, conds)
     rows = []
     for x in sorted(checkpoints):
         if x < 1:
             raise ValueError(f"checkpoint {x} below 1")
         if x > table.limit:
             raise ValueError(f"checkpoint {x} beyond table limit {table.limit}")
-        total = empirical_sum(table, conds, upto=x)
+        keep = mask & (table.magnitude <= x)
+        total = float((table.h[keep] * table.reg[keep]).sum())
         rows.append(ConvergenceRow(int(x), total, const * float(x) ** 1.5))
     return rows
 

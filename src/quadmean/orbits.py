@@ -127,7 +127,7 @@ def ramified_algebra(p: int, label: int) -> QuadraticAlgebraDescriptor:
 
 
 # fixed dyadic representatives: label -> (a1, a2) for v1^2 + a1 v1 v2 + a2 v2^2
-_DYADIC_RAMIFIED_COEFFS = {
+_RAMIFIED_COEFFS_AT_2 = {
     -1: (2, 2),
     -5: (2, 6),
     2: (0, -2),
@@ -232,7 +232,7 @@ def standard_representatives(p: int) -> list[StandardRep]:
     reps.append(StandardRep(p, unramified_algebra(p), BinaryQF(1, 1, c)))
     if p == 2:
         for label in ramified_labels(2):
-            a1, a2 = _DYADIC_RAMIFIED_COEFFS[label]
+            a1, a2 = _RAMIFIED_COEFFS_AT_2[label]
             reps.append(StandardRep(2, ramified_algebra(2, label), BinaryQF(1, a1, a2)))
     else:
         u = smallest_nonresidue(p)
@@ -488,19 +488,18 @@ def coset_normal_form_check(
     for lo in range(0, len(stab), _COSET_BLOCK):
         t, a, b, c, d = stab[lo : lo + _COSET_BLOCK].T
         # top-left entry of g2 reduces to a unit (the form is v1^2 mod p), so
-        # the torus element n1 = (det1^-1, N1) clears the top row to (det g2, 0)
+        # the torus element n1 = (det1^-1, N1) clears the top row to (det g2, 0);
+        # N1 has top row (d, -b), so the upper-right entry d*b - b*d is 0 identically
         na, nb, nc, nd = torus_matrix(x, ring, d, -b)
         det1 = (na * nd - nb * nc) % m
         accepted = det1 % p != 0
         top = (na * a + nb * c) % m
-        right = (na * b + nb * d) % m
-        cleared = right == 0
         # the scalar torus element det(g2)^-1 normalizes the top row to (1, 0)
         s = inv[top]
         u = s * ((nc * a + nd * c) % m) % m
         v = s * ((nc * b + nd * d) % m) % m
         t2 = top * top % m * inv[det1] % m * t % m
-        unipotent = (t2 == 1) & (s * top % m == 1) & (s * right % m == 0)
+        unipotent = (t2 == 1) & (s * top % m == 1)
         # the left factor g * (1, [[1, 0], [u, v]])^-1 must lie in the torus
         w = inv[v]
         fb = b * w % m
@@ -512,13 +511,11 @@ def coset_normal_form_check(
             & ((fd - fa - a1 * fb) % m == 0)
             & (t * ((fa * fd - fb * fc) % m) % m == 1)
         )
-        ok = accepted & cleared & unipotent & in_torus
+        ok = accepted & unipotent & in_torus
         if not ok.all():
             i = int(np.argmin(ok))
             if not accepted[i]:
                 detail = f"row reduction rejected at {tuple(int(e) for e in stab[lo + i])}"
-            elif not cleared[i]:
-                detail = "upper-right entry did not clear"
             elif not unipotent[i]:
                 detail = "normal form is not unipotent-diagonal"
             else:

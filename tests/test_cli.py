@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import quadmean.cli
+import quadmean.fields
 import quadmean.orbits
 from quadmean.cli import build_parser, main
-from quadmean.fields import type_labels
 from quadmean.orbits import BinaryQF, orbit_size
 from quadmean.residue import CapacityError, ResidueRing
 
@@ -162,11 +162,6 @@ def _rewrite(edit):
 
 
 @_rewrite
-def _unknown_label(entries):
-    entries["codes"][0, 1] = len(type_labels(3))
-
-
-@_rewrite
 def _header_without_limit(entries):
     del entries["limit"]
 
@@ -182,8 +177,14 @@ def _sign_zero(entries):
 
 
 @_rewrite
-def _pickled_codes(entries):
-    entries["codes"] = entries["codes"].astype(object)
+def _version_one_with_codes(entries):
+    entries["version"] = np.int64(1)
+    entries["codes"] = np.zeros((entries["magnitude"].size, 3), dtype=np.int8)
+
+
+@_rewrite
+def _pickled_h(entries):
+    entries["h"] = entries["h"].astype(object)
 
 
 @_rewrite
@@ -192,13 +193,13 @@ def _reg_as_float32(entries):
 
 
 @_rewrite
-def _codes_flattened(entries):
-    entries["codes"] = entries["codes"].ravel()
+def _h_as_a_column(entries):
+    entries["h"] = entries["h"][:, None]
 
 
 @_rewrite
-def _codes_two_columns(entries):
-    entries["codes"] = entries["codes"][:, :2]
+def _limit_beyond_the_size_guard(entries):
+    entries["limit"] = np.int64(10**12)
 
 
 @_rewrite
@@ -228,14 +229,14 @@ def _magnitude_not_fundamental(entries):
         _cut_to_two_thirds,
         _flip_a_byte_of_h,
         _old_csv_cache,
-        _unknown_label,
         _header_without_limit,
         _wrong_version,
+        _version_one_with_codes,
         _sign_zero,
-        _pickled_codes,
+        _pickled_h,
         _reg_as_float32,
-        _codes_flattened,
-        _codes_two_columns,
+        _h_as_a_column,
+        _limit_beyond_the_size_guard,
         _h_one_row_short,
         _h_zero_in_one_row,
         _reg_not_one,
@@ -351,6 +352,24 @@ def test_size_guard_refusal_exits_2(monkeypatch, capsys):
     assert out == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def _refused(capsys, argv, named):
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+def test_table_limit_guard_boundary(monkeypatch, capsys):
+    monkeypatch.setattr(quadmean.fields, "MAX_TABLE_LIMIT", 1000)
+    assert run_cli(["mean-value", "--cond", "inf=C", "--X", "1000"])[0] == 0
+    capsys.readouterr()
+    _refused(capsys, ["mean-value", "--cond", "inf=C", "--X", "1001"], "1001")
+
+
+def test_table_limit_guard_refuses_before_allocating(capsys):
+    # the sieve alone would ask for 2 * 10^12 bytes
+    _refused(capsys, ["mean-value", "--cond", "inf=C", "--X", str(10**12)], str(10**12))
 
 
 def test_orbit_space_guard_boundary(monkeypatch):

@@ -200,14 +200,11 @@ def test_local_type_agrees_with_discriminant_arithmetic():
 
 
 def test_vectorized_codes_match_scalar():
-    rng = random.Random(67)
     for sign in (-1, 1):
-        mags = fundamental_magnitudes(sign, 5000)
-        ds = np.array([sign * int(v) for v in rng.sample([int(x) for x in mags], 150)])
-        codes = local_type_codes(ds)
-        for i, d in enumerate(ds):
-            for j, p in enumerate(TRACKED_PRIMES):
-                assert type_labels(p)[codes[i, j]] == local_type_label(int(d), p)
+        ds = sign * fundamental_magnitudes(sign, 2 * 10**4)
+        for p in TRACKED_PRIMES:
+            labels = [type_labels(p)[k] for k in local_type_codes(ds, p)]
+            assert labels == [local_type_label(int(d), p) for d in ds]
 
 
 def test_table_compute_columns():
@@ -215,7 +212,6 @@ def test_table_compute_columns():
     assert t.sign == -1 and t.limit == 500
     assert np.all(np.diff(t.magnitude) > 0)
     assert np.all(t.reg == 1.0)
-    assert t.codes.shape == (len(t), 3)
     i = int(np.nonzero(t.magnitude == 23)[0][0])
     assert t.h[i] == 3
     assert t.h[i] * t.reg[i] == 3.0
@@ -235,7 +231,6 @@ def test_table_roundtrip(tmp_path):
         assert u.sign == t.sign and u.limit == t.limit
         assert np.array_equal(u.magnitude, t.magnitude)
         assert np.array_equal(u.h, t.h)
-        assert np.array_equal(u.codes, t.codes)
         assert np.array_equal(u.reg, t.reg)
 
 

@@ -18,7 +18,6 @@ from quadmean.meanvalue import (
     euler_factor,
     euler_product,
     euler_tail_bound,
-    log_factor_bound_margin,
     parse_condition,
     parse_conditions,
     predicted_constant,
@@ -64,7 +63,8 @@ def test_tail_bound_dominates_observed_movement():
 def test_log_factor_bound_margin_nonnegative():
     # |log f(1/p)| <= 2/p^2 for every prime p >= 2
     for k in range(2, 2000):
-        assert log_factor_bound_margin(1.0 / k) >= 0.0
+        a = 1.0 / k
+        assert 2 * a * a >= abs(math.log(1 - a * a - a**3 + a**4))
 
 
 def test_parse_condition_roundtrip():
