@@ -31,7 +31,6 @@ from .meanvalue import (
     LocalCondition,
     condition_mask,
     convergence_report,
-    empirical_sum,
     euler_factor,
     euler_product,
     parse_conditions,

@@ -2,7 +2,8 @@
 
 Everything here is exact or reduces to sums of logarithms of exact
 integer data.  Class numbers of imaginary fields come from counting
-reduced positive forms.  For real fields, h*R sums log((b + sqrt(D))/(2c))
+reduced positive forms into an int32 histogram, one periodic comb per
+leading coefficient a.  For real fields, h*R sums log((b + sqrt(D))/(2c))
 over the reduced indefinite forms (a, b, -c) with a > 0, one array add per
 a; the regulators run the continued fraction cycle of the maximal order's
 generator in lockstep over all D; h is the (checked) integer ratio.
@@ -182,28 +183,48 @@ def _class_sum(fn, workers: int, *args):
     return total
 
 
+# Width of the tiled comb row in _imag_hist_range: one in-place add covers a
+# block of rows this wide.
+_COMB_ROW = 1024
+
+
 def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
     """Histogram of reduced-form counts over 0..limit for a = 1 + offset
-    mod stride."""
-    hist = np.zeros(limit + 1, dtype=np.int64)
-    amax = isqrt(limit // 3)
-    for a in range(1 + offset, amax + 1, stride):
-        step = 4 * a
-        for b in range(a + 1):
-            first = 4 * a * a - b * b
-            if first > limit:
-                continue
-            if b == 0 or b == a:
-                hist[first::step] += 1
-            else:
-                hist[first::step] += 2
-                hist[first] -= 1
+    mod stride.
+
+    A reduced form (a, b, c), 0 <= b <= a <= c, lands at n = 4ac - b^2 =
+    4a^2 - b^2 + 4a(c - a) with weight 2 (for +-b), or 1 when b = 0, b = a
+    or c = a.  From n = 4a^2 on every b has started, so the count there is a
+    comb of period 4a, tiled over [4a^2, limit].  The head window
+    [3a^2, 4a^2) is added hit by hit."""
+    hist = np.zeros(limit + 1, dtype=np.int32)
+    for a in range(1 + offset, isqrt(limit // 3) + 1, stride):
+        period, head, full = 4 * a, 3 * a * a, 4 * a * a
+        b = np.arange(a + 1, dtype=np.int64)
+        comb = (2 * np.bincount(-b * b % period, minlength=period)).astype(np.int32)
+        comb[0] -= 1  # b = 0
+        comb[-a * a % period] -= 1  # b = a
+        row = np.tile(comb, max(1, _COMB_ROW // period))
+        tail = hist[full:]
+        rows = tail.size // row.size
+        body = tail[: rows * row.size].reshape(rows, row.size)
+        body += row
+        tail[rows * row.size :] += row[: tail.size - rows * row.size]
+        # head: 0 < b <= a at c - a < b^2 / 4a, where n < 4a^2
+        b = b[1:]
+        first = full - b * b
+        k = (b * b + period - 1) // period
+        n = np.repeat(first - period * (np.cumsum(k) - k), k)
+        n += period * np.arange(n.size)
+        np.add.at(hist, n[n <= limit], np.int32(2))
+        hist[first[first <= limit]] -= 1  # c = a counts once
+        hist[head + period : full : period] -= 1  # b = a, c > a counts once
     return hist
 
 
 def imaginary_class_number_histogram(limit: int, workers: int = 1) -> np.ndarray:
-    """hist[n] = h(-n) for every fundamental -n with n <= limit (entries at
-    non-fundamental indices are form counts without meaning)."""
+    """int32 hist[n] = h(-n) for every fundamental -n with n <= limit
+    (entries at non-fundamental indices are form counts without meaning)."""
     return _class_sum(_imag_hist_range, workers, limit)
 
 
@@ -384,7 +405,8 @@ def analytic_hr_real(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 # Largest table bound: the sieve and the imaginary histogram allocate
-# limit + 1 entries, 800 MB of int64 at this bound.
+# limit + 1 entries, 400 MB of int32 at this bound.  The form count at n is
+# at most (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, far below 2^31.
 MAX_TABLE_LIMIT = 10**8
 _INTEGRALITY_TOL = 1e-6
 _DAMAGED = "; the cache is damaged, delete it to rebuild"
@@ -421,7 +443,7 @@ class DiscriminantTable:
         mags = fundamental_magnitudes(sign, limit)
         if sign < 0:
             hist = imaginary_class_number_histogram(limit, workers)
-            h = hist[mags]
+            h = hist[mags].astype(np.int64)
             reg = np.ones(mags.size, dtype=np.float64)
         else:
             reg = cls._regulators(mags)

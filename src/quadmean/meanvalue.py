@@ -154,18 +154,6 @@ def condition_mask(table: DiscriminantTable, conditions: list[LocalCondition]) -
     return mask
 
 
-def empirical_sum(
-    table: DiscriminantTable,
-    conditions: list[LocalCondition] = (),
-    upto: int | None = None,
-) -> float:
-    """Sum of h*R over table rows matching the conditions, |D| <= upto."""
-    mask = condition_mask(table, list(conditions))
-    if upto is not None:
-        mask = mask & (table.magnitude <= upto)
-    return float((table.h[mask] * table.reg[mask]).sum())
-
-
 # ---------------------------------------------------------------------------
 # the predicted constant and convergence
 # ---------------------------------------------------------------------------

@@ -499,7 +499,8 @@ def coset_normal_form_check(
         u = s * ((nc * a + nd * c) % m) % m
         v = s * ((nc * b + nd * d) % m) % m
         t2 = top * top % m * inv[det1] % m * t % m
-        unipotent = (t2 == 1) & (s * top % m == 1)
+        # t2 == 1 forces top to be a unit, and then s * top == 1 already
+        unipotent = t2 == 1
         # the left factor g * (1, [[1, 0], [u, v]])^-1 must lie in the torus
         w = inv[v]
         fb = b * w % m

@@ -70,10 +70,49 @@ def test_imaginary_histogram_frozen():
 
 def test_imaginary_histogram_vs_per_d_oracle():
     hist = imaginary_class_number_histogram(4000)
-    rng = random.Random(41)
-    mags = fundamental_magnitudes(-1, 4000)
-    for n in rng.sample([int(v) for v in mags], 50):
-        assert class_number_imaginary(-n) == int(hist[n])
+    for n in fundamental_magnitudes(-1, 4000):
+        assert class_number_imaginary(-int(n)) == int(hist[n]), n
+
+
+def _per_ab_loop(limit, offset, stride):
+    # the reference: one strided add per (a, b), n = 4ac - b^2 from c = a on
+    hist = np.zeros(limit + 1, dtype=np.int64)
+    amax = math.isqrt(limit // 3)
+    for a in range(1 + offset, amax + 1, stride):
+        step = 4 * a
+        for b in range(a + 1):
+            first = 4 * a * a - b * b
+            if first > limit:
+                continue
+            if b == 0 or b == a:
+                hist[first::step] += 1
+            else:
+                hist[first::step] += 2
+                hist[first] -= 1
+    return hist
+
+
+def test_imaginary_histogram_equals_the_per_ab_loop():
+    # the small limits cut the head window [3a^2, 4a^2) of the largest a
+    for limit in (1, 2, 3, 4, 7, 11, 12, 15, 16, 27, 48, 100, 1000, 4099, 20000):
+        ref = _per_ab_loop(limit, 0, 1)
+        assert np.array_equal(fields._imag_hist_range(limit, 0, 1), ref), limit
+        for stride in (2, 3):
+            parts = [fields._imag_hist_range(limit, k, stride) for k in range(stride)]
+            assert np.array_equal(sum(parts), ref), (limit, stride)
+    for workers in (2, 3):
+        assert np.array_equal(imaginary_class_number_histogram(limit, workers), ref), workers
+
+
+def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
+    # a <= isqrt(n/3) and at most 2a forms per a bound the count at n
+    def bound(n):
+        return (_isqrt_array(n // 3) + 1) ** 2 - 1
+
+    hist = imaginary_class_number_histogram(20000)
+    assert hist.dtype == np.int32
+    assert np.all(hist <= bound(np.arange(20001)))
+    assert bound(np.array([fields.MAX_TABLE_LIMIT]))[0] < 2**31
 
 
 def test_imaginary_analytic_is_exact_integer():
