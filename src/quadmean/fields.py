@@ -3,10 +3,13 @@
 Everything here is exact or reduces to sums of logarithms of exact
 integer data.  Class numbers of imaginary fields come from counting
 reduced positive forms into an int32 histogram, one periodic comb per
-leading coefficient a.  For real fields, h*R sums log((b + sqrt(D))/(2c))
-over the reduced indefinite forms (a, b, -c) with a > 0, one array add per
-a; the regulators run the continued fraction cycle of the maximal order's
-generator in lockstep over all D; h is the (checked) integer ratio.
+leading coefficient a.  For real fields, h*R sums log((sqrt(D) + b)^2/(4ac))
+over the reduced indefinite forms (a, b, -c) with 0 < a <= c, each standing
+for itself and its partner (c, b, -a) (half of it when a = c), one array add
+per block of pairs; the regulators walk the first half of the palindromic
+continued fraction cycle of the maximal order's generator, with the same
+kernel log((sqrt(D) + P)^2/(D - P^2)), in lockstep over all D; h is the
+(checked) integer ratio.
 Per-field oracles and analytic character sums are the scalar cross-checks.
 """
 
@@ -249,6 +252,16 @@ def _isqrt_array(n: np.ndarray) -> np.ndarray:
     return s - (s * s > n) + ((s + 1) * (s + 1) <= n)
 
 
+def _log_squared_over(sd: np.ndarray, x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """log((sd + x)^2 / n), where sd = sqrt(D) and n = D - x^2 > 0 is passed as
+    the exact integer product it is; unlike log((sd + x)/(sd - x)) this has
+    no cancellation."""
+    w = sd + x
+    w *= w
+    w /= n
+    return np.log(w, out=w)
+
+
 def _surd_cycle(d: int) -> list[tuple[int, int]]:
     """Periodic (P, Q) states of the continued fraction of the maximal
     order generator (d mod 2 + sqrt(d))/2; each state is the purely
@@ -365,20 +378,40 @@ def hr_real(d: int) -> float:
     )
 
 
+# Forms built at once in _real_hr_range: a block holds whole rows (one c) of
+# at most this many forms, or a single longer row; bounds its temporary arrays.
+_PAIR_BLOCK = 1 << 16
+
+
 def _real_hr_range(limit: int, offset: int, stride: int) -> np.ndarray:
-    """hist[D] += log((b + sqrt(D))/(2c)) over reduced forms (a, b, -c), a = 1 + offset
-    mod stride, all (c, b) at once: 4ac < limit, a + c <= isqrt(limit), |a - c| < b."""
+    """hist[D] += log((b + sqrt(D))^2/(4ac)) over reduced forms (a, b, -c) with
+    a <= c, a = 1 + offset mod stride: 4ac < limit, a + c <= isqrt(limit), c - a < b.
+
+    (a, b, -c) is reduced exactly when (c, b, -a) is, and their terms
+    log((b + sqrt(D))/(2c)) + log((b + sqrt(D))/(2a)) make one log; the row
+    c = a, a single form, takes half of it.  Squaring keeps sqrt(D) - b, which
+    cancels, out of the kernel.  The (c, b) pairs of each a are added in
+    blocks of about _PAIR_BLOCK forms, in order, one np.add.at each."""
     hist = np.zeros(limit + 1, dtype=np.float64)
     smax = isqrt(limit)
-    for a in range(1 + offset, smax, stride):
-        c = np.arange(1, min(smax - a, (limit - 1) // (4 * a)) + 1, dtype=np.int64)
-        bmin = np.abs(a - c) + 1
-        counts = np.maximum(_isqrt_array(limit - 4 * a * c) - bmin + 1, 0)
-        b = np.repeat(bmin + counts - np.cumsum(counts), counts)
-        b += np.arange(b.size)
-        c = np.repeat(c, counts)
-        ds = b * b + 4 * a * c
-        np.add.at(hist, ds, np.log((b + np.sqrt(ds)) / (2.0 * c)))
+    for a in range(1 + offset, isqrt(max(limit - 1, 0)) // 2 + 1, stride):  # 4a^2 < limit
+        c = np.arange(a, min(smax - a, (limit - 1) // (4 * a)) + 1, dtype=np.int64)
+        counts = np.maximum(_isqrt_array(limit - 4 * a * c) - (c - a), 0)
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < c.size:
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _PAIR_BLOCK, "right")))
+            n = counts[lo:hi]
+            ac4 = np.repeat(4 * a * c[lo:hi], n)
+            b = np.repeat(c[lo:hi] - a + 1 + n - np.cumsum(n), n)
+            b += np.arange(b.size)
+            ds = b * b
+            ds += ac4
+            w = _log_squared_over(np.sqrt(ds), b, ac4)
+            if lo == 0:
+                w[: n[0]] *= 0.5  # c = a
+            np.add.at(hist, ds, w)
+            lo = hi
     return hist
 
 
@@ -458,22 +491,37 @@ class DiscriminantTable:
     @staticmethod
     def _regulators(mags: np.ndarray) -> np.ndarray:
         """regulator_real at every |D| in mags, all continued fractions in lockstep
-        from the first periodic state (one step from (d mod 2, 2)) until it recurs."""
+        over the first half of their cycle.
+
+        From one step past (d mod 2, 2), with Q_{-1} = 2, the states
+        (P_k + sqrt(d))/Q_k have Q_{k-1} Q_k = d - P_k^2, so over the cycle
+        R = sum log((P_k + sqrt(d))/Q_k) = (1/2) sum t(P_k) with
+        t(P) = log((sqrt(d) + P)^2/(d - P^2)).  The P sequence of this cycle is a
+        palindrome, so a lane stops once (P_{k+1}, Q_{k+1}) is computed:
+        P_{k+1} = P_k (even period): R is the running sum t(P_0) + ... + t(P_k);
+        Q_{k+1} = Q_k (odd period): R is that sum plus t(P_{k+1})/2;
+        both (period 1): R is t(P_0)/2."""
         d, s = mags, _isqrt_array(mags)
         if np.any(s * s == d):
             raise ValueError("discriminant must not be a square")
         P = (d % 2 + s) // 2 * 2 - d % 2
         Q = (d - P * P) // 2
-        P0, Q0, sd = P, Q, np.sqrt(d)
+        sd = np.sqrt(d)
         lane, acc, reg = np.arange(d.size), np.zeros(d.size), np.zeros(d.size)
         while lane.size:
-            acc += np.log((P + sd) / Q)
-            P = (P + s) // Q * Q - P
-            Q = (d - P * P) // Q
-            live = (P != P0) | (Q != Q0)
-            reg[lane[~live]] = acc[~live]
-            lane, acc, P, Q = lane[live], acc[live], P[live], Q[live]
-            d, s, sd, P0, Q0 = d[live], s[live], sd[live], P0[live], Q0[live]
+            acc += _log_squared_over(sd, P, d - P * P)
+            Pn = (P + s) // Q * Q - P
+            Qn = (d - Pn * Pn) // Q
+            stop = (Pn == P) | (Qn == Q)
+            done = np.flatnonzero(stop)
+            r, even, odd = acc[done], Pn[done] == P[done], Qn[done] == Q[done]
+            mid = done[odd & ~even]
+            r[odd & ~even] += 0.5 * _log_squared_over(sd[mid], Pn[mid], Q[mid] * Qn[mid])
+            r[odd & even] *= 0.5
+            reg[lane[done]] = r
+            live = ~stop
+            lane, acc, P, Q = lane[live], acc[live], Pn[live], Qn[live]
+            d, s, sd = d[live], s[live], sd[live]
         return reg
 
     # -- persistence --------------------------------------------------------

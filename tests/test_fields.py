@@ -153,6 +153,29 @@ def test_lockstep_regulators_match_scalar_oracle():
         DiscriminantTable._regulators(np.array([5, 16]))  # square
 
 
+@pytest.mark.parametrize(
+    "period, ds",
+    [(1, [5, 8, 13, 229]), (2, [12, 21, 60]), (3, [61]), (4, [28, 136]), (20, [4728]), (45, [1993])],
+)
+def test_lockstep_regulators_on_named_period_shapes(period, ds):
+    # the half walk stops on P for even periods, on Q for odd ones and on
+    # both for period 1; every shape against the full-cycle scalar sum
+    assert [len(_surd_cycle(d)) for d in ds] == [period] * len(ds)
+    reg = DiscriminantTable._regulators(np.array(ds))
+    for d, r in zip(ds, reg.tolist()):
+        assert r == pytest.approx(regulator_real(d), rel=1e-13), d
+
+
+def test_principal_cycle_p_sequence_is_a_palindrome():
+    # _regulators walks half the cycle on the strength of this
+    for d in fundamental_magnitudes(1, 20000).tolist():
+        P = (d % 2 + math.isqrt(d)) // 2 * 2 - d % 2  # one step past (d mod 2, 2)
+        cycle = _surd_cycle(d)
+        k = cycle.index((P, (d - P * P) // 2))
+        ps = [P for P, _ in cycle[k:] + cycle[:k]]
+        assert ps == ps[::-1], d
+
+
 def test_fundamental_unit_and_regulator_agree():
     rng = random.Random(47)
     mags = fundamental_magnitudes(1, 5000)
@@ -192,10 +215,26 @@ def test_real_histogram_matches_per_d():
         assert hist[40] == pytest.approx(3.6368929184641347, rel=1e-9)
 
 
-def test_real_histogram_equals_the_per_ac_loop():
-    # the per-(a, c) loop adds each D's logs in the same order, so the
-    # histogram is equal, not just close
-    limit = 5000
+def _paired_per_ac_loop(limit):
+    # one log per pair (a, b, -c), (c, b, -a) with a <= c, half of it at
+    # c = a; the same expression and order as _real_hr_range
+    ref = np.zeros(limit + 1)
+    smax = math.isqrt(limit)
+    for a in range(1, smax):
+        for c in range(a, smax - a + 1):
+            if 4 * a * c >= limit:
+                break
+            bs = np.arange(c - a + 1, math.isqrt(limit - 4 * a * c) + 1)
+            ds = bs * bs + 4 * a * c
+            w = np.log((np.sqrt(ds) + bs) ** 2 / (4 * a * c))
+            if c == a:
+                w *= 0.5
+            ref[ds] += w
+    return ref
+
+
+def _unpaired_per_ac_loop(limit):
+    # one log((b + sqrt(D))/(2c)) per reduced form (a, b, -c), a > 0
     ref = np.zeros(limit + 1)
     smax = math.isqrt(limit)
     for a in range(1, smax):
@@ -205,7 +244,25 @@ def test_real_histogram_equals_the_per_ac_loop():
             bs = np.arange(abs(a - c) + 1, math.isqrt(limit - 4 * a * c) + 1)
             ds = bs * bs + 4 * a * c
             ref[ds] += np.log((bs + np.sqrt(ds.astype(np.float64))) / (2.0 * c))
-    assert np.array_equal(real_hr_histogram(limit), ref)
+    return ref
+
+
+def test_real_histogram_equals_the_per_ac_loop(monkeypatch):
+    # the paired per-(a, c) loop adds each D's logs in the same order, so
+    # the histogram is equal, not just close, whatever the block size
+    for limit in (5000, 4097, 100, 8, 5):
+        ref = _paired_per_ac_loop(limit)
+        assert np.array_equal(real_hr_histogram(limit), ref), limit
+        for block in (1, 7, 100):
+            monkeypatch.setattr(fields, "_PAIR_BLOCK", block)
+            assert np.array_equal(real_hr_histogram(limit), ref), (limit, block)
+        monkeypatch.undo()
+        # pairing reorders the sum: the one-log-per-form loop has the same
+        # support and agrees to rounding
+        unpaired = _unpaired_per_ac_loop(limit)
+        nz = unpaired != 0
+        assert np.array_equal(ref != 0, nz), limit
+        assert np.all(np.abs(ref[nz] - unpaired[nz]) <= 1e-13 * unpaired[nz]), limit
 
 
 def test_local_type_spot_values():
