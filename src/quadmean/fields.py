@@ -3,13 +3,11 @@
 Everything here is exact or reduces to sums of logarithms of exact
 integer data.  Class numbers of imaginary fields come from counting
 reduced positive forms into an int32 histogram, one periodic comb per
-leading coefficient a.  For real fields, h*R sums log((sqrt(D) + b)^2/(4ac))
-over the reduced indefinite forms (a, b, -c) with 0 < a <= c, each standing
-for itself and its partner (c, b, -a) (half of it when a = c), one array add
-per block of pairs; the regulators walk the first half of the palindromic
-continued fraction cycle of the maximal order's generator, with the same
-kernel log((sqrt(D) + P)^2/(D - P^2)), in lockstep over all D; h is the
-(checked) integer ratio.
+leading coefficient a.  For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
+per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
+(half of it when a = c); the regulators walk half of the palindromic
+continued fraction cycle of the maximal order's generator with the same
+kernel, in lockstep over all D; h is the (checked) integer ratio.
 Per-field oracles and analytic character sums are the scalar cross-checks.
 """
 
@@ -252,11 +250,9 @@ def _isqrt_array(n: np.ndarray) -> np.ndarray:
     return s - (s * s > n) + ((s + 1) * (s + 1) <= n)
 
 
-def _log_squared_over(sd: np.ndarray, x: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """log((sd + x)^2 / n), where sd = sqrt(D) and n = D - x^2 > 0 is passed as
-    the exact integer product it is; unlike log((sd + x)/(sd - x)) this has
-    no cancellation."""
-    w = sd + x
+def _log_squared_over(w: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """log(w^2/n) in place, for w = sqrt(D) + x and the exact integer n = D - x^2 > 0:
+    log((sqrt(D) + x)/(sqrt(D) - x)) without the cancellation in sqrt(D) - x."""
     w *= w
     w /= n
     return np.log(w, out=w)
@@ -407,7 +403,9 @@ def _real_hr_range(limit: int, offset: int, stride: int) -> np.ndarray:
             b += np.arange(b.size)
             ds = b * b
             ds += ac4
-            w = _log_squared_over(np.sqrt(ds), b, ac4)
+            w = np.sqrt(ds)
+            w += b
+            _log_squared_over(w, ac4)
             if lo == 0:
                 w[: n[0]] *= 0.5  # c = a
             np.add.at(hist, ds, w)
@@ -509,14 +507,14 @@ class DiscriminantTable:
         sd = np.sqrt(d)
         lane, acc, reg = np.arange(d.size), np.zeros(d.size), np.zeros(d.size)
         while lane.size:
-            acc += _log_squared_over(sd, P, d - P * P)
+            acc += _log_squared_over(sd + P, d - P * P)
             Pn = (P + s) // Q * Q - P
             Qn = (d - Pn * Pn) // Q
             stop = (Pn == P) | (Qn == Q)
             done = np.flatnonzero(stop)
             r, even, odd = acc[done], Pn[done] == P[done], Qn[done] == Q[done]
             mid = done[odd & ~even]
-            r[odd & ~even] += 0.5 * _log_squared_over(sd[mid], Pn[mid], Q[mid] * Qn[mid])
+            r[odd & ~even] += 0.5 * _log_squared_over(sd[mid] + Pn[mid], Q[mid] * Qn[mid])
             r[odd & even] *= 0.5
             reg[lane[done]] = r
             live = ~stop
