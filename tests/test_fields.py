@@ -172,7 +172,7 @@ def test_principal_cycle_p_sequence_is_a_palindrome():
         P = (d % 2 + math.isqrt(d)) // 2 * 2 - d % 2  # one step past (d mod 2, 2)
         cycle = _surd_cycle(d)
         k = cycle.index((P, (d - P * P) // 2))
-        ps = [P for P, _ in cycle[k:] + cycle[:k]]
+        ps = [p for p, _ in cycle[k:] + cycle[:k]]
         assert ps == ps[::-1], d
 
 
