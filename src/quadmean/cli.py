@@ -44,13 +44,13 @@ from .meanvalue import (
 )
 from .orbits import (
     StandardRep,
+    _rem,
     congruence_count_closed,
     congruence_solution_check,
     congruence_solution_set,
     coset_normal_form_check,
     group_order,
     lift_saturation_check,
-    orbit_size,
     stabilizer_elements,
     stabilizer_order,
     standard_representatives,
@@ -98,13 +98,12 @@ def _group_order_direct(ring: ResidueRing) -> int:
     m = ring.modulus
     p = ring.p
     units = m - m // p
-    vals = np.arange(m, dtype=np.int64)
-    cs = np.repeat(vals, m)
-    ds = np.tile(vals, m)
+    vals = np.arange(m, dtype=np.int32)
+    # every (b, c, d) at once, one row a at a time; |a d - b c| < m^2 fits int32
+    bc = vals[:, None, None] * vals[:, None]
     matrices = 0
     for a in range(m):
-        for b in range(m):
-            matrices += int(np.count_nonzero((a * ds - b * cs) % p))
+        matrices += int(np.count_nonzero(_rem(a * vals - bc, p)))
     return units * matrices
 
 
@@ -126,7 +125,7 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
     """Torus, stabilizer and congruence checks of a ramified representative.
 
     The stabilizer list is the largest local artifact; it is dropped on
-    return, before the lift check or the next representative's scan.
+    return, before the next representative's BFS or scan.
     """
     at = f"p={rep.p},{rep.algebra},level={rep.n}"
     expected_torus = torus_order_closed(rep, ring)
@@ -164,13 +163,14 @@ def _rep_items(rep: StandardRep) -> list[IdentityCheck]:
     vol = orbital_volume_closed(rep)
     expected_orbit = vol * p ** (3 * n)
     assert expected_orbit.denominator == 1
-    got_orbit = orbit_size(rep, ring)
+    # one BFS, at level n + 1: the level-n orbit is its image
+    ls = lift_saturation_check(rep, n + 1)
+    got_orbit = ls.projected_size
     items = [
         IdentityCheck.compare(f"orbit-size[{tag},level={n}]", int(expected_orbit), got_orbit)
     ]
     if rep.is_ramified:
         items += _ramified_items(rep, ring, got_orbit)
-    ls = lift_saturation_check(rep, n + 1)
     return items + [
         IdentityCheck.compare(
             f"volume-match[{tag},level={n}]", vol, Fraction(got_orbit, p ** (3 * n))

@@ -403,10 +403,11 @@ def test_verify_local_computes_each_artifact_once(monkeypatch):
         monkeypatch.setattr(quadmean.cli, name, wrapper)
     code, _ = run_cli(["verify-local", "--primes", "3"])
     assert code == 0
-    # four representatives: one orbit and one lift check each; the two
-    # ramified ones get one stabilizer scan and one congruence set each
+    # four representatives: one BFS each, at level n + 1, whose image is the
+    # level-n orbit; the two ramified ones get one stabilizer scan and one
+    # congruence set each
     assert calls == {
-        "_orbit_bitset": 8,
+        "_orbit_bitset": 4,
         "stabilizer_elements": 2,
         "congruence_solution_set": 2,
     }

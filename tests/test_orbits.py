@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 import quadmean.orbits
+from quadmean.cli import _group_order_direct
 from quadmean.orbits import (
     ALG_SPLIT,
+    MAX_ORBIT_SPACE,
     BinaryQF,
     CapacityError,
     QuadraticAlgebraDescriptor,
     StandardRep,
     _generators,
     _orbit_bitset,
+    _rem,
     _unit_inverses,
     act,
     congruence_solution_check,
@@ -28,6 +31,7 @@ from quadmean.orbits import (
     standard_representatives,
     torus_matrix,
     torus_order,
+    torus_order_closed,
     unramified_algebra,
 )
 from quadmean.residue import ResidueRing
@@ -287,6 +291,103 @@ def test_lift_saturation():
             assert res.passed
             assert res.lifts == p**3
             assert res.missing == ()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projected_orbit_equals_the_direct_bfs(p):
+    # the level-n orbit read off the level-(n+1) BFS, against a BFS at n
+    for rep in standard_representatives(p):
+        ring = rep.natural_ring()
+        res = lift_saturation_check(rep, rep.n + 1)
+        assert res.passed
+        assert res.projected_size == orbit_size(rep, ring), rep.algebra
+
+
+def test_projection_from_two_levels_up():
+    # folds of p^2 cosets per coordinate
+    for p in (2, 3):
+        for rep in standard_representatives(p):
+            if ResidueRing(p, rep.n + 2).modulus ** 3 > 1 << 21:
+                continue
+            res = lift_saturation_check(rep, rep.n + 2)
+            assert res.projected_size == orbit_size(rep, rep.natural_ring()), rep.algebra
+
+
+def test_rem_agrees_with_python_mod():
+    for m in (2, 3, 7, 128, 343):
+        edges = [-m * m - 1, -m * m, -m - 1, -m, -m + 1, -1, 0, 1, m - 2, m - 1, m, m + 1,
+                 2 * m - 1, 3 * m * m - 1, (1 << 30) - 1, -(1 << 30)]
+        rng = np.random.default_rng(m)
+        for dtype in (np.int32, np.int64):
+            v = np.concatenate([np.array(edges), rng.integers(-(1 << 30), 1 << 30, 200)])
+            v = v.astype(dtype)
+            expected = [int(e) % m for e in v.tolist()]
+            got = _rem(v, m)
+            assert got is v and got.dtype == dtype  # in place
+            assert got.tolist() == expected, (m, dtype)
+        assert [_rem(e, m) for e in edges] == [e % m for e in edges]
+
+
+def _largest(power, bound):
+    m = 1
+    while (m + 1) ** power <= bound:
+        m += 1
+    return m
+
+
+def test_int32_headroom_at_the_size_guards():
+    # worst intermediates at the largest modulus each guard admits, counted
+    # analytically (a BFS at the guard would take 64 MB)
+    limit = 2**31
+    m = _largest(3, MAX_ORBIT_SPACE)  # BFS: m^3 <= MAX_ORBIT_SPACE
+    assert m == 406
+    # three terms k * x with k, x < m; packed triples below m^3
+    assert 3 * (m - 1) ** 2 < limit and m**3 < limit
+    s = _largest(4, 4 * MAX_ORBIT_SPACE)  # scan: m^4 <= 4 * MAX_ORBIT_SPACE
+    assert s == 128
+    # form values a^2 + a1 a b + a2 b^2 below 3 s^3, packed keys below s^4;
+    # the coset check adds at most two products of residues below s
+    assert 3 * s**3 < limit and s**4 < limit and 2 * s * s < limit
+
+
+def test_coset_normal_form_check_leaves_the_stabilizer_unchanged():
+    rep = standard_representatives(2)[4]
+    ring = rep.natural_ring()
+    stab = stabilizer_elements(rep, ring)
+    before = stab.copy()
+    res = coset_normal_form_check(
+        rep, ring, stab, torus_order(rep, ring), congruence_solution_set(rep, ring)
+    )
+    assert res.passed
+    assert stab.dtype == np.int64 and np.array_equal(stab, before)
+
+
+def test_torus_matrix_on_arrays_matches_ints_and_keeps_its_arguments():
+    rep = standard_representatives(3)[3]
+    ring = rep.natural_ring()
+    m = ring.modulus
+    c = np.arange(-m, 2 * m, dtype=np.int32)
+    d = -3 * c + 5
+    c0, d0 = c.copy(), d.copy()
+    got = torus_matrix(rep, ring, c, d)
+    assert np.array_equal(c, c0) and np.array_equal(d, d0)
+    for i, (ci, di) in enumerate(zip(c0.tolist(), d0.tolist())):
+        assert tuple(int(e[i]) for e in got) == torus_matrix(rep, ring, ci, di)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (5, 2), (7, 1)])
+def test_group_order_direct_count(p, n):
+    ring = ResidueRing(p, n)
+    assert _group_order_direct(ring) == group_order(ring)
+
+
+def test_torus_order_direct_count_at_p_up_to_7():
+    for p in (2, 3, 5, 7):
+        for rep in standard_representatives(p):
+            if rep.is_ramified:
+                for level in (rep.n - 1, rep.n):
+                    ring = ResidueRing(p, level)
+                    assert torus_order(rep, ring) == torus_order_closed(rep, ring), rep.algebra
 
 
 def _scalar_orbit(form, ring):
