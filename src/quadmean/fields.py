@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -176,6 +175,10 @@ def _class_sum(fn, workers: int, *args):
     offset mod workers, and the parts are added in offset order."""
     if workers <= 1:
         return fn(*args, 0, 1)
+    # imported here: the pool's modules take about 2 MB, which no run with
+    # the default single worker should carry
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = ex.map(fn, *([a] * workers for a in args), range(workers), [workers] * workers)
         total = next(parts)
