@@ -325,32 +325,15 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
 _BFS_BLOCK = 1 << 14
 
 
-def _generator_terms(ring: ResidueRing) -> list[tuple]:
-    """Each generator's 3x3 action on (x0, x1, x2) mod m, as three rows of
-    its nonzero terms (coefficient, source coordinate)."""
-    m = ring.modulus
-    gens = []
-    for t, a, b, c, d in _generators(ring):
-        rows = ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
-        gens.append(tuple(
-            tuple((t * k % m, j) for j, k in enumerate(row) if t * k % m) for row in rows
-        ))
-    return gens
-
-
-def _row_image(row: tuple, xs: tuple, m: int) -> np.ndarray:
-    """sum of k * xs[j] over the nonzero terms (k, j) of one row, mod m.
-    A coefficient 1 is not multiplied; a lone coordinate copied as is is
-    returned without reduction, since it is a residue already."""
-    terms = [xs[j] if k == 1 else k * xs[j] for k, j in row]
-    if len(terms) == 1:
-        if row[0][0] == 1:
-            return terms[0]
-        y = terms[0]
-    else:
-        y = terms[0] + terms[1]
-        for term in terms[2:]:
-            y += term
+def _row_image(row: list, xs: tuple, m: int) -> np.ndarray:
+    """sum of k * xs[j] over the nonzero terms (k, j) of a matrix row, mod m;
+    a lone coordinate with coefficient 1 is a residue already."""
+    (k, j), *rest = row
+    if k == 1 and not rest:
+        return xs[j]
+    y = k * xs[j]  # a fresh array (a copy at k = 1): the adds work in place
+    for k, j in rest:
+        y += xs[j] if k == 1 else k * xs[j]
     return _rem(y, m)
 
 
@@ -367,7 +350,11 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
     space = m**3
     if space > MAX_ORBIT_SPACE:
         raise CapacityError(f"orbit space {ring.p}^(3*{ring.n}) exceeds {MAX_ORBIT_SPACE}")
-    gens = _generator_terms(ring)
+    gens = []
+    for t, a, b, c, d in _generators(ring):
+        rows = ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
+        # the nonzero terms (coefficient, source coordinate) of each row
+        gens.append([[(t * k % m, j) for j, k in enumerate(row) if t * k % m] for row in rows])
     x0, x1, x2 = (v % m for v in form.coeffs())
     start = (x0 * m + x1) * m + x2
     visited = np.zeros(space, dtype=bool)
@@ -385,10 +372,7 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
             xs = (x0, x01 - x0 * m, block - x01 * m)
             for rows in gens:
                 y0, y1, y2 = (_row_image(row, xs, m) for row in rows)
-                idx = y0 * m
-                idx += y1
-                idx *= m
-                idx += y2
+                idx = (y0 * m + y1) * m + y2
                 # a generator permutes the forms, so distinct entries have
                 # distinct images: the unseen ones need no deduplication
                 new = idx[~visited[idx]]
