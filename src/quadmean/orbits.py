@@ -564,9 +564,9 @@ def coset_normal_form_check(
         # the left factor g * (1, [[1, 0], [u, v]])^-1 must lie in the torus
         w = inv[v]
         fb = _rem(b * w, m)
-        fa = _rem(a - fb * u, m)
-        fc = _rem(c - _rem(d * w, m) * u, m)
         fd = _rem(d * w, m)
+        fa = _rem(a - fb * u, m)
+        fc = _rem(c - fd * u, m)
         in_torus = (
             (_rem(fc + a2 * fb, m) == 0)
             & (_rem(fd - fa - a1 * fb, m) == 0)
