@@ -323,7 +323,7 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
 
 # frontier entries decoded at once; bounds the BFS's temporary arrays (2^13
 # took 0.4 MB off the peak of a verify-local --primes 2,3,5 call against
-# 2^14, for about 5% more BFS time)
+# 2^14, for 5-7% more BFS time)
 _BFS_BLOCK = 1 << 13
 
 
