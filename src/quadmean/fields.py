@@ -3,7 +3,9 @@
 Everything here is exact or reduces to sums of logarithms of exact
 integer data.  Class numbers of imaginary fields come from counting
 reduced positive forms into an int32 histogram, one periodic comb per
-leading coefficient a.  For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
+leading coefficient a; 4ac - b^2 is 0 or 3 mod 4, so the count at n is
+stored at n // 2 and the histogram holds no entry that is always zero.
+For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
 per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
 (half of it when a = c); the regulators walk half of the palindromic
 continued fraction cycle of the maximal order's generator with the same
@@ -187,48 +189,58 @@ def _class_sum(fn, workers: int, *args):
     return total
 
 
-# Width of the tiled comb row in _imag_hist_range: one in-place add covers a
-# block of rows this wide.
+# Width of the tiled comb row in _imag_hist_range, in entries of the n // 2
+# histogram: one in-place add covers a block of rows this wide.  The cost of
+# the adds follows the number of entries they touch; widths from 512 to 4096
+# took the same time.
 _COMB_ROW = 1024
 
 
 def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
-    """Histogram of reduced-form counts over 0..limit for a = 1 + offset
-    mod stride.
+    """Reduced-form counts at every n <= limit for a = 1 + offset mod stride,
+    stored at index n // 2.
 
     A reduced form (a, b, c), 0 <= b <= a <= c, lands at n = 4ac - b^2 =
     4a^2 - b^2 + 4a(c - a) with weight 2 (for +-b), or 1 when b = 0, b = a
-    or c = a.  From n = 4a^2 on every b has started, so the count there is a
-    comb of period 4a, tiled over [4a^2, limit].  The head window
-    [3a^2, 4a^2) is added hit by hit."""
-    hist = np.zeros(limit + 1, dtype=np.int32)
+    or c = a.  n = -b^2 mod 4 is 0 or 3 mod 4, and n // 2 maps 4k to 2k and
+    4k + 3 to 2k + 1, so the limit // 2 + 1 entries have no holes; at
+    limit = 2 mod 4 the last one stands for n = limit + 1 and stays 0.
+    From n = 4a^2 on every b has started, so the count there is a comb of
+    period 4a in n, whose residues 0 and 3 mod 4 make a comb of period 2a
+    in n // 2, tiled from index 2a^2.  The head window [3a^2, 4a^2) is added
+    hit by hit."""
+    hist = np.zeros(limit // 2 + 1, dtype=np.int32)
+    live = hist[: limit // 4 + (limit + 1) // 4 + 1]  # n <= limit
     for a in range(1 + offset, isqrt(limit // 3) + 1, stride):
-        period, head, full = 4 * a, 3 * a * a, 4 * a * a
-        b = np.arange(a + 1, dtype=np.int64)
-        comb = (2 * np.bincount(-b * b % period, minlength=period)).astype(np.int32)
+        period, full = 4 * a, 2 * a * a  # full: index of n = 4a^2
+        b = np.arange(a + 1, dtype=np.int32)
+        comb = 2 * np.bincount(-b * b % period, minlength=period).astype(np.int32)
         comb[0] -= 1  # b = 0
         comb[-a * a % period] -= 1  # b = a
-        row = np.tile(comb, max(1, _COMB_ROW // period))
-        tail = hist[full:]
+        row = np.tile(comb.reshape(a, 4)[:, [0, 3]].ravel(), max(1, _COMB_ROW // (2 * a)))
+        tail = live[full:]
         rows = tail.size // row.size
         body = tail[: rows * row.size].reshape(rows, row.size)
         body += row
         tail[rows * row.size :] += row[: tail.size - rows * row.size]
-        # head: 0 < b <= a at c - a < b^2 / 4a, where n < 4a^2
+        # head: 0 < b <= a at c - a < b^2 / 4a <= a / 4, where n < 4a^2; the
+        # (b, c - a) grid stays below 5a^2 < 2^31 up to MAX_TABLE_LIMIT
         b = b[1:]
-        first = full - b * b
-        k = (b * b + period - 1) // period
-        n = np.repeat(first - period * (np.cumsum(k) - k), k)
-        n += period * np.arange(n.size)
-        np.add.at(hist, n[n <= limit], np.int32(2))
-        hist[first[first <= limit]] -= 1  # c = a counts once
-        hist[head + period : full : period] -= 1  # b = a, c > a counts once
+        first = 2 * full - b * b
+        n = first[:, None] + period * np.arange((a + 3) // 4, dtype=np.int32)
+        np.add.at(live, n[n < min(2 * full, limit + 1)] >> 1, np.int32(2))
+        live[first[first <= limit] >> 1] -= 1  # c = a counts once
+        live[(3 * a * a + period) // 2 : full : 2 * a] -= 1  # b = a, c > a counts once
     return hist
 
 
 def imaginary_class_number_histogram(limit: int, workers: int = 1) -> np.ndarray:
-    """int32 hist[n] = h(-n) for every fundamental -n with n <= limit
-    (entries at non-fundamental indices are form counts without meaning)."""
+    """int32 hist[n // 2] = h(-n) for every fundamental -n with n <= limit.
+
+    The array has limit // 2 + 1 entries.  Every n = 4ac - b^2 is 0 or 3 mod
+    4, and n // 2 maps those classes one to one onto all indices (at
+    limit = 2 mod 4 the last entry stands for n = limit + 1 and is 0);
+    entries at non-fundamental n are form counts without meaning for h."""
     return _class_sum(_imag_hist_range, workers, limit)
 
 
@@ -438,9 +450,11 @@ def analytic_hr_real(d: int) -> float:
 # the discriminant table
 # ---------------------------------------------------------------------------
 
-# Largest table bound: the sieve and the imaginary histogram allocate
-# limit + 1 entries, 400 MB of int32 at this bound.  The form count at n is
-# at most (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, far below 2^31.
+# Largest table bound: the sieve allocates limit + 1 entries and the
+# imaginary histogram limit // 2 + 1, 200 MB of int32 at this bound.  The
+# form count at n is at most (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and
+# the head hits it builds in int32 stay below 5 * limit / 3, both far below
+# 2^31.
 MAX_TABLE_LIMIT = 10**8
 _INTEGRALITY_TOL = 1e-6
 _DAMAGED = "; the cache is damaged, delete it to rebuild"
@@ -477,7 +491,7 @@ class DiscriminantTable:
         mags = fundamental_magnitudes(sign, limit)
         if sign < 0:
             hist = imaginary_class_number_histogram(limit, workers)
-            h = hist[mags].astype(np.int64)
+            h = hist[mags >> 1].astype(np.int64)
             reg = np.ones(mags.size, dtype=np.float64)
         else:
             reg = cls._regulators(mags)

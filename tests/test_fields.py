@@ -61,17 +61,18 @@ def test_fundamental_enumeration_agrees_with_predicate():
 def test_imaginary_histogram_frozen():
     hist = imaginary_class_number_histogram(100)
     mags = fundamental_magnitudes(-1, 100)
-    assert int(hist[mags].sum()) == 89
-    assert hist[3] == 1 and hist[4] == 1
-    assert hist[23] == 3
-    assert hist[47] == 5
-    assert hist[95] == 8
+    assert hist.size == 100 // 2 + 1
+    assert int(hist[mags >> 1].sum()) == 89
+    assert hist[3 >> 1] == 1 and hist[4 >> 1] == 1
+    assert hist[23 >> 1] == 3
+    assert hist[47 >> 1] == 5
+    assert hist[95 >> 1] == 8
 
 
 def test_imaginary_histogram_vs_per_d_oracle():
     hist = imaginary_class_number_histogram(4000)
     for n in fundamental_magnitudes(-1, 4000):
-        assert class_number_imaginary(-int(n)) == int(hist[n]), n
+        assert class_number_imaginary(-int(n)) == int(hist[n >> 1]), n
 
 
 def _per_ab_loop(limit, offset, stride):
@@ -92,11 +93,29 @@ def _per_ab_loop(limit, offset, stride):
     return hist
 
 
+def _halved(full):
+    # the n // 2 layout of a full-length histogram over 0..limit: n = 4k at 2k,
+    # n = 4k + 3 at 2k + 1, and 0 for n = limit + 1 when limit = 2 mod 4
+    n = np.arange(full.size)
+    kept = (n % 4 == 0) | (n % 4 == 3)
+    half = np.zeros((full.size - 1) // 2 + 1, dtype=full.dtype)
+    half[n[kept] >> 1] = full[kept]
+    return half
+
+
 def test_imaginary_histogram_equals_the_per_ab_loop():
-    # the small limits cut the head window [3a^2, 4a^2) of the largest a
-    for limit in (1, 2, 3, 4, 7, 11, 12, 15, 16, 27, 48, 100, 1000, 4099, 20000):
-        ref = _per_ab_loop(limit, 0, 1)
-        assert np.array_equal(fields._imag_hist_range(limit, 0, 1), ref), limit
+    # the small limits cut the head window [3a^2, 4a^2) of the largest a;
+    # 2, 6, 10 and 4098 (= 2 mod 4) end on the entry that stands for limit + 1
+    for limit in (1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 15, 16, 27, 48, 100, 1000, 4097, 4098, 4099,
+                  20000):
+        full = _per_ab_loop(limit, 0, 1)
+        n = np.arange(limit + 1)
+        # the premise of the layout: 4ac - b^2 is never 1 or 2 mod 4
+        assert not full[(n % 4 == 1) | (n % 4 == 2)].any(), limit
+        ref = _halved(full)
+        hist = fields._imag_hist_range(limit, 0, 1)
+        assert hist.size == limit // 2 + 1, limit
+        assert np.array_equal(hist, ref), limit
         for stride in (2, 3):
             parts = [fields._imag_hist_range(limit, k, stride) for k in range(stride)]
             assert np.array_equal(sum(parts), ref), (limit, stride)
@@ -111,8 +130,46 @@ def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
 
     hist = imaginary_class_number_histogram(20000)
     assert hist.dtype == np.int32
-    assert np.all(hist <= bound(np.arange(20001)))
+    n = np.arange(20001)
+    n = n[(n % 4 == 0) | (n % 4 == 3)]
+    assert np.all(hist[n >> 1] <= bound(n))
     assert bound(np.array([fields.MAX_TABLE_LIMIT]))[0] < 2**31
+
+
+def test_imaginary_head_grid_fits_int32_at_the_table_guard():
+    # _imag_hist_range builds the head hits 4a^2 - b^2 + 4a(c - a) of every
+    # 1 <= b <= a on the grid 0 <= c - a < ceil(a/4) in int32; its largest
+    # value (b = 1, last column) at the largest a the guard admits
+    a = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
+    assert 4 * a * a - 1 + 4 * a * ((a + 3) // 4 - 1) < 5 * a * a < 2**31
+
+
+def test_kronecker_hurwitz_class_number_relation():
+    # sum over s^2 <= 4n of H(4n - s^2) = 2 sigma(n) - sum over d | n of
+    # min(d, n/d), for every n <= N, with the Hurwitz class number
+    # 12 H(m) = 12 count(m) - 6 [m = 4k^2] - 8 [m = 3k^2] and 12 H(0) = -1:
+    # it checks the form count at every m <= 4N, fundamental or not
+    N = 300_000  # about 0.8 s on 2 cores; the sum over s costs N^1.5
+    h12 = 12 * imaginary_class_number_histogram(4 * N).astype(np.int64)
+    k = np.arange(1, math.isqrt(4 * N // 3) + 1)
+    h12[2 * k[k * k <= N] ** 2] -= 6  # m = 4k^2 sits at 2k^2
+    h12[3 * k * k >> 1] -= 8
+    h12[0] = -1
+    lhs = np.zeros(N + 1, dtype=np.int64)
+    for s in range(math.isqrt(4 * N) + 1):
+        lo = (s * s + 3) // 4  # the least n with s^2 <= 4n
+        # (4n - s^2) // 2 = 2n - ceil(s^2 / 2): one strided slice per s
+        terms = h12[2 * lo - (s * s + 1) // 2 :: 2][: N + 1 - lo]
+        lhs[lo:] += terms if s == 0 else 2 * terms
+    sigma = np.zeros(N + 1, dtype=np.int64)
+    mins = np.zeros(N + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(N) + 1):  # the divisor pairs d <= n/d = q
+        q = np.arange(d, N // d + 1)
+        sigma[d * q] += d + q
+        mins[d * q] += 2 * d
+        sigma[d * d] -= d
+        mins[d * d] -= d
+    assert np.array_equal(lhs[1:], 12 * (2 * sigma - mins)[1:])
 
 
 def test_imaginary_analytic_is_exact_integer():
