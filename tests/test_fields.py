@@ -93,16 +93,6 @@ def _per_ab_loop(limit, offset, stride):
     return hist
 
 
-def _halved(full):
-    # the n // 2 layout of a full-length histogram over 0..limit: n = 4k at 2k,
-    # n = 4k + 3 at 2k + 1, and 0 for n = limit + 1 when limit = 2 mod 4
-    n = np.arange(full.size)
-    kept = (n % 4 == 0) | (n % 4 == 3)
-    half = np.zeros((full.size - 1) // 2 + 1, dtype=full.dtype)
-    half[n[kept] >> 1] = full[kept]
-    return half
-
-
 def test_imaginary_histogram_equals_the_per_ab_loop():
     # the small limits cut the head window [3a^2, 4a^2) of the largest a;
     # 2, 6, 10 and 4098 (= 2 mod 4) end on the entry that stands for limit + 1
@@ -110,9 +100,12 @@ def test_imaginary_histogram_equals_the_per_ab_loop():
                   20000):
         full = _per_ab_loop(limit, 0, 1)
         n = np.arange(limit + 1)
+        kept = (n % 4 == 0) | (n % 4 == 3)
         # the premise of the layout: 4ac - b^2 is never 1 or 2 mod 4
-        assert not full[(n % 4 == 1) | (n % 4 == 2)].any(), limit
-        ref = _halved(full)
+        assert not full[~kept].any(), limit
+        # n = 4k at 2k, n = 4k + 3 at 2k + 1; the entry for n = limit + 1 is 0
+        ref = np.zeros(limit // 2 + 1, dtype=np.int64)
+        ref[n[kept] >> 1] = full[kept]
         hist = fields._imag_hist_range(limit, 0, 1)
         assert hist.size == limit // 2 + 1, limit
         assert np.array_equal(hist, ref), limit
