@@ -5,6 +5,9 @@ integer data.  Class numbers of imaginary fields come from counting
 reduced positive forms into an int32 histogram, one periodic comb per
 leading coefficient a; 4ac - b^2 is 0 or 3 mod 4, so the count at n is
 stored at n // 2 and the histogram holds no entry that is always zero.
+The comb rows are summed in an int16 buffer, added into the histogram
+before it could overflow, and the few forms below the comb come from a
+grid in two bands of b.
 For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
 per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
 (half of it when a = c); the regulators walk half of the palindromic
@@ -63,9 +66,17 @@ def _is_squarefree(n: int) -> bool:
 
 
 def _squarefree_sieve(limit: int) -> np.ndarray:
+    """sf[n] is False exactly when p^2 divides n for a prime p (sf[0] stays True);
+    the primes up to isqrt(limit) come from a small sieve of their own."""
+    root = isqrt(limit)
+    prime = np.ones(root + 1, dtype=bool)
+    prime[:2] = False
+    for k in range(2, isqrt(root) + 1):
+        if prime[k]:
+            prime[k * k :: k] = False
     sf = np.ones(limit + 1, dtype=bool)
-    for k in range(2, isqrt(limit) + 1):
-        sf[k * k :: k * k] = False
+    for p in np.flatnonzero(prime).tolist():
+        sf[p * p :: p * p] = False
     return sf
 
 
@@ -191,9 +202,13 @@ def _class_sum(fn, workers: int, *args):
 
 # Width of the tiled comb row in _imag_hist_range, in entries of the n // 2
 # histogram: one in-place add covers a block of rows this wide.  The cost of
-# the adds follows the number of entries they touch; widths from 512 to 4096
-# took the same time.
+# the adds follows the bytes they touch, not the number of entries; widths
+# from 512 to 4096 took the same time.
 _COMB_ROW = 1024
+# dtype of the buffer the comb rows are added into before they reach the
+# int32 histogram: half the bytes of int32 per add.  Every entry of a row is
+# at most 2a <= 2 * isqrt(MAX_TABLE_LIMIT // 3) < 2^15, so one row always fits.
+_COMB_ACC = np.int16
 
 
 def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
@@ -207,30 +222,48 @@ def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
     limit = 2 mod 4 the last one stands for n = limit + 1 and stays 0.
     From n = 4a^2 on every b has started, so the count there is a comb of
     period 4a in n, whose residues 0 and 3 mod 4 make a comb of period 2a
-    in n // 2, tiled from index 2a^2.  The head window [3a^2, 4a^2) is added
-    hit by hit."""
+    in n // 2, tiled from index 2a^2.  The combs are added into a _COMB_ACC
+    buffer, which goes into the histogram whenever the sum of the row tops
+    since it was last emptied could pass its maximum, and once at the end;
+    the rows are non-negative, so no entry of the buffer can overflow.
+    The head window [3a^2, 4a^2) is added hit by hit, on a (b, c - a) grid
+    in two bands of b, since b needs only ceil(b^2 / 4a) columns."""
     hist = np.zeros(limit // 2 + 1, dtype=np.int32)
     live = hist[: limit // 4 + (limit + 1) // 4 + 1]  # n <= limit
+    acc = np.zeros(live.size, dtype=_COMB_ACC)
+    room = cap = int(np.iinfo(_COMB_ACC).max)
     for a in range(1 + offset, isqrt(limit // 3) + 1, stride):
         period, full = 4 * a, 2 * a * a  # full: index of n = 4a^2
         b = np.arange(a + 1, dtype=np.int32)
         comb = 2 * np.bincount(-b * b % period, minlength=period).astype(np.int32)
         comb[0] -= 1  # b = 0
         comb[-a * a % period] -= 1  # b = a
-        row = np.tile(comb.reshape(a, 4)[:, [0, 3]].ravel(), max(1, _COMB_ROW // (2 * a)))
-        tail = live[full:]
+        comb = comb.reshape(a, 4)[:, [0, 3]].ravel()
+        top = int(comb.max())
+        if top > room:
+            live += acc
+            acc[:] = 0
+            room = cap
+        room -= top
+        row = np.tile(comb.astype(_COMB_ACC), max(1, _COMB_ROW // (2 * a)))
+        tail = acc[full:]
         rows = tail.size // row.size
         body = tail[: rows * row.size].reshape(rows, row.size)
         body += row
         tail[rows * row.size :] += row[: tail.size - rows * row.size]
-        # head: 0 < b <= a at c - a < b^2 / 4a <= a / 4, where n < 4a^2; the
-        # (b, c - a) grid stays below 5a^2 < 2^31 up to MAX_TABLE_LIMIT
+        # head: 0 < b <= a at c - a < b^2 / 4a, where n < 4a^2, on the (b, c - a)
+        # grid: ceil((a // 2)^2 / 4a) columns (about a / 16) for b <= a // 2 and
+        # ceil(a / 4) for the rest; it stays below 5a^2 < 2^31 up to MAX_TABLE_LIMIT
         b = b[1:]
         first = 2 * full - b * b
-        n = first[:, None] + period * np.arange((a + 3) // 4, dtype=np.int32)
-        np.add.at(live, n[n < min(2 * full, limit + 1)] >> 1, np.int32(2))
+        half = a // 2
+        narrow = (half * half + period - 1) // period
+        for band, cols in ((first[:half], narrow), (first[half:], (a + 3) // 4)):
+            n = band[:, None] + period * np.arange(cols, dtype=np.int32)
+            np.add.at(live, n[n < min(2 * full, limit + 1)] >> 1, np.int32(2))
         live[first[first <= limit] >> 1] -= 1  # c = a counts once
         live[(3 * a * a + period) // 2 : full : 2 * a] -= 1  # b = a, c > a counts once
+    live += acc
     return hist
 
 
@@ -451,10 +484,11 @@ def analytic_hr_real(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 # Largest table bound: the sieve allocates limit + 1 entries and the
-# imaginary histogram limit // 2 + 1, 200 MB of int32 at this bound.  The
-# form count at n is at most (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and
-# the head hits it builds in int32 stay below 5 * limit / 3, both far below
-# 2^31.
+# imaginary histogram limit // 2 + 1, 200 MB of int32 at this bound, plus a
+# 100 MB int16 buffer for its comb rows.  The form count at n is at most
+# (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and the head hits it builds in
+# int32 stay below 5 * limit / 3, both far below 2^31; an entry of one comb
+# row is at most 2 * isqrt(limit / 3) < 2^15.
 MAX_TABLE_LIMIT = 10**8
 _INTEGRALITY_TOL = 1e-6
 _DAMAGED = "; the cache is damaged, delete it to rebuild"

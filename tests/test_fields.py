@@ -93,19 +93,29 @@ def _per_ab_loop(limit, offset, stride):
     return hist
 
 
+# the small limits cut the head window [3a^2, 4a^2) of the largest a;
+# 2, 6, 10 and 4098 (= 2 mod 4) end on the entry that stands for limit + 1
+_PER_AB_LIMITS = (1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 15, 16, 27, 48, 100, 1000, 4097, 4098, 4099,
+                  20000)
+
+
+def _halved(full):
+    # n = 4k at 2k, n = 4k + 3 at 2k + 1; the entry for n = limit + 1 is 0
+    n = np.arange(full.size)
+    kept = (n % 4 == 0) | (n % 4 == 3)
+    ref = np.zeros((full.size - 1) // 2 + 1, dtype=np.int64)
+    ref[n[kept] >> 1] = full[kept]
+    return ref
+
+
 def test_imaginary_histogram_equals_the_per_ab_loop():
-    # the small limits cut the head window [3a^2, 4a^2) of the largest a;
-    # 2, 6, 10 and 4098 (= 2 mod 4) end on the entry that stands for limit + 1
-    for limit in (1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 15, 16, 27, 48, 100, 1000, 4097, 4098, 4099,
-                  20000):
+    for limit in _PER_AB_LIMITS:
         full = _per_ab_loop(limit, 0, 1)
         n = np.arange(limit + 1)
         kept = (n % 4 == 0) | (n % 4 == 3)
         # the premise of the layout: 4ac - b^2 is never 1 or 2 mod 4
         assert not full[~kept].any(), limit
-        # n = 4k at 2k, n = 4k + 3 at 2k + 1; the entry for n = limit + 1 is 0
-        ref = np.zeros(limit // 2 + 1, dtype=np.int64)
-        ref[n[kept] >> 1] = full[kept]
+        ref = _halved(full)
         hist = fields._imag_hist_range(limit, 0, 1)
         assert hist.size == limit // 2 + 1, limit
         assert np.array_equal(hist, ref), limit
@@ -114,6 +124,20 @@ def test_imaginary_histogram_equals_the_per_ab_loop():
             assert np.array_equal(sum(parts), ref), (limit, stride)
     for workers in (2, 3):
         assert np.array_equal(imaginary_class_number_histogram(limit, workers), ref), workers
+
+
+def test_imaginary_histogram_flushes_a_narrow_buffer_exactly(monkeypatch):
+    # an int8 buffer holds the sum of the row tops only up to 127, so the
+    # kernel must flush it into the histogram and empty it mid-loop: at 20000
+    # twice with stride 1, and once in one part or more with strides 2 and 3
+    # (the int16 buffer first flushes above 10^7)
+    monkeypatch.setattr(fields, "_COMB_ACC", np.int8)
+    for limit in _PER_AB_LIMITS:
+        ref = _halved(_per_ab_loop(limit, 0, 1))
+        for stride in (1, 2, 3):
+            parts = [fields._imag_hist_range(limit, k, stride) for k in range(stride)]
+            assert all(part.dtype == np.int32 for part in parts)
+            assert np.array_equal(sum(parts), ref), (limit, stride)
 
 
 def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
@@ -130,11 +154,32 @@ def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
 
 
 def test_imaginary_head_grid_fits_int32_at_the_table_guard():
-    # _imag_hist_range builds the head hits 4a^2 - b^2 + 4a(c - a) of every
-    # 1 <= b <= a on the grid 0 <= c - a < ceil(a/4) in int32; its largest
-    # value (b = 1, last column) at the largest a the guard admits
+    # _imag_hist_range builds the head hits 4a^2 - b^2 + 4a(c - a) in int32
+    # on two bands of b: 1 <= b <= a // 2 on the columns 0 <= c - a <
+    # ceil((a // 2)^2 / 4a), the rest on 0 <= c - a < ceil(a/4).  No band
+    # has more columns than ceil(a/4), so b = 1 on the last of those bounds
+    # every value of both, here at the largest a the guard admits
     a = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
     assert 4 * a * a - 1 + 4 * a * ((a + 3) // 4 - 1) < 5 * a * a < 2**31
+
+
+def test_imaginary_comb_row_fits_the_buffer_at_the_table_guard():
+    # an entry of a's comb row counts at most the a + 1 values of b, two for
+    # each, less one for each of b = 0 and b = a: at most 2a, so one row fits
+    # the empty buffer up to the largest a the guard admits
+    a = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
+    assert 2 * a + 1 <= np.iinfo(fields._COMB_ACC).max
+
+
+def test_squarefree_sieve_over_primes_equals_the_all_k_loop():
+    def all_k(limit):
+        sf = np.ones(limit + 1, dtype=bool)
+        for k in range(2, math.isqrt(limit) + 1):
+            sf[k * k :: k * k] = False
+        return sf
+
+    for limit in (*range(201), 4097, 10**6):
+        assert np.array_equal(fields._squarefree_sieve(limit), all_k(limit)), limit
 
 
 def test_kronecker_hurwitz_class_number_relation():
