@@ -34,6 +34,7 @@ from .densities import (
 from .fields import cached_table
 from .meanvalue import (
     EULER_CUTOFF,
+    check_euler_cutoff,
     condition_sign,
     convergence_report,
     default_checkpoints,
@@ -268,6 +269,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     limit = args.X
     if limit < 1:
         raise ValueError(f"--X {limit} below 1")
+    check_euler_cutoff(args.euler_cutoff)  # before the table is built
     checkpoints = (
         [int(v) for v in args.checkpoints.split(",")]
         if args.checkpoints

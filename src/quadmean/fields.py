@@ -12,7 +12,9 @@ For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
 per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
 (half of it when a = c); the regulators walk half of the palindromic
 continued fraction cycle of the maximal order's generator with the same
-kernel, in lockstep over all D; h is the (checked) integer ratio.
+kernel, in lockstep over all D, in float64 lanes that stay exact integers
+below 2^53 and are compacted once a tenth of them have stopped; h is the
+(checked) integer ratio.
 Per-field oracles and analytic character sums are the scalar cross-checks.
 """
 
@@ -549,28 +551,55 @@ class DiscriminantTable:
         palindrome, so a lane stops once (P_{k+1}, Q_{k+1}) is computed:
         P_{k+1} = P_k (even period): R is the running sum t(P_0) + ... + t(P_k);
         Q_{k+1} = Q_k (odd period): R is that sum plus t(P_{k+1})/2;
-        both (period 1): R is t(P_0)/2."""
+        both (period 1): R is t(P_0)/2.
+
+        The lanes hold d, s = isqrt(d), P, Q and n = d - P^2 = Q_{k-1} Q_k as
+        float64.  Every state is reduced, 0 < P < sqrt(d) and 0 < Q < 2 sqrt(d),
+        so up to MAX_TABLE_LIMIT each of them and each product below is an
+        integer under 2^53.  The quotient (P + s)/Q is at most 2 sqrt(d) + 1
+        and is rounded by at most that times 2^-53, while a quotient that is
+        not an integer lies at least 1/Q from one: its floor is exact.
+        d - P_{k+1}^2 is a multiple of Q, so the division for Q_{k+1} is exact
+        too.  A lane that stops leaves the alive mask but stays in the arrays,
+        walking on along its cycle, until more than a tenth of them have
+        stopped since the last compaction moves the live lanes to the front of
+        the arrays; each lane's terms are summed in the same order, so the
+        result does not depend on when the arrays are compacted."""
         d, s = mags, _isqrt_array(mags)
         if np.any(s * s == d):
             raise ValueError("discriminant must not be a square")
         P = (d % 2 + s) // 2 * 2 - d % 2
         Q = (d - P * P) // 2
-        sd = np.sqrt(d)
+        d, s, P, Q = (v.astype(np.float64) for v in (d, s, P, Q))
+        sd, n = np.sqrt(d), d - P * P
         lane, acc, reg = np.arange(d.size), np.zeros(d.size), np.zeros(d.size)
+        alive, stopped = np.ones(d.size, dtype=bool), 0
         while lane.size:
-            acc += _log_squared_over(sd + P, d - P * P)
-            Pn = (P + s) // Q * Q - P
-            Qn = (d - Pn * Pn) // Q
-            stop = (Pn == P) | (Qn == Q)
-            done = np.flatnonzero(stop)
+            acc += _log_squared_over(sd + P, n)
+            Pn = P + s  # then Pn = (P + s) // Q * Q - P and n = d - Pn^2, in place
+            Pn /= Q
+            np.floor(Pn, out=Pn)
+            Pn *= Q
+            Pn -= P
+            n = Pn * Pn
+            np.subtract(d, n, out=n)
+            Qn = n / Q
+            done = np.flatnonzero(((Pn == P) | (Qn == Q)) & alive)
+            # a stop has P_{k+1} = P_k or Q_{k+1} = Q_k, so ~even is the odd-only case
             r, even, odd = acc[done], Pn[done] == P[done], Qn[done] == Q[done]
-            mid = done[odd & ~even]
-            r[odd & ~even] += 0.5 * _log_squared_over(sd[mid] + Pn[mid], Q[mid] * Qn[mid])
-            r[odd & even] *= 0.5
+            mid = done[~even]
+            r[~even] += 0.5 * _log_squared_over(sd[mid] + Pn[mid], n[mid])
+            r[even & odd] *= 0.5
             reg[lane[done]] = r
-            live = ~stop
-            lane, acc, P, Q = lane[live], acc[live], Pn[live], Qn[live]
-            d, s, sd = d[live], s[live], sd[live]
+            alive[done] = False
+            P, Q, stopped = Pn, Qn, stopped + done.size
+            if 10 * stopped > lane.size:
+                # in place: each buffered take holds one array's live lanes at a time
+                keep = np.flatnonzero(alive)
+                lane, acc, P, Q, n, d, s, sd = (
+                    np.take(v, keep, out=v[: keep.size]) for v in (lane, acc, P, Q, n, d, s, sd)
+                )
+                alive, stopped = np.ones(lane.size, dtype=bool), 0
         return reg
 
     # -- persistence --------------------------------------------------------

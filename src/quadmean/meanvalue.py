@@ -26,8 +26,12 @@ from .orbits import (
     ramified_algebra,
     unramified_algebra,
 )
+from .residue import CapacityError
 
 EULER_CUTOFF = 10**6
+# Largest Euler cutoff: the prime sieve allocates cutoff + 1 bytes, so the
+# guard is the table bound's, fields.MAX_TABLE_LIMIT = 10^8.
+MAX_EULER_CUTOFF = 10**8
 
 _ARCH_VALUES = {"C": ALG_COMPLEX, "RxR": ALG_REAL_PAIR}
 
@@ -47,9 +51,19 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def check_euler_cutoff(cutoff: int) -> None:
+    """Refuse a cutoff below 2, whose product is empty, with ValueError, and one
+    above MAX_EULER_CUTOFF with CapacityError, before anything is allocated."""
+    if cutoff < 2:
+        raise ValueError(f"Euler cutoff {cutoff} below 2 leaves an empty product")
+    if cutoff > MAX_EULER_CUTOFF:
+        raise CapacityError(f"Euler cutoff {cutoff} exceeds {MAX_EULER_CUTOFF}")
+
+
 def euler_product(cutoff: int = EULER_CUTOFF, skip: tuple[int, ...] = ()) -> float:
     """Product of the total local densities over primes up to cutoff,
-    multiplied in ascending order."""
+    multiplied in ascending order; check_euler_cutoff guards the cutoff."""
+    check_euler_cutoff(cutoff)
     ps = primes_upto(cutoff).astype(np.float64)
     if skip:
         keep = ~np.isin(ps, np.array(skip, dtype=np.float64))

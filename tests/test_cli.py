@@ -11,6 +11,7 @@ import pytest
 
 import quadmean.cli
 import quadmean.fields
+import quadmean.meanvalue
 import quadmean.orbits
 from quadmean.cli import build_parser, main
 from quadmean.orbits import BinaryQF, orbit_size
@@ -370,6 +371,31 @@ def test_table_limit_guard_boundary(monkeypatch, capsys):
 def test_table_limit_guard_refuses_before_allocating(capsys):
     # the sieve alone would ask for 2 * 10^12 bytes
     _refused(capsys, ["mean-value", "--cond", "inf=C", "--X", str(10**12)], str(10**12))
+
+
+@pytest.mark.parametrize(
+    "command, code_at_2", [(["constant"], 0), (["mean-value", "--X", "1000"], 1)]
+)
+def test_euler_cutoff_guard_boundaries(monkeypatch, capsys, command, code_at_2):
+    cond = ["--cond", "inf=C"]
+    monkeypatch.setattr(quadmean.meanvalue, "MAX_EULER_CUTOFF", 1000)
+    assert run_cli([*command, *cond, "--euler-cutoff", "1000"])[0] == 0
+    capsys.readouterr()
+    _refused(capsys, [*command, *cond, "--euler-cutoff", "1001"], "1001")
+    # 2 is the least cutoff with a prime; mean-value then fails its ratio
+    # check, an honest result and no refusal
+    assert run_cli([*command, *cond, "--euler-cutoff", "2"])[0] == code_at_2
+    capsys.readouterr()
+    for cutoff in ("1", "0", "-5"):
+        _refused(capsys, [*command, *cond, "--euler-cutoff", cutoff], "below 2")
+
+
+def test_euler_cutoff_guard_refuses_before_allocating(monkeypatch, capsys):
+    # the prime sieve alone would ask for 10^12 bytes; mean-value refuses
+    # before it builds its table
+    monkeypatch.setattr(quadmean.cli, "cached_table", None)
+    for command in (["constant"], ["mean-value", "--X", "1000"]):
+        _refused(capsys, [*command, "--cond", "inf=C", "--euler-cutoff", str(10**12)], str(10**12))
 
 
 def test_orbit_space_guard_boundary(monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -259,6 +260,58 @@ def test_lockstep_regulators_on_named_period_shapes(period, ds):
     reg = DiscriminantTable._regulators(np.array(ds))
     for d, r in zip(ds, reg.tolist()):
         assert r == pytest.approx(regulator_real(d), rel=1e-13), d
+
+
+def _int64_lockstep(mags):
+    # the lockstep walk in int64 lanes with floor divisions, compacted at every step
+    d, s = mags, _isqrt_array(mags)
+    P = (d % 2 + s) // 2 * 2 - d % 2
+    Q = (d - P * P) // 2
+    sd = np.sqrt(d)
+    lane, acc, reg = np.arange(d.size), np.zeros(d.size), np.zeros(d.size)
+    while lane.size:
+        acc += fields._log_squared_over(sd + P, d - P * P)
+        Pn = (P + s) // Q * Q - P
+        Qn = (d - Pn * Pn) // Q
+        stop = (Pn == P) | (Qn == Q)
+        done = np.flatnonzero(stop)
+        r, even, odd = acc[done], Pn[done] == P[done], Qn[done] == Q[done]
+        mid = done[odd & ~even]
+        r[odd & ~even] += 0.5 * fields._log_squared_over(sd[mid] + Pn[mid], Q[mid] * Qn[mid])
+        r[odd & even] *= 0.5
+        reg[lane[done]] = r
+        live = ~stop
+        lane, acc, P, Q = lane[live], acc[live], Pn[live], Qn[live]
+        d, s, sd = d[live], s[live], sd[live]
+    return reg
+
+
+def test_float_lanes_equal_the_int64_lockstep():
+    # bit for bit: the float64 lanes take the same states as int64 ones, and
+    # each lane sums the same terms in the same order however it is compacted
+    mags = fundamental_magnitudes(1, 10**5)
+    assert np.array_equal(DiscriminantTable._regulators(mags), _int64_lockstep(mags))
+    # the named period shapes, shuffled: lanes stop out of order, and each stop
+    # compacts the few live lanes into a new order
+    ds = [5, 8, 13, 229, 12, 21, 60, 61, 28, 136, 4728, 1993] * 3
+    random.Random(13).shuffle(ds)
+    mix = np.array(ds, dtype=np.int64)
+    assert np.array_equal(DiscriminantTable._regulators(mix), _int64_lockstep(mix))
+    empty = DiscriminantTable._regulators(np.array([], dtype=np.int64))
+    assert empty.dtype == np.float64 and empty.size == 0
+
+
+def test_regulator_lanes_are_exact_in_float64_at_the_table_guard():
+    # a reduced state (P + sqrt(d))/Q has 0 < P < sqrt(d) and 0 < Q < 2 sqrt(d);
+    # at the largest d the guard admits, with s = isqrt(d) and sqrt(d) < s + 1:
+    # P + s, Q, P^2, Q Q_{k+1} = d - P_{k+1}^2 and 4d stay integers below 2^53
+    d = fields.MAX_TABLE_LIMIT
+    s = math.isqrt(d)
+    q = 2 * s + 1  # the largest Q
+    assert max(2 * s, q, s * s, d, 4 * d) < 2**53
+    # the quotient (P + s)/Q <= 2 sqrt(d) + 1 is rounded by at most that times
+    # 2^-53, less than the distance 1/Q from a non-integral quotient to an integer
+    assert Fraction(2 * (s + 1) + 1, 2**53) < Fraction(1, q)
 
 
 def test_principal_cycle_p_sequence_is_a_palindrome():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadmean import meanvalue
 from quadmean.densities import PiPower
 from quadmean.fields import DiscriminantTable
 from quadmean.meanvalue import (
@@ -23,6 +24,7 @@ from quadmean.meanvalue import (
     predicted_prefactor,
     primes_upto,
 )
+from quadmean.residue import CapacityError
 
 
 def test_euler_factor_frozen():
@@ -45,6 +47,17 @@ def test_euler_product_small_cutoff_exact():
         (euler_factor(int(p)) for p in primes_upto(50) if p not in (2, 5)), start=Fraction(1)
     )
     assert euler_product(50, skip=(2, 5)) == pytest.approx(float(skipped), rel=1e-14)
+
+
+def test_euler_product_guards_its_cutoff(monkeypatch):
+    assert euler_product(2) == float(euler_factor(2))
+    for cutoff in (1, 0, -5):
+        with pytest.raises(ValueError):
+            euler_product(cutoff)
+    monkeypatch.setattr(meanvalue, "MAX_EULER_CUTOFF", 50)
+    assert euler_product(50) > 0
+    with pytest.raises(CapacityError):
+        euler_product(51)
 
 
 def test_euler_product_frozen_value():
