@@ -490,7 +490,8 @@ def analytic_hr_real(d: int) -> float:
 # 100 MB int16 buffer for its comb rows.  The form count at n is at most
 # (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and the head hits it builds in
 # int32 stay below 5 * limit / 3, both far below 2^31; an entry of one comb
-# row is at most 2 * isqrt(limit / 3) < 2^15.
+# row is at most 2 * isqrt(limit / 3) < 2^15.  The regulator lanes and their
+# products stay below 4 * limit, exact integers in float64.
 MAX_TABLE_LIMIT = 10**8
 _INTEGRALITY_TOL = 1e-6
 _DAMAGED = "; the cache is damaged, delete it to rebuild"
