@@ -242,9 +242,16 @@ def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
     sign = condition_sign(conds)  # validates the archimedean part
     pref = predicted_prefactor(conds)
+    check_euler_cutoff(args.euler_cutoff)
+    tenth = args.euler_cutoff // 10
+    if tenth < 2:
+        raise ValueError(
+            f"Euler cutoff {args.euler_cutoff}: the stability check compares it with "
+            f"cutoff/10 = {tenth}, below 2"
+        )
     const = predicted_constant(conds, args.euler_cutoff)
-    const_tenth = predicted_constant(conds, max(args.euler_cutoff // 10, 10))
-    tol = 1.02 * euler_tail_bound(max(args.euler_cutoff // 10, 10))
+    const_tenth = predicted_constant(conds, tenth)
+    tol = 1.02 * euler_tail_bound(tenth)
     rel = abs(const - const_tenth) / const
     items = [
         IdentityCheck(f"exact-prefactor[{args.cond}]", None, pref, True),

@@ -132,12 +132,15 @@ def _cut_to_two_thirds(path):
 
 
 def _flip_a_byte_of_h(path):
-    """h[n // 2] += 256: a plausible class number that only the CRC of the
+    """One bit in the middle of h's data: a change that only the CRC of the
     member catches."""
     data = bytearray(path.read_bytes())
     with np.load(path) as z:
         h = z["h"]
-    data[data.index(h.tobytes()) + 8 * (h.size // 2) + 1] ^= 1
+    start = data.index(h.tobytes())
+    at = start + h.nbytes // 2
+    assert start <= at < start + h.nbytes
+    data[at] ^= 1
     path.write_bytes(bytes(data))
 
 
@@ -174,13 +177,13 @@ def _wrong_version(entries):
 
 @_rewrite
 def _sign_zero(entries):
-    entries["sign"] = np.int64(0)
+    entries["sign"] = np.int32(0)
 
 
 @_rewrite
 def _version_one_with_codes(entries):
-    entries["version"] = np.int64(1)
-    entries["codes"] = np.zeros((entries["magnitude"].size, 3), dtype=np.int8)
+    entries["version"] = np.int32(1)
+    entries["codes"] = np.zeros((entries["h"].size, 3), dtype=np.int8)
 
 
 @_rewrite
@@ -188,6 +191,12 @@ def _pickled_h(entries):
     entries["h"] = entries["h"].astype(object)
 
 
+def _on_a_real_cache(damage):
+    damage.cond = "inf=RxR"
+    return damage
+
+
+@_on_a_real_cache
 @_rewrite
 def _reg_as_float32(entries):
     entries["reg"] = entries["reg"].astype(np.float32)
@@ -200,7 +209,7 @@ def _h_as_a_column(entries):
 
 @_rewrite
 def _limit_beyond_the_size_guard(entries):
-    entries["limit"] = np.int64(10**12)
+    entries["limit"] = np.int32(2**31 - 1)  # the largest bound an int32 holds
 
 
 @_rewrite
@@ -214,14 +223,19 @@ def _h_zero_in_one_row(entries):
 
 
 @_rewrite
-def _reg_not_one(entries):
-    entries["reg"][5] = 2.0
+def _reg_in_an_imaginary_cache(entries):
+    entries["reg"] = np.ones(entries["h"].size)
 
 
 @_rewrite
-def _magnitude_not_fundamental(entries):
-    mags = entries["magnitude"]
-    mags[mags == 15] = 16  # 16 = 4 * 4, and 4 is not squarefree
+def _version_two_with_magnitude(entries):
+    # the format before the int32 header: |D|, h and R all stored, in 64 bits
+    for key in ("version", "sign", "limit"):
+        entries[key] = entries[key].astype(np.int64)
+    entries["version"] = np.int64(2)
+    entries["magnitude"] = quadmean.fields.fundamental_magnitudes(-1, int(entries["limit"]))
+    entries["h"] = entries["h"].astype(np.int64)
+    entries["reg"] = np.ones(entries["h"].size)
 
 
 @pytest.mark.parametrize(
@@ -240,13 +254,14 @@ def _magnitude_not_fundamental(entries):
         _limit_beyond_the_size_guard,
         _h_one_row_short,
         _h_zero_in_one_row,
-        _reg_not_one,
-        _magnitude_not_fundamental,
+        _reg_in_an_imaginary_cache,
+        _version_two_with_magnitude,
     ],
 )
 def test_damaged_cache_exits_2(tmp_path, capsys, damage):
-    cache = tmp_path / "neg.csv"
-    argv = ["mean-value", "--cond", "inf=C", "--X", "10000", "--cache", str(cache)]
+    cache = tmp_path / "table.npz"
+    cond = getattr(damage, "cond", "inf=C")
+    argv = ["mean-value", "--cond", cond, "--X", "10000", "--cache", str(cache)]
     assert run_cli(argv)[0] == 0
     damage(cache)
     capsys.readouterr()
@@ -374,20 +389,43 @@ def test_table_limit_guard_refuses_before_allocating(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, code_at_2", [(["constant"], 0), (["mean-value", "--X", "1000"], 1)]
+    "command, least, code_at_least",
+    [(["constant"], 20, 0), (["mean-value", "--X", "1000"], 2, 1)],
 )
-def test_euler_cutoff_guard_boundaries(monkeypatch, capsys, command, code_at_2):
+def test_euler_cutoff_guard_boundaries(monkeypatch, capsys, command, least, code_at_least):
     cond = ["--cond", "inf=C"]
     monkeypatch.setattr(quadmean.meanvalue, "MAX_EULER_CUTOFF", 1000)
     assert run_cli([*command, *cond, "--euler-cutoff", "1000"])[0] == 0
     capsys.readouterr()
     _refused(capsys, [*command, *cond, "--euler-cutoff", "1001"], "1001")
-    # 2 is the least cutoff with a prime; mean-value then fails its ratio
-    # check, an honest result and no refusal
-    assert run_cli([*command, *cond, "--euler-cutoff", "2"])[0] == code_at_2
+    # 2 is the least cutoff with a prime, and constant also needs one in
+    # cutoff // 10; mean-value at 2 fails its ratio check, an honest result
+    # and no refusal
+    assert run_cli([*command, *cond, "--euler-cutoff", str(least)])[0] == code_at_least
     capsys.readouterr()
-    for cutoff in ("1", "0", "-5"):
+    for cutoff in (str(least - 1), "1", "0", "-5"):
         _refused(capsys, [*command, *cond, "--euler-cutoff", cutoff], "below 2")
+
+
+@pytest.mark.parametrize("cutoff", [20, 100])
+def test_constant_stability_compares_with_a_tenth_of_the_cutoff(cutoff):
+    cond = "inf=C,2=ram:-1"
+    code, out = run_cli(
+        ["--format", "json", "constant", "--cond", cond, "--euler-cutoff", str(cutoff)]
+    )
+    assert code == 0
+    item = {i["anchor"]: i for i in json.loads(out)["items"]}[f"euler-cutoff-stability[{cond}]"]
+    conds = quadmean.meanvalue.parse_conditions(cond)
+    const = quadmean.meanvalue.predicted_constant(conds, cutoff)
+    tenth = quadmean.meanvalue.predicted_constant(conds, cutoff // 10)
+    assert item["got"] == abs(const - tenth) / const
+    bound = 1.02 * quadmean.meanvalue.euler_tail_bound(cutoff // 10)
+    assert item["expected"] == f"relative move under cutoff/10 <= {bound:.3e}"
+    assert item["pass"] is True
+
+
+def test_constant_refuses_a_cutoff_with_no_prime_in_its_tenth(capsys):
+    _refused(capsys, ["constant", "--cond", "inf=C", "--euler-cutoff", "5"], "cutoff/10 = 0")
 
 
 def test_euler_cutoff_guard_refuses_before_allocating(monkeypatch, capsys):

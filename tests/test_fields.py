@@ -314,6 +314,26 @@ def test_regulator_lanes_are_exact_in_float64_at_the_table_guard():
     assert Fraction(2 * (s + 1) + 1, 2**53) < Fraction(1, q)
 
 
+def test_regulator_walk_raises_past_its_step_bound(monkeypatch):
+    # 1993 has period 45: its lane stops after 22 steps, the others after one
+    ds = np.array([5, 12, 1993, 61])
+    monkeypatch.setattr(fields, "_regulator_step_bound", lambda d: 21)
+    with pytest.raises(ArithmeticError, match=r"D=1993\b.* 21 steps"):
+        DiscriminantTable._regulators(ds)
+    monkeypatch.setattr(fields, "_regulator_step_bound", lambda d: 22)
+    assert np.array_equal(DiscriminantTable._regulators(ds), _int64_lockstep(ds))
+
+
+def test_regulator_step_bound_covers_the_period():
+    # the bound is on the period l, a full cycle, and grows with d
+    ds = fundamental_magnitudes(1, 20000).tolist()
+    periods = [len(_surd_cycle(d)) for d in ds]
+    assert all(l <= fields._regulator_step_bound(d) for d, l in zip(ds, periods))
+    assert max(periods) > 100
+    bounds = [fields._regulator_step_bound(d) for d in (5, 100, 10**4, 10**6, 10**8)]
+    assert bounds == sorted(bounds) and bounds[-1] < 2**20
+
+
 def test_principal_cycle_p_sequence_is_a_palindrome():
     # _regulators walks half the cycle on the strength of this
     for d in fundamental_magnitudes(1, 20000).tolist():
@@ -449,6 +469,10 @@ def test_vectorized_codes_match_scalar():
         for p in TRACKED_PRIMES:
             labels = [type_labels(p)[k] for k in local_type_codes(ds, p)]
             assert labels == [local_type_label(int(d), p) for d in ds]
+            # int32 input is reduced in int32 and left as it was
+            d32 = ds.astype(np.int32)
+            assert np.array_equal(local_type_codes(d32, p), local_type_codes(ds, p))
+            assert np.array_equal(d32, ds)
 
 
 def test_table_compute_columns():
@@ -476,6 +500,60 @@ def test_table_roundtrip(tmp_path):
         assert np.array_equal(u.magnitude, t.magnitude)
         assert np.array_equal(u.h, t.h)
         assert np.array_equal(u.reg, t.reg)
+        assert np.array_equal(u.magnitude, fundamental_magnitudes(sign, 800))
+        assert u.h.dtype == t.h.dtype == np.int32 and u.reg.dtype == np.float64
+
+
+def test_cache_stores_the_header_and_h_and_only_a_real_r(tmp_path):
+    # |D| is recomputed on load and R is 1 on the imaginary side, so neither is stored
+    path = str(tmp_path / "t.npz")
+    for sign, entries in ((-1, ["h", "limit", "sign", "version"]),
+                          (1, ["h", "limit", "reg", "sign", "version"])):
+        t = DiscriminantTable.compute(sign, 10**5)
+        t.save(path)
+        with np.load(path) as z:
+            assert sorted(z.files) == entries
+            assert all(z[k].dtype == np.int32 for k in ("version", "sign", "limit", "h"))
+        stored = t.h.nbytes + (t.reg.nbytes if sign > 0 else 0)
+        assert stored < os.path.getsize(path) < stored + 2000
+
+
+def _resave(path, edit):
+    with np.load(path) as z:
+        entries = dict(z)
+    edit(entries)
+    with open(path, "wb") as f:
+        np.savez(f, **entries)
+
+
+def test_load_rejects_any_other_entry_set(tmp_path):
+    path = str(tmp_path / "t.npz")
+    for sign in (-1, 1):
+        names = ["h", "reg"] if sign > 0 else ["h"]
+        edits = [lambda e, k=k: e.pop(k) for k in names]
+        edits.append(lambda e: e.update(magnitude=fundamental_magnitudes(sign, 500)))
+        if sign < 0:
+            edits.append(lambda e: e.update(reg=np.ones(e["h"].size)))
+        for edit in edits:
+            DiscriminantTable.compute(sign, 500).save(path)
+            _resave(path, edit)
+            with pytest.raises(ValueError, match="entries .* where a sign"):
+                DiscriminantTable.load(path)
+
+
+def test_class_numbers_fit_int32_up_to_the_table_guard():
+    # imaginary h(-n) is a form count, at most (isqrt(n/3) + 1)^2 - 1; a real
+    # h is at most the number of reduced forms (a, b, c) of D, fixed by the
+    # sign of a and 0 < |a|, b < sqrt(D): at most 2D
+    n = fields.MAX_TABLE_LIMIT
+    assert (math.isqrt(n // 3) + 1) ** 2 - 1 < 3.4e7 < 2**31
+    assert 2 * n < 2**31
+    for sign in (-1, 1):
+        t = DiscriminantTable.compute(sign, 5000)
+        if sign > 0:
+            forms = [len(fields._reduced_indefinite_forms(d)) for d in t.magnitude.tolist()]
+            assert np.all(t.h <= np.array(forms))
+        assert t.h.dtype == np.int32
 
 
 def test_table_truncation():
@@ -486,6 +564,15 @@ def test_table_truncation():
     assert np.array_equal(s.h, t.h[t.magnitude <= 400])
     with pytest.raises(ValueError):
         s.truncated(500)
+    # at its own limit a table is returned as it is, not copied
+    assert t.truncated(t.limit) is t
+    assert s.truncated(400) is s
+    for limit in (0, 1, 3, 4, 399, 401, 999):
+        u = t.truncated(limit)
+        keep = t.magnitude <= limit
+        assert u.limit == limit
+        for col in ("magnitude", "h", "reg"):
+            assert np.array_equal(getattr(u, col), getattr(t, col)[keep])
 
 
 def test_cached_table(tmp_path):

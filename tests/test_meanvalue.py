@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadmean import meanvalue
 from quadmean.densities import PiPower
 from quadmean.fields import DiscriminantTable
 from quadmean.meanvalue import (
+    EULER_CUTOFF,
     ConvergenceRow,
     LocalCondition,
     condition_mask,
@@ -37,6 +39,31 @@ def test_euler_factor_frozen():
 def test_primes_upto():
     assert list(primes_upto(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_upto(10**6)) == 78498
+
+
+def _all_k_sieve(n):
+    # every k up to sqrt(n) crosses out its multiples from k^2
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, int(n**0.5) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = False
+    return np.nonzero(sieve)[0].astype(np.int64)
+
+
+def test_odd_sieve_equals_the_all_k_sieve():
+    for n in [*range(301), 999_983, 10**6, 10**6 + 1]:
+        got = primes_upto(n)
+        assert got.dtype == np.int64 and np.array_equal(got, _all_k_sieve(n)), n
+
+
+def test_euler_product_is_the_all_k_sieve_product():
+    # the same factors multiplied in the same order, so the same float
+    for skip in ((), (2,), (3, 5), (2, 3, 5)):
+        ps = _all_k_sieve(EULER_CUTOFF).astype(np.float64)
+        ps = ps[~np.isin(ps, np.array(skip, dtype=np.float64))]
+        old = float(np.multiply.reduce(1.0 - ps**-2.0 - ps**-3.0 + ps**-4.0))
+        assert euler_product(EULER_CUTOFF, skip=skip) == old, skip
 
 
 def test_euler_product_small_cutoff_exact():
@@ -169,6 +196,24 @@ def test_convergence_report_shape():
     assert rows[1].predicted / rows[0].predicted == pytest.approx(10 ** 1.5, rel=1e-12)
     # X^(3/2) growth: even at 2e4 the ratio is already within 15%
     assert abs(rows[-1].ratio - 1) < 0.15
+
+
+@pytest.mark.parametrize(
+    "sign, conds",
+    [(-1, ["inf=C", "inf=C,3=split", "inf=C,2=ram:-5,5=unram"]),
+     (1, ["inf=RxR", "inf=RxR,5=split", "inf=RxR,2=ram:-1,3=ram:3"])],
+)
+def test_convergence_report_sums_equal_the_mask_sums(sign, conds):
+    t = DiscriminantTable.compute(sign, 20000)
+    checkpoints = [20000, 37, 5000, 1, 19999, 8]
+    for text in conds:
+        cs = parse_conditions(text)
+        rows = convergence_report(t, cs, checkpoints)
+        assert [r.upto for r in rows] == sorted(checkpoints)
+        mask = condition_mask(t, cs)
+        for r in rows:
+            keep = mask & (t.magnitude <= r.upto)
+            assert r.empirical == float((t.h[keep] * t.reg[keep]).sum()), (text, r.upto)
 
 
 def test_convergence_report_errors():
