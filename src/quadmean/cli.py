@@ -242,7 +242,6 @@ def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
     sign = condition_sign(conds)  # validates the archimedean part
     pref = predicted_prefactor(conds)
-    check_euler_cutoff(args.euler_cutoff)
     tenth = args.euler_cutoff // 10
     if tenth < 2:
         raise ValueError(

@@ -531,8 +531,8 @@ def _regulator_step_bound(d: int) -> int:
 class DiscriminantTable:
     """Fundamental discriminants of one sign with h and R.
 
-    Columns: magnitude |D| (ascending), class number h and regulator R
-    (1.0 on the imaginary side).  Local types are computed from D by
+    Columns: magnitude |D| (ascending), class number h (int32) and
+    regulator R (1.0 on the imaginary side).  Local types are computed from D by
     local_type_codes when a condition asks for them.
     """
 

@@ -166,15 +166,13 @@ def condition_mask(table: DiscriminantTable, conditions: list[LocalCondition]) -
     finite condition."""
     mask = np.ones(len(table), dtype=bool)
     # |D| <= MAX_TABLE_LIMIT < 2^31, so D fits int32, where the types are cheapest
-    d = None
+    d = (table.sign * table.magnitude).astype(np.int32)
     for c in conditions:
         if c.is_archimedean:
             want = -1 if c.value == "C" else 1
             if want != table.sign:
                 raise ValueError("archimedean condition contradicts the table sign")
             continue
-        if d is None:
-            d = (table.sign * table.magnitude).astype(np.int32)
         code = type_labels(c.prime).index(c.value)
         mask &= local_type_codes(d, c.prime) == code
     return mask

@@ -389,18 +389,18 @@ def test_table_limit_guard_refuses_before_allocating(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, least, code_at_least",
-    [(["constant"], 20, 0), (["mean-value", "--X", "1000"], 2, 1)],
+    "command, code_at_least", [(["constant"], 0), (["mean-value", "--X", "1000"], 1)]
 )
-def test_euler_cutoff_guard_boundaries(monkeypatch, capsys, command, least, code_at_least):
+def test_euler_cutoff_guard_boundaries(monkeypatch, capsys, command, code_at_least):
     cond = ["--cond", "inf=C"]
     monkeypatch.setattr(quadmean.meanvalue, "MAX_EULER_CUTOFF", 1000)
     assert run_cli([*command, *cond, "--euler-cutoff", "1000"])[0] == 0
     capsys.readouterr()
     _refused(capsys, [*command, *cond, "--euler-cutoff", "1001"], "1001")
     # 2 is the least cutoff with a prime, and constant also needs one in
-    # cutoff // 10; mean-value at 2 fails its ratio check, an honest result
-    # and no refusal
+    # cutoff // 10, so it takes 20 at least; mean-value at 2 fails its ratio
+    # check, an honest result and no refusal
+    least = 20 if command == ["constant"] else 2
     assert run_cli([*command, *cond, "--euler-cutoff", str(least)])[0] == code_at_least
     capsys.readouterr()
     for cutoff in (str(least - 1), "1", "0", "-5"):
