@@ -469,7 +469,7 @@ def test_vectorized_codes_match_scalar():
         for p in TRACKED_PRIMES:
             labels = [type_labels(p)[k] for k in local_type_codes(ds, p)]
             assert labels == [local_type_label(int(d), p) for d in ds]
-            # int32 input is reduced in int32 and left as it was
+            # int32 input is reduced in int32, on a copy
             d32 = ds.astype(np.int32)
             assert np.array_equal(local_type_codes(d32, p), local_type_codes(ds, p))
             assert np.array_equal(d32, ds)
