@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -276,6 +277,9 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     if limit < 1:
         raise ValueError(f"--X {limit} below 1")
     check_euler_cutoff(args.euler_cutoff)  # before the table is built
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:  # before a process is started
+        raise ValueError(f"--workers {args.workers} outside 1..{cpus}")
     checkpoints = (
         [int(v) for v in args.checkpoints.split(",")]
         if args.checkpoints

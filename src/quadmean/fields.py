@@ -6,8 +6,8 @@ reduced positive forms into an int32 histogram, one periodic comb per
 leading coefficient a; 4ac - b^2 is 0 or 3 mod 4, so the count at n is
 stored at n // 2 and the histogram holds no entry that is always zero.
 The comb rows are summed in an int16 buffer, added into the histogram
-before it could overflow, and the few forms below the comb come from a
-grid in two bands of b.
+before it could overflow, and the few forms below the comb are listed hit
+by hit, one ragged list per block of a.
 For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
 per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
 (half of it when a = c); the regulators walk half of the palindromic
@@ -216,6 +216,9 @@ _COMB_ROW = 1024
 # int32 histogram: half the bytes of int32 per add.  Every entry of a row is
 # at most 2a <= 2 * isqrt(MAX_TABLE_LIMIT // 3) < 2^15, so one row always fits.
 _COMB_ACC = np.int16
+# Head hits _add_imag_head lists at once: a block of a grows until it holds
+# this many; from 2^16 to 2^17 took the same time, 2^18 longer.
+_HEAD_BLOCK = 1 << 17
 
 
 def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
@@ -233,13 +236,14 @@ def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
     buffer, which goes into the histogram whenever the sum of the row tops
     since it was last emptied could pass its maximum, and once at the end;
     the rows are non-negative, so no entry of the buffer can overflow.
-    The head window [3a^2, 4a^2) is added hit by hit, on a (b, c - a) grid
-    in two bands of b, since b needs only ceil(b^2 / 4a) columns."""
+    The head window [3a^2, 4a^2) is added hit by hit by _add_imag_head, for
+    blocks of consecutive a of about _HEAD_BLOCK hits each."""
     hist = np.zeros(limit // 2 + 1, dtype=np.int32)
     live = hist[: limit // 4 + (limit + 1) // 4 + 1]  # n <= limit
     acc = np.zeros(live.size, dtype=_COMB_ACC)
     room = cap = int(np.iinfo(_COMB_ACC).max)
-    for a in range(1 + offset, isqrt(limit // 3) + 1, stride):
+    amax = isqrt(limit // 3)
+    for a in range(1 + offset, amax + 1, stride):
         period, full = 4 * a, 2 * a * a  # full: index of n = 4a^2
         b = np.arange(a + 1, dtype=np.int32)
         comb = 2 * np.bincount(-b * b % period, minlength=period).astype(np.int32)
@@ -258,20 +262,48 @@ def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
         body = tail[: rows * row.size].reshape(rows, row.size)
         body += row
         tail[rows * row.size :] += row[: tail.size - rows * row.size]
-        # head: 0 < b <= a at c - a < b^2 / 4a, where n < 4a^2, on the (b, c - a)
-        # grid: ceil((a // 2)^2 / 4a) columns (about a / 16) for b <= a // 2 and
-        # ceil(a / 4) for the rest; it stays below 5a^2 < 2^31 up to MAX_TABLE_LIMIT
-        b = b[1:]
-        first = 2 * full - b * b
-        half = a // 2
-        narrow = (half * half + period - 1) // period
-        for band, cols in ((first[:half], narrow), (first[half:], (a + 3) // 4)):
-            n = band[:, None] + period * np.arange(cols, dtype=np.int32)
-            np.add.at(live, n[n < min(2 * full, limit + 1)] >> 1, np.int32(2))
-        live[first[first <= limit] >> 1] -= 1  # c = a counts once
-        live[(3 * a * a + period) // 2 : full : 2 * a] -= 1  # b = a, c > a counts once
     live += acc
+    a = 1 + offset
+    while a <= amax:
+        lo, hits = a, 0
+        while a <= amax and hits < _HEAD_BLOCK:
+            hits += a * a // 12 + 1  # about the head of a
+            a += stride
+        _add_imag_head(live, np.arange(lo, a, stride, dtype=np.int32), limit)
     return hist
+
+
+def _add_imag_head(live: np.ndarray, a: np.ndarray, limit: int) -> None:
+    """live[n // 2] += the weight of every form (a, b, c), 1 <= b <= a, with
+    n = 4ac - b^2 below 4a^2 and at most limit, for the int32 array a.
+
+    Row (a, b) has k = min(ceil(b^2 / 4a), the number of n <= limit) hits, at
+    n = 4a^2 - b^2 + 4aj for j = 0..k-1.  ceil(b^2 / 4a) is
+    (b^2 - 1) // 4a + 1 and the count below the limit is
+    (limit - 4a^2 + b^2) // 4a + 1, so k is one floor division of
+    b^2 + min(-1, limit - 4a^2), clipped at 0.  The hit at j = 0 (c = a) and
+    every hit of b = a have weight 1, the others weight 2: the rows are listed
+    twice, once with their weight-1 hits and once with the rest, as one ragged
+    list of n // 2, and each part goes in with one np.add.at.  Every value
+    stays below 2a^2 + 2a < 2^31 up to MAX_TABLE_LIMIT."""
+    ends = np.cumsum(a, dtype=np.int32)
+    b = np.arange(1, int(ends[-1]) + 1, dtype=np.int32) - np.repeat(ends - a, a)
+    bb = b * b
+    step = np.repeat(2 * a, a)  # 4a in n
+    k = (bb + np.repeat(np.minimum(limit - 4 * a * a, -1), a)) // (2 * step) + 1
+    np.maximum(k, 0, out=k)
+    once = np.minimum(k, 1)  # c = a
+    once[ends - 1] = k[ends - 1]  # b = a
+    first = (np.repeat(4 * a * a, a) - bb) >> 1
+    counts = np.concatenate((once, k - once))
+    ends = np.cumsum(counts, dtype=np.int32)
+    # j, counted from each row's first hit in its part of the list
+    n = np.arange(int(ends[-1]), dtype=np.int32) - np.repeat(ends - counts, counts)
+    n *= np.repeat(np.concatenate((step, step)), counts)
+    n += np.repeat(np.concatenate((first, first + step)), counts)
+    split = int(ends[once.size - 1])
+    np.add.at(live, n[:split], np.int32(1))
+    np.add.at(live, n[split:], np.int32(2))
 
 
 def imaginary_class_number_histogram(limit: int, workers: int = 1) -> np.ndarray:
@@ -493,10 +525,11 @@ def analytic_hr_real(d: int) -> float:
 # Largest table bound: the sieve allocates limit + 1 entries and the
 # imaginary histogram limit // 2 + 1, 200 MB of int32 at this bound, plus a
 # 100 MB int16 buffer for its comb rows.  The form count at n is at most
-# (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and the head hits it builds in
-# int32 stay below 5 * limit / 3, both far below 2^31; an entry of one comb
-# row is at most 2 * isqrt(limit / 3) < 2^15.  The regulator lanes and their
-# products stay below 4 * limit, exact integers in float64.
+# (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and the head hits it lists in
+# int32, below 4a^2 <= 4 * limit / 3, stay so with one step 4a added: both
+# far below 2^31.  An entry of one comb row is at most 2 * isqrt(limit / 3)
+# < 2^15.  The regulator lanes and their products stay below 4 * limit,
+# exact integers in float64.
 MAX_TABLE_LIMIT = 10**8
 _INTEGRALITY_TOL = 1e-6
 _DAMAGED = "; the cache is damaged, delete it to rebuild"

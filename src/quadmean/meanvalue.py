@@ -245,6 +245,8 @@ def convergence_report(
             raise ValueError(f"checkpoint {x} below 1")
         if x > table.limit:
             raise ValueError(f"checkpoint {x} beyond table limit {table.limit}")
+        if rows and rows[-1].upto == x:
+            raise ValueError(f"checkpoint {x} repeated")
         total = float(hr[: np.searchsorted(mags, x, "right")].sum())
         rows.append(ConvergenceRow(int(x), total, const * float(x) ** 1.5))
     return rows

@@ -299,6 +299,34 @@ def test_non_positive_bound_exits_2(capsys, bounds, named):
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
+@pytest.mark.parametrize("checkpoints", ["1000,1000", "100,1000,100"])
+def test_repeated_checkpoint_exits_2(capsys, checkpoints):
+    # a repeated point would be compared with itself by convergence-trend
+    code, out = run_cli(["mean-value", "--cond", "inf=C", "--X", "1000",
+                         "--checkpoints", checkpoints])
+    assert code == 2
+    assert out == ""
+    repeated = checkpoints.split(",")[0]
+    assert capsys.readouterr().err.splitlines() == [f"error: checkpoint {repeated} repeated"]
+
+
+@pytest.mark.parametrize("workers", [0, -1, 3])
+def test_workers_outside_the_cores_exit_2(capsys, monkeypatch, workers):
+    # with two cores, 3 is one too many; the check comes before any table
+    # is built, so no worker process can start
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(quadmean.cli, "cached_table", no_table)
+    code, out = run_cli(["mean-value", "--cond", "inf=C", "--X", "1000",
+                         "--workers", str(workers)])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.splitlines() == [f"error: --workers {workers} outside 1..2"]
+
+
 def test_mean_value_real_small(tmp_path):
     cache = str(tmp_path / "pos.csv")
     code, out = run_cli(

@@ -155,13 +155,28 @@ def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
 
 
 def test_imaginary_head_grid_fits_int32_at_the_table_guard():
-    # _imag_hist_range builds the head hits 4a^2 - b^2 + 4a(c - a) in int32
-    # on two bands of b: 1 <= b <= a // 2 on the columns 0 <= c - a <
-    # ceil((a // 2)^2 / 4a), the rest on 0 <= c - a < ceil(a/4).  No band
-    # has more columns than ceil(a/4), so b = 1 on the last of those bounds
-    # every value of both, here at the largest a the guard admits
+    # _add_imag_head lists the head hits of a block of a in int32: every hit
+    # n = 4a^2 - b^2 + 4aj is below 4a^2, and the second part of the list
+    # starts rows one step 4a past their first hit, so 4a^2 + 4a bounds every
+    # value, here at the largest a the guard admits.  A block's running hit
+    # count stays below _HEAD_BLOCK plus the at most a * ceil(a / 4) hits of
+    # its last a
     a = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
-    assert 4 * a * a - 1 + 4 * a * ((a + 3) // 4 - 1) < 5 * a * a < 2**31
+    assert 4 * a * a + 4 * a < 2**31
+    assert fields._HEAD_BLOCK + a * ((a + 3) // 4) < 2**31
+
+
+@pytest.mark.parametrize("block", [1, 2**30])
+def test_imaginary_head_does_not_depend_on_the_block(monkeypatch, block):
+    # one a per block (each a adds at least one hit to the block's estimate),
+    # or a single block
+    monkeypatch.setattr(fields, "_HEAD_BLOCK", block)
+    for limit in _PER_AB_LIMITS:
+        for stride in (1, 2, 3):
+            for k in range(stride):
+                part = fields._imag_hist_range(limit, k, stride)
+                ref = _halved(_per_ab_loop(limit, k, stride))
+                assert np.array_equal(part, ref), (limit, k, stride)
 
 
 def test_imaginary_comb_row_fits_the_buffer_at_the_table_guard():
