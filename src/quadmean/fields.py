@@ -302,6 +302,7 @@ def _add_imag_head(live: np.ndarray, a: np.ndarray, limit: int) -> None:
     n *= np.repeat(np.concatenate((step, step)), counts)
     n += np.repeat(np.concatenate((first, first + step)), counts)
     split = int(ends[once.size - 1])
+    # an np.int32 weight: a Python int one took about 20 times longer
     np.add.at(live, n[:split], np.int32(1))
     np.add.at(live, n[split:], np.int32(2))
 
