@@ -35,6 +35,7 @@ from .densities import (
 from .fields import cached_table
 from .meanvalue import (
     EULER_CUTOFF,
+    check_checkpoints,
     check_euler_cutoff,
     condition_sign,
     convergence_report,
@@ -285,8 +286,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
         if args.checkpoints
         else default_checkpoints(limit)
     )
-    if max(checkpoints) > limit:
-        raise ValueError("checkpoint beyond --X")
+    check_checkpoints(checkpoints, limit)  # before the table is built
     table = cached_table(sign, limit, args.cache, args.workers)
     rows = convergence_report(table, conds, checkpoints, args.euler_cutoff)
     items = []

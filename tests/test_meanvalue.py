@@ -11,6 +11,7 @@ from quadmean.densities import PiPower
 from quadmean.fields import DiscriminantTable
 from quadmean.meanvalue import (
     EULER_CUTOFF,
+    ZETA3,
     ConvergenceRow,
     LocalCondition,
     condition_mask,
@@ -57,27 +58,43 @@ def test_odd_sieve_equals_the_all_k_sieve():
         assert got.dtype == np.int64 and np.array_equal(got, _all_k_sieve(n)), n
 
 
-def test_euler_product_is_the_all_k_sieve_product():
-    # the same factors multiplied in the same order, so the same float
-    for skip in ((), (2,), (3, 5), (2, 3, 5)):
-        ps = _all_k_sieve(EULER_CUTOFF).astype(np.float64)
-        ps = ps[~np.isin(ps, np.array(skip, dtype=np.float64))]
-        old = float(np.multiply.reduce(1.0 - ps**-2.0 - ps**-3.0 + ps**-4.0))
-        assert euler_product(EULER_CUTOFF, skip=skip) == old, skip
+def test_euler_product_is_the_all_k_sieve_product(monkeypatch):
+    # the same remainder factors multiplied in the same order, so the same float
+    for cutoff in (EULER_CUTOFF, 10**6):
+        for skip in ((), (2,), (3, 5), (2, 3, 5)):
+            want = euler_product(cutoff, skip=skip)
+            with monkeypatch.context() as m:
+                m.setattr(meanvalue, "primes_upto", _all_k_sieve)
+                assert euler_product(cutoff, skip=skip) == want, (cutoff, skip)
+
+
+def _g(p):
+    # the zeta factors: prod_p g(p) = 1/(zeta(2) zeta(3))
+    q = Fraction(p)
+    return (1 - q**-2) * (1 - q**-3)
+
+
+_ZETA_PRODUCT = 6 / math.pi**2 / ZETA3
 
 
 def test_euler_product_small_cutoff_exact():
     for cutoff in (10, 50, 200):
-        exact = math.prod((euler_factor(int(p)) for p in primes_upto(cutoff)), start=Fraction(1))
-        assert euler_product(cutoff) == pytest.approx(float(exact), rel=1e-14)
+        exact = math.prod(
+            (euler_factor(int(p)) / _g(int(p)) for p in primes_upto(cutoff)), start=Fraction(1)
+        )
+        assert euler_product(cutoff) == pytest.approx(_ZETA_PRODUCT * float(exact), rel=1e-14)
     skipped = math.prod(
-        (euler_factor(int(p)) for p in primes_upto(50) if p not in (2, 5)), start=Fraction(1)
+        (euler_factor(int(p)) / _g(int(p)) for p in primes_upto(50)), start=Fraction(1)
+    ) / (euler_factor(2) * euler_factor(5))
+    assert euler_product(50, skip=(2, 5)) == pytest.approx(
+        _ZETA_PRODUCT * float(skipped), rel=1e-14
     )
-    assert euler_product(50, skip=(2, 5)) == pytest.approx(float(skipped), rel=1e-14)
 
 
 def test_euler_product_guards_its_cutoff(monkeypatch):
-    assert euler_product(2) == float(euler_factor(2))
+    assert euler_product(2) == pytest.approx(
+        _ZETA_PRODUCT * float(euler_factor(2) / _g(2)), rel=1e-15
+    )
     for cutoff in (1, 0, -5):
         with pytest.raises(ValueError):
             euler_product(cutoff)
@@ -88,8 +105,28 @@ def test_euler_product_guards_its_cutoff(monkeypatch):
 
 
 def test_euler_product_frozen_value():
-    # association order shifts the last few ulps, hence the loose-ish tolerance
-    assert euler_product(10**6) == pytest.approx(0.5358961901491038, rel=1e-9)
+    # past p = 9741 every remainder factor rounds to 1.0, so the cutoffs
+    # from 10^4 up give one float
+    assert euler_product(10**6) == pytest.approx(0.5358961538283141, rel=1e-12)
+    assert euler_product(10**4) == euler_product(10**5) == euler_product(10**6)
+
+
+def test_zeta3_is_aperys_series():
+    # zeta(3) = (5/2) sum_{n >= 1} (-1)^(n+1) / (n^3 C(2n, n)); the 31st
+    # term is below 1e-22, so 30 terms fix the nearest float
+    series = Fraction(5, 2) * sum(
+        Fraction((-1) ** (n + 1), n**3 * math.comb(2 * n, n)) for n in range(1, 31)
+    )
+    assert float(series) == ZETA3
+
+
+def test_direct_product_lies_within_the_old_tail_bound():
+    # the direct product of f(p) over the primes to 10^6, as multiplied
+    # before the zeta factors were divided out, with its bound 2/(N - 1)
+    ps = primes_upto(10**6).astype(np.float64)
+    direct = float(np.multiply.reduce(1.0 - ps**-2.0 - ps**-3.0 + ps**-4.0))
+    # the omitted factors are below 1, so the direct product lies above
+    assert 0 < direct / euler_product() - 1 <= 2 / (10**6 - 1)
 
 
 def test_tail_bound_dominates_observed_movement():
@@ -97,6 +134,18 @@ def test_tail_bound_dominates_observed_movement():
     hi = euler_product(10**5)
     assert abs(hi / lo - 1) <= euler_tail_bound(10**4)
     assert euler_tail_bound(10**6) < 3e-6
+
+
+def test_remainder_log_term_bound():
+    # 0 < log f(p)/g(p) <= f(p)/g(p) - 1 <= 1.53 p^-4, which euler_tail_bound sums
+    for k in range(2, 2000):
+        x = euler_factor(k) / _g(k) - 1
+        assert 0 < x <= Fraction(153, 100) / k**4, k
+        assert 0 < math.log1p(float(x)) <= 1.53 / k**4, k
+    ps = [int(p) for p in primes_upto(2000)]
+    for n in (2, 10, 100):
+        tail = math.fsum(math.log1p(float(euler_factor(p) / _g(p) - 1)) for p in ps if p > n)
+        assert tail <= euler_tail_bound(n), n
 
 
 def test_log_factor_bound_margin_nonnegative():
@@ -165,13 +214,13 @@ def test_predicted_prefactor_forms():
 
 def test_predicted_constant_frozen():
     assert predicted_constant(parse_conditions("inf=C")) == pytest.approx(
-        0.09353152966995465, rel=1e-9
+        0.09353152333078096, rel=1e-12
     )
     assert predicted_constant(parse_conditions("inf=RxR")) == pytest.approx(
-        0.14691898324507263, rel=1e-9
+        0.1469189732875219, rel=1e-12
     )
     assert predicted_constant(parse_conditions("inf=C,2=ram:-1")) == pytest.approx(
-        0.006377149750224181, rel=1e-9
+        0.006377149318007792, rel=1e-12
     )
 
 
