@@ -92,7 +92,8 @@ def euler_product(cutoff: int = EULER_CUTOFF, skip: tuple[int, ...] = ()) -> flo
     """
     check_euler_cutoff(cutoff)
     u = 1.0 / primes_upto(cutoff)
-    remainder = float(np.multiply.reduce(1.0 + u**4 / ((1.0 + u) * (1.0 - u**3))))
+    u2 = u * u  # products, not libm pow calls
+    remainder = float(np.multiply.reduce(1.0 + u2 * u2 / ((1.0 + u) * (1.0 - u2 * u))))
     pinned = math.prod((1 / euler_factor(p) for p in set(skip)), start=Fraction(1))
     return _ZETA_PRODUCT * float(pinned) * remainder
 
