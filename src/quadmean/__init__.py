@@ -9,23 +9,14 @@ from .densities import (
     extension_census,
     local_density,
     mass_identity_check,
-    orbital_volume_bruteforce,
     orbital_volume_closed,
     remark_sums_check,
 )
 from .fields import (
     DiscriminantTable,
-    analytic_class_number_imaginary,
-    analytic_hr_real,
     cached_table,
-    class_number_imaginary,
-    class_number_real,
-    fundamental_unit_exact,
-    hr_real,
-    is_fundamental,
     local_type,
     local_type_label,
-    regulator_real,
 )
 from .meanvalue import (
     LocalCondition,

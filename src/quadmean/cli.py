@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -278,16 +277,13 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     if limit < 1:
         raise ValueError(f"--X {limit} below 1")
     check_euler_cutoff(args.euler_cutoff)  # before the table is built
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:  # before a process is started
-        raise ValueError(f"--workers {args.workers} outside 1..{cpus}")
     checkpoints = (
         [int(v) for v in args.checkpoints.split(",")]
         if args.checkpoints
         else default_checkpoints(limit)
     )
     check_checkpoints(checkpoints, limit)  # before the table is built
-    table = cached_table(sign, limit, args.cache, args.workers)
+    table = cached_table(sign, limit, args.cache)
     rows = convergence_report(table, conds, checkpoints, args.euler_cutoff)
     items = []
     final = rows[-1].upto
@@ -319,7 +315,6 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
         "checkpoints": checkpoints,
         "euler_cutoff": args.euler_cutoff,
         "cache": args.cache,
-        "workers": args.workers,
     }, items
 
 
@@ -366,8 +361,15 @@ def _emit(command: str, config: dict, items: list[IdentityCheck], fmt: str, out)
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Errors are one `error:` line and exit 2, as in main; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadmean",
         description="exact local checks and mean-value sweeps for quadratic fields",
     )
@@ -395,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--checkpoints", default="",
                     help="comma-separated partial bounds (default X/100, X/10, X)")
     pm.add_argument("--cache", default=None, help="table cache path")
-    pm.add_argument("--workers", type=int, default=1)
     pm.add_argument("--euler-cutoff", type=int, default=EULER_CUTOFF)
     return parser
 

@@ -17,11 +17,10 @@ from fractions import Fraction
 from .orbits import (
     QuadraticAlgebraDescriptor,
     StandardRep,
-    orbit_size,
     ramified_algebra,
     standard_representatives,
 )
-from .residue import ResidueRing, SquareClassLabel, ramified_labels
+from .residue import SquareClassLabel, ramified_labels
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,6 @@ def orbital_volume_closed(rep: StandardRep) -> Fraction:
     vol = local_density(rep.algebra, rep.p)
     assert isinstance(vol, Fraction)
     return vol
-
-
-def orbital_volume_bruteforce(rep: StandardRep, level: int) -> Fraction:
-    """Orbit size over Z/p^level divided by the ball size p^(3*level).
-
-    Stable in the level once it reaches the representative's working
-    level (and in practice from level 1 for unit discriminants).
-    """
-    ring = ResidueRing(rep.p, level)
-    return Fraction(orbit_size(rep, ring), rep.p ** (3 * level))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ continued fraction cycle of the maximal order's generator with the same
 kernel, in lockstep over all D, in float64 lanes that stay exact integers
 below 2^53 and are compacted once a tenth of them have stopped; h is the
 (checked) integer ratio.
-Per-field oracles and analytic character sums are the scalar cross-checks.
+The scalar per-field oracles that cross-check these kernels live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -44,29 +44,6 @@ TRACKED_PRIMES = (2, 3, 5)
 # ---------------------------------------------------------------------------
 # fundamental discriminants
 # ---------------------------------------------------------------------------
-
-def is_fundamental(d: int) -> bool:
-    """Discriminant of the maximal order of a quadratic field."""
-    if d == 0 or d == 1:
-        return False
-    if d % 4 == 1:
-        return _is_squarefree(abs(d))
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(abs(m))
-    return False
-
-
-def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 2
-    return True
-
 
 def _squarefree_sieve(limit: int) -> np.ndarray:
     """sf[n] is False exactly when p^2 divides n for a prime p (sf[0] stays True);
@@ -169,45 +146,7 @@ def local_type_codes(d: np.ndarray, p: int) -> np.ndarray:
 # imaginary class numbers
 # ---------------------------------------------------------------------------
 
-def class_number_imaginary(d: int) -> int:
-    """h(d) for a fundamental d < 0 by counting reduced positive forms
-    (a, b, c): b^2 - 4ac = d, |b| <= a <= c, b >= 0 when |b| = a or a = c."""
-    if d >= 0 or not is_fundamental(d):
-        raise ValueError("fundamental negative discriminant required")
-    n = -d
-    count = 0
-    b = n & 1
-    while 3 * b * b <= n:
-        m = (b * b + n) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                count += 1 if (b == 0 or b == a or a * a == m) else 2
-            a += 1
-        b += 2
-    return count
-
-
-def _class_sum(fn, workers: int, *args):
-    """Sum of fn(*args, offset, workers) over offset in range(workers), one
-    worker process per offset; a direct call fn(*args, 0, 1) when
-    workers <= 1.  Each call covers the share of the work selected by its
-    offset mod workers, and the parts are added in offset order."""
-    if workers <= 1:
-        return fn(*args, 0, 1)
-    # imported here: the pool's modules take about 2 MB, which no run with
-    # the default single worker should carry
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = ex.map(fn, *([a] * workers for a in args), range(workers), [workers] * workers)
-        total = next(parts)
-        for part in parts:
-            total += part
-    return total
-
-
-# Width of the tiled comb row in _imag_hist_range, in entries of the n // 2
+# Width of the tiled comb row in imaginary_class_number_histogram, in entries of the n // 2
 # histogram: one in-place add covers a block of rows this wide.  The cost of
 # the adds follows the bytes they touch, not the number of entries; widths
 # from 512 to 4096 took the same time.
@@ -221,9 +160,9 @@ _COMB_ACC = np.int16
 _HEAD_BLOCK = 1 << 17
 
 
-def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
-    """Reduced-form counts at every n <= limit for a = 1 + offset mod stride,
-    stored at index n // 2.
+def imaginary_class_number_histogram(limit: int) -> np.ndarray:
+    """int32 hist[n // 2] = h(-n) for every fundamental -n with n <= limit;
+    entries at non-fundamental n are form counts without meaning for h.
 
     A reduced form (a, b, c), 0 <= b <= a <= c, lands at n = 4ac - b^2 =
     4a^2 - b^2 + 4a(c - a) with weight 2 (for +-b), or 1 when b = 0, b = a
@@ -243,7 +182,7 @@ def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
     acc = np.zeros(live.size, dtype=_COMB_ACC)
     room = cap = int(np.iinfo(_COMB_ACC).max)
     amax = isqrt(limit // 3)
-    for a in range(1 + offset, amax + 1, stride):
+    for a in range(1, amax + 1):
         period, full = 4 * a, 2 * a * a  # full: index of n = 4a^2
         b = np.arange(a + 1, dtype=np.int32)
         comb = 2 * np.bincount(-b * b % period, minlength=period).astype(np.int32)
@@ -263,13 +202,13 @@ def _imag_hist_range(limit: int, offset: int, stride: int) -> np.ndarray:
         body += row
         tail[rows * row.size :] += row[: tail.size - rows * row.size]
     live += acc
-    a = 1 + offset
+    a = 1
     while a <= amax:
         lo, hits = a, 0
         while a <= amax and hits < _HEAD_BLOCK:
             hits += a * a // 12 + 1  # about the head of a
-            a += stride
-        _add_imag_head(live, np.arange(lo, a, stride, dtype=np.int32), limit)
+            a += 1
+        _add_imag_head(live, np.arange(lo, a, dtype=np.int32), limit)
     return hist
 
 
@@ -307,29 +246,8 @@ def _add_imag_head(live: np.ndarray, a: np.ndarray, limit: int) -> None:
     np.add.at(live, n[split:], np.int32(2))
 
 
-def imaginary_class_number_histogram(limit: int, workers: int = 1) -> np.ndarray:
-    """int32 hist[n // 2] = h(-n) for every fundamental -n with n <= limit.
-
-    The array has limit // 2 + 1 entries.  Every n = 4ac - b^2 is 0 or 3 mod
-    4, and n // 2 maps those classes one to one onto all indices (at
-    limit = 2 mod 4 the last entry stands for n = limit + 1 and is 0);
-    entries at non-fundamental n are form counts without meaning for h."""
-    return _class_sum(_imag_hist_range, workers, limit)
-
-
-def analytic_class_number_imaginary(d: int) -> Fraction:
-    """Character-sum evaluation of h(d), exact: -w * sum(a*chi(a)) / (2|d|)
-    with w = 6, 4, 2 for |d| = 3, 4, larger."""
-    if d >= 0:
-        raise ValueError("negative discriminant required")
-    n = -d
-    w = 6 if n == 3 else 4 if n == 4 else 2
-    total = sum(a * kronecker(d, a) for a in range(1, n))
-    return Fraction(-w * total, 2 * n)
-
-
 # ---------------------------------------------------------------------------
-# real fields: regulator, unit, h*R
+# real fields: regulators and h*R
 # ---------------------------------------------------------------------------
 
 def _isqrt_array(n: np.ndarray) -> np.ndarray:
@@ -346,130 +264,15 @@ def _log_squared_over(w: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.log(w, out=w)
 
 
-def _surd_cycle(d: int) -> list[tuple[int, int]]:
-    """Periodic (P, Q) states of the continued fraction of the maximal
-    order generator (d mod 2 + sqrt(d))/2; each state is the purely
-    periodic surd (P + sqrt(d))/Q."""
-    s = isqrt(d)
-    if s * s == d:
-        raise ValueError("discriminant must not be a square")
-    P, Q = d % 2, 2
-    seen: dict[tuple[int, int], int] = {}
-    states: list[tuple[int, int]] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(states)
-        states.append((P, Q))
-        a = (P + s) // Q
-        P = a * Q - P
-        Q = (d - P * P) // Q
-    return states[seen[(P, Q)] :]
-
-
-def regulator_real(d: int) -> float:
-    """log of the fundamental unit of the maximal real quadratic order."""
-    sd = math.sqrt(d)
-    return math.fsum(math.log((P + sd) / Q) for P, Q in _surd_cycle(d))
-
-
-def fundamental_unit_exact(d: int) -> tuple[int, int]:
-    """(t, u) with the fundamental unit (t + u*sqrt(d))/2, t^2 - d u^2 = +-4,
-    by exact multiplication over the continued fraction cycle."""
-    x, y = Fraction(1), Fraction(0)
-    for P, Q in _surd_cycle(d):
-        x, y = Fraction(P * x + d * y, Q), Fraction(x + P * y, Q)
-    t, u = 2 * x, 2 * y
-    if t.denominator != 1 or u.denominator != 1:
-        raise ArithmeticError("unit coordinates not half-integral")
-    t, u = int(t), int(u)
-    if t * t - d * u * u not in (4, -4):
-        raise ArithmeticError("norm of claimed unit is not +-1")
-    return t, u
-
-
-def _reduced_indefinite_forms(d: int) -> list[tuple[int, int, int]]:
-    """All reduced forms (a, b, c) of positive non-square discriminant d:
-    a*c < 0 and b > |a + c|, equivalently 0 < b < sqrt(d) < b + 2|a|
-    with |sqrt(d) - 2|a|| < b."""
-    forms = []
-    s = isqrt(d)
-    for b in range(2 - (d & 1), s + 1, 2):
-        rest = d - b * b
-        if rest % 4:
-            continue
-        n = rest // 4
-        for a in range(1, isqrt(n) + 1):
-            if n % a:
-                continue
-            c = n // a
-            if b > c - a:
-                forms.append((a, b, -c))
-                forms.append((-a, b, c))
-                if a != c:
-                    forms.append((c, b, -a))
-                    forms.append((-c, b, a))
-    return forms
-
-
-def _rho_step(form: tuple[int, int, int], d: int, s: int) -> tuple[int, int, int]:
-    """Reduction-cycle neighbor: (a, b, c) -> (c, r, (r^2 - d)/(4c)) with
-    r = -b mod 2|c| chosen in (sqrt(d) - 2|c|, sqrt(d))."""
-    _, b, c = form
-    m2 = 2 * abs(c)
-    r = s - ((s - ((-b) % m2)) % m2)
-    return (c, r, (r * r - d) // (4 * c))
-
-
-def reduction_cycle_count(d: int) -> int:
-    """Number of reduction cycles on the reduced forms of discriminant d;
-    this is the narrow class number."""
-    s = isqrt(d)
-    todo = set(_reduced_indefinite_forms(d))
-    cycles = 0
-    while todo:
-        start = next(iter(todo))
-        f = start
-        while True:
-            todo.discard(f)
-            f = _rho_step(f, d, s)
-            if f == start:
-                break
-        cycles += 1
-    return cycles
-
-
-def class_number_real(d: int) -> int:
-    """h(d) for fundamental d > 0: the cycle count, halved when the
-    fundamental unit has norm +1 (narrow classes then pair up)."""
-    if d <= 0 or not is_fundamental(d):
-        raise ValueError("fundamental positive discriminant required")
-    cycles = reduction_cycle_count(d)
-    t, u = fundamental_unit_exact(d)
-    if t * t - d * u * u == 4:
-        if cycles % 2:
-            raise ArithmeticError(f"odd cycle count with a norm +1 unit at D={d}")
-        return cycles // 2
-    return cycles
-
-
-def hr_real(d: int) -> float:
-    """h(d) * regulator, as the form sum over reduced (a, b, -c), a > 0,
-    of log((b + sqrt(d))/(2c))."""
-    sd = math.sqrt(d)
-    return math.fsum(
-        math.log((b + sd) / (-2 * c))
-        for a, b, c in _reduced_indefinite_forms(d)
-        if a > 0
-    )
-
-
-# Forms built at once in _real_hr_range: a block holds whole rows (one c) of
+# Forms built at once in real_hr_histogram: a block holds whole rows (one c) of
 # at most this many forms, or a single longer row; bounds its temporary arrays.
 _PAIR_BLOCK = 1 << 16
 
 
-def _real_hr_range(limit: int, offset: int, stride: int) -> np.ndarray:
-    """hist[D] += log((b + sqrt(D))^2/(4ac)) over reduced forms (a, b, -c) with
-    a <= c, a = 1 + offset mod stride: 4ac < limit, a + c <= isqrt(limit), c - a < b.
+def real_hr_histogram(limit: int) -> np.ndarray:
+    """hist[D] = h(D)*R(D) for fundamental D <= limit, other indices carrying
+    partial sums: log((b + sqrt(D))^2/(4ac)) summed over reduced forms
+    (a, b, -c) with a <= c: 4ac < limit, a + c <= isqrt(limit), c - a < b.
 
     (a, b, -c) is reduced exactly when (c, b, -a) is, and their terms
     log((b + sqrt(D))/(2c)) + log((b + sqrt(D))/(2a)) make one log; the row
@@ -478,7 +281,7 @@ def _real_hr_range(limit: int, offset: int, stride: int) -> np.ndarray:
     blocks of about _PAIR_BLOCK forms, in order, one np.add.at each."""
     hist = np.zeros(limit + 1, dtype=np.float64)
     smax = isqrt(limit)
-    for a in range(1 + offset, isqrt(max(limit - 1, 0)) // 2 + 1, stride):  # 4a^2 < limit
+    for a in range(1, isqrt(max(limit - 1, 0)) // 2 + 1):  # 4a^2 < limit
         c = np.arange(a, min(smax - a, (limit - 1) // (4 * a)) + 1, dtype=np.int64)
         counts = np.maximum(_isqrt_array(limit - 4 * a * c) - (c - a), 0)
         ends = np.cumsum(counts)
@@ -499,24 +302,6 @@ def _real_hr_range(limit: int, offset: int, stride: int) -> np.ndarray:
             np.add.at(hist, ds, w)
             lo = hi
     return hist
-
-
-def real_hr_histogram(limit: int, workers: int = 1) -> np.ndarray:
-    """hist[D] = h(D)*R(D) for fundamental D <= limit (other indices carry
-    meaningless partial sums)."""
-    return _class_sum(_real_hr_range, workers, limit)
-
-
-def analytic_hr_real(d: int) -> float:
-    """Character-sum evaluation of h(d)*R(d):
-    -(1/2) * sum over a of chi_d(a) * log(sin(pi a / d))."""
-    if d <= 0:
-        raise ValueError("positive discriminant required")
-    return -0.5 * math.fsum(
-        kronecker(d, a) * math.log(math.sin(math.pi * a / d))
-        for a in range(1, d)
-        if math.gcd(a, d) == 1
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +363,17 @@ class DiscriminantTable:
         return int(self.magnitude.size)
 
     @classmethod
-    def compute(cls, sign: int, limit: int, workers: int = 1) -> "DiscriminantTable":
+    def compute(cls, sign: int, limit: int) -> "DiscriminantTable":
         if limit > MAX_TABLE_LIMIT:
             raise CapacityError(f"table bound {limit} exceeds {MAX_TABLE_LIMIT}")
         mags = fundamental_magnitudes(sign, limit)
         if sign < 0:
-            hist = imaginary_class_number_histogram(limit, workers)
+            hist = imaginary_class_number_histogram(limit)
             h = hist[mags >> 1]
             reg = np.ones(mags.size, dtype=np.float64)
         else:
             reg = cls._regulators(mags)
-            ratio = real_hr_histogram(limit, workers)[mags] / reg
+            ratio = real_hr_histogram(limit)[mags] / reg
             h_float = np.round(ratio)
             err = np.abs(ratio - h_float)
             if not np.all(err < _INTEGRALITY_TOL):
@@ -598,7 +383,7 @@ class DiscriminantTable:
 
     @staticmethod
     def _regulators(mags: np.ndarray) -> np.ndarray:
-        """regulator_real at every |D| in mags, all continued fractions in lockstep
+        """The regulator at every |D| in mags, all continued fractions in lockstep
         over the first half of their cycle.
 
         From one step past (d mod 2, 2), with Q_{-1} = 2, the states
@@ -751,16 +536,14 @@ class DiscriminantTable:
         )
 
 
-def cached_table(
-    sign: int, limit: int, path: str | None = None, workers: int = 1
-) -> DiscriminantTable:
+def cached_table(sign: int, limit: int, path: str | None = None) -> DiscriminantTable:
     """Table from cache when the cache covers the request, else computed
     (and saved when a path is given)."""
     if path and os.path.exists(path):
         table = DiscriminantTable.load(path)
         if table.sign == sign and table.limit >= limit:
             return table.truncated(limit)
-    table = DiscriminantTable.compute(sign, limit, workers)
+    table = DiscriminantTable.compute(sign, limit)
     if path:
         table.save(path)
     return table

@@ -1,0 +1,207 @@
+"""Scalar oracles: per-field and per-representative reference values.
+
+They compute one discriminant or one representative at a time, straight
+from the definitions, so the tests can check the array kernels of
+quadmean.fields and the closed forms of quadmean.densities against them.
+Nothing in the package calls them.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from math import isqrt
+
+from quadmean.orbits import StandardRep, orbit_size
+from quadmean.residue import ResidueRing, kronecker
+
+
+def is_fundamental(d: int) -> bool:
+    """Discriminant of the maximal order of a quadratic field."""
+    if d == 0 or d == 1:
+        return False
+    if d % 4 == 1:
+        return _is_squarefree(abs(d))
+    if d % 4 == 0:
+        m = d // 4
+        return m % 4 in (2, 3) and _is_squarefree(abs(m))
+    return False
+
+
+def _is_squarefree(n: int) -> bool:
+    if n % 4 == 0:
+        return False
+    k = 3
+    while k * k <= n:
+        if n % (k * k) == 0:
+            return False
+        k += 2
+    return True
+
+
+def class_number_imaginary(d: int) -> int:
+    """h(d) for a fundamental d < 0 by counting reduced positive forms
+    (a, b, c): b^2 - 4ac = d, |b| <= a <= c, b >= 0 when |b| = a or a = c."""
+    if d >= 0 or not is_fundamental(d):
+        raise ValueError("fundamental negative discriminant required")
+    n = -d
+    count = 0
+    b = n & 1
+    while 3 * b * b <= n:
+        m = (b * b + n) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                count += 1 if (b == 0 or b == a or a * a == m) else 2
+            a += 1
+        b += 2
+    return count
+
+
+def analytic_class_number_imaginary(d: int) -> Fraction:
+    """Character-sum evaluation of h(d), exact: -w * sum(a*chi(a)) / (2|d|)
+    with w = 6, 4, 2 for |d| = 3, 4, larger."""
+    if d >= 0:
+        raise ValueError("negative discriminant required")
+    n = -d
+    w = 6 if n == 3 else 4 if n == 4 else 2
+    total = sum(a * kronecker(d, a) for a in range(1, n))
+    return Fraction(-w * total, 2 * n)
+
+
+def _surd_cycle(d: int) -> list[tuple[int, int]]:
+    """Periodic (P, Q) states of the continued fraction of the maximal
+    order generator (d mod 2 + sqrt(d))/2; each state is the purely
+    periodic surd (P + sqrt(d))/Q."""
+    s = isqrt(d)
+    if s * s == d:
+        raise ValueError("discriminant must not be a square")
+    P, Q = d % 2, 2
+    seen: dict[tuple[int, int], int] = {}
+    states: list[tuple[int, int]] = []
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(states)
+        states.append((P, Q))
+        a = (P + s) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+    return states[seen[(P, Q)] :]
+
+
+def regulator_real(d: int) -> float:
+    """log of the fundamental unit of the maximal real quadratic order."""
+    sd = math.sqrt(d)
+    return math.fsum(math.log((P + sd) / Q) for P, Q in _surd_cycle(d))
+
+
+def fundamental_unit_exact(d: int) -> tuple[int, int]:
+    """(t, u) with the fundamental unit (t + u*sqrt(d))/2, t^2 - d u^2 = +-4,
+    by exact multiplication over the continued fraction cycle."""
+    x, y = Fraction(1), Fraction(0)
+    for P, Q in _surd_cycle(d):
+        x, y = Fraction(P * x + d * y, Q), Fraction(x + P * y, Q)
+    t, u = 2 * x, 2 * y
+    if t.denominator != 1 or u.denominator != 1:
+        raise ArithmeticError("unit coordinates not half-integral")
+    t, u = int(t), int(u)
+    if t * t - d * u * u not in (4, -4):
+        raise ArithmeticError("norm of claimed unit is not +-1")
+    return t, u
+
+
+def _reduced_indefinite_forms(d: int) -> list[tuple[int, int, int]]:
+    """All reduced forms (a, b, c) of positive non-square discriminant d:
+    a*c < 0 and b > |a + c|, equivalently 0 < b < sqrt(d) < b + 2|a|
+    with |sqrt(d) - 2|a|| < b."""
+    forms = []
+    s = isqrt(d)
+    for b in range(2 - (d & 1), s + 1, 2):
+        rest = d - b * b
+        if rest % 4:
+            continue
+        n = rest // 4
+        for a in range(1, isqrt(n) + 1):
+            if n % a:
+                continue
+            c = n // a
+            if b > c - a:
+                forms.append((a, b, -c))
+                forms.append((-a, b, c))
+                if a != c:
+                    forms.append((c, b, -a))
+                    forms.append((-c, b, a))
+    return forms
+
+
+def _rho_step(form: tuple[int, int, int], d: int, s: int) -> tuple[int, int, int]:
+    """Reduction-cycle neighbor: (a, b, c) -> (c, r, (r^2 - d)/(4c)) with
+    r = -b mod 2|c| chosen in (sqrt(d) - 2|c|, sqrt(d))."""
+    _, b, c = form
+    m2 = 2 * abs(c)
+    r = s - ((s - ((-b) % m2)) % m2)
+    return (c, r, (r * r - d) // (4 * c))
+
+
+def reduction_cycle_count(d: int) -> int:
+    """Number of reduction cycles on the reduced forms of discriminant d;
+    this is the narrow class number."""
+    s = isqrt(d)
+    todo = set(_reduced_indefinite_forms(d))
+    cycles = 0
+    while todo:
+        start = next(iter(todo))
+        f = start
+        while True:
+            todo.discard(f)
+            f = _rho_step(f, d, s)
+            if f == start:
+                break
+        cycles += 1
+    return cycles
+
+
+def class_number_real(d: int) -> int:
+    """h(d) for fundamental d > 0: the cycle count, halved when the
+    fundamental unit has norm +1 (narrow classes then pair up)."""
+    if d <= 0 or not is_fundamental(d):
+        raise ValueError("fundamental positive discriminant required")
+    cycles = reduction_cycle_count(d)
+    t, u = fundamental_unit_exact(d)
+    if t * t - d * u * u == 4:
+        if cycles % 2:
+            raise ArithmeticError(f"odd cycle count with a norm +1 unit at D={d}")
+        return cycles // 2
+    return cycles
+
+
+def hr_real(d: int) -> float:
+    """h(d) * regulator, as the form sum over reduced (a, b, -c), a > 0,
+    of log((b + sqrt(d))/(2c))."""
+    sd = math.sqrt(d)
+    return math.fsum(
+        math.log((b + sd) / (-2 * c))
+        for a, b, c in _reduced_indefinite_forms(d)
+        if a > 0
+    )
+
+
+def analytic_hr_real(d: int) -> float:
+    """Character-sum evaluation of h(d)*R(d):
+    -(1/2) * sum over a of chi_d(a) * log(sin(pi a / d))."""
+    if d <= 0:
+        raise ValueError("positive discriminant required")
+    return -0.5 * math.fsum(
+        kronecker(d, a) * math.log(math.sin(math.pi * a / d))
+        for a in range(1, d)
+        if math.gcd(a, d) == 1
+    )
+
+
+def orbital_volume_bruteforce(rep: StandardRep, level: int) -> Fraction:
+    """Orbit size over Z/p^level divided by the ball size p^(3*level).
+
+    Stable in the level once it reaches the representative's working
+    level (and in practice from level 1 for unit discriminants).
+    """
+    ring = ResidueRing(rep.p, level)
+    return Fraction(orbit_size(rep, ring), rep.p ** (3 * level))

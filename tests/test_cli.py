@@ -323,26 +323,31 @@ def test_repeated_checkpoint_exits_2(tmp_path, capsys, monkeypatch, checkpoints)
     assert not cache.exists()
 
 
-@pytest.mark.parametrize("workers", [0, -1, 3])
-def test_workers_outside_the_cores_exit_2(capsys, monkeypatch, workers):
-    # with two cores, 3 is one too many; the check comes before any table
-    # is built, so no worker process can start
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--cond", "inf=C", "--X", "1000", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
+        (["--cond", "inf=C", "--X", "abc"], "argument --X: invalid int value: 'abc'"),
+        (["--X", "1000"], "the following arguments are required: --cond"),
+    ],
+)
+def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, args, message):
+    # the parser's own errors take the runners' form, with no usage block
     monkeypatch.setattr(quadmean.cli, "cached_table", _no_table)
-    code, out = run_cli(["mean-value", "--cond", "inf=C", "--X", "1000",
-                         "--workers", str(workers)])
-    assert code == 2
-    assert out == ""
-    assert capsys.readouterr().err.splitlines() == [f"error: --workers {workers} outside 1..2"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["mean-value", *args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
-def test_mean_value_real_small(tmp_path, monkeypatch):
-    # two workers on any machine: the range check reads the pinned count
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_mean_value_real_small(tmp_path):
     cache = str(tmp_path / "pos.csv")
     code, out = run_cli(
         ["--format", "json", "mean-value", "--cond", "inf=RxR", "--X", "10000",
-         "--checkpoints", "1000,10000", "--cache", cache, "--workers", "2"]
+         "--checkpoints", "1000,10000", "--cache", cache]
     )
     assert code == 0
     doc = json.loads(out)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import orbital_volume_bruteforce
 from quadmean.densities import (
     PiPower,
     census_check,
@@ -13,7 +14,6 @@ from quadmean.densities import (
     extension_census,
     local_density,
     mass_identity_check,
-    orbital_volume_bruteforce,
     orbital_volume_closed,
     ramified_density_sum,
     remark_sums_check,

@@ -8,29 +8,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import (
+    analytic_class_number_imaginary,
+    analytic_hr_real,
+    class_number_imaginary,
+    class_number_real,
+    fundamental_unit_exact,
+    hr_real,
+    is_fundamental,
+    reduction_cycle_count,
+    regulator_real,
+    _reduced_indefinite_forms,
+    _surd_cycle,
+)
 from quadmean import fields
 from quadmean.fields import (
     DiscriminantTable,
     TRACKED_PRIMES,
-    analytic_class_number_imaginary,
-    analytic_hr_real,
     cached_table,
-    class_number_imaginary,
-    class_number_real,
     fundamental_magnitudes,
-    fundamental_unit_exact,
-    hr_real,
     imaginary_class_number_histogram,
-    is_fundamental,
     local_type,
     local_type_codes,
     local_type_label,
     real_hr_histogram,
-    reduction_cycle_count,
-    regulator_real,
     type_labels,
     _isqrt_array,
-    _surd_cycle,
 )
 
 
@@ -76,11 +79,11 @@ def test_imaginary_histogram_vs_per_d_oracle():
         assert class_number_imaginary(-int(n)) == int(hist[n >> 1]), n
 
 
-def _per_ab_loop(limit, offset, stride):
+def _per_ab_loop(limit):
     # the reference: one strided add per (a, b), n = 4ac - b^2 from c = a on
     hist = np.zeros(limit + 1, dtype=np.int64)
     amax = math.isqrt(limit // 3)
-    for a in range(1 + offset, amax + 1, stride):
+    for a in range(1, amax + 1):
         step = 4 * a
         for b in range(a + 1):
             first = 4 * a * a - b * b
@@ -111,34 +114,25 @@ def _halved(full):
 
 def test_imaginary_histogram_equals_the_per_ab_loop():
     for limit in _PER_AB_LIMITS:
-        full = _per_ab_loop(limit, 0, 1)
+        full = _per_ab_loop(limit)
         n = np.arange(limit + 1)
         kept = (n % 4 == 0) | (n % 4 == 3)
         # the premise of the layout: 4ac - b^2 is never 1 or 2 mod 4
         assert not full[~kept].any(), limit
-        ref = _halved(full)
-        hist = fields._imag_hist_range(limit, 0, 1)
+        hist = imaginary_class_number_histogram(limit)
         assert hist.size == limit // 2 + 1, limit
-        assert np.array_equal(hist, ref), limit
-        for stride in (2, 3):
-            parts = [fields._imag_hist_range(limit, k, stride) for k in range(stride)]
-            assert np.array_equal(sum(parts), ref), (limit, stride)
-    for workers in (2, 3):
-        assert np.array_equal(imaginary_class_number_histogram(limit, workers), ref), workers
+        assert np.array_equal(hist, _halved(full)), limit
 
 
 def test_imaginary_histogram_flushes_a_narrow_buffer_exactly(monkeypatch):
     # an int8 buffer holds the sum of the row tops only up to 127, so the
-    # kernel must flush it into the histogram and empty it mid-loop: at 20000
-    # twice with stride 1, and once in one part or more with strides 2 and 3
-    # (the int16 buffer first flushes above 10^7)
+    # kernel must flush it into the histogram and empty it mid-loop, twice
+    # at 20000 (the int16 buffer first flushes above 10^7)
     monkeypatch.setattr(fields, "_COMB_ACC", np.int8)
     for limit in _PER_AB_LIMITS:
-        ref = _halved(_per_ab_loop(limit, 0, 1))
-        for stride in (1, 2, 3):
-            parts = [fields._imag_hist_range(limit, k, stride) for k in range(stride)]
-            assert all(part.dtype == np.int32 for part in parts)
-            assert np.array_equal(sum(parts), ref), (limit, stride)
+        hist = imaginary_class_number_histogram(limit)
+        assert hist.dtype == np.int32
+        assert np.array_equal(hist, _halved(_per_ab_loop(limit))), limit
 
 
 def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
@@ -172,11 +166,8 @@ def test_imaginary_head_does_not_depend_on_the_block(monkeypatch, block):
     # or a single block
     monkeypatch.setattr(fields, "_HEAD_BLOCK", block)
     for limit in _PER_AB_LIMITS:
-        for stride in (1, 2, 3):
-            for k in range(stride):
-                part = fields._imag_hist_range(limit, k, stride)
-                ref = _halved(_per_ab_loop(limit, k, stride))
-                assert np.array_equal(part, ref), (limit, k, stride)
+        hist = imaginary_class_number_histogram(limit)
+        assert np.array_equal(hist, _halved(_per_ab_loop(limit))), limit
 
 
 def test_imaginary_comb_row_fits_the_buffer_at_the_table_guard():
@@ -390,17 +381,15 @@ def test_real_hr_three_routes_agree():
 
 def test_real_histogram_matches_per_d():
     mags = fundamental_magnitudes(1, 3000).tolist()
-    expected = [hr_real(d) for d in mags]
-    for workers in (1, 2):
-        hist = real_hr_histogram(3000, workers)
-        for d, hr in zip(mags, expected):
-            assert hist[d] == pytest.approx(hr, rel=1e-12), (workers, d)
-        assert hist[40] == pytest.approx(3.6368929184641347, rel=1e-9)
+    hist = real_hr_histogram(3000)
+    for d in mags:
+        assert hist[d] == pytest.approx(hr_real(d), rel=1e-12), d
+    assert hist[40] == pytest.approx(3.6368929184641347, rel=1e-9)
 
 
 def _paired_per_ac_loop(limit):
     # one log per pair (a, b, -c), (c, b, -a) with a <= c, half of it at
-    # c = a; the same expression and order as _real_hr_range
+    # c = a; the same expression and order as real_hr_histogram
     ref = np.zeros(limit + 1)
     smax = math.isqrt(limit)
     for a in range(1, smax):
@@ -566,7 +555,7 @@ def test_class_numbers_fit_int32_up_to_the_table_guard():
     for sign in (-1, 1):
         t = DiscriminantTable.compute(sign, 5000)
         if sign > 0:
-            forms = [len(fields._reduced_indefinite_forms(d)) for d in t.magnitude.tolist()]
+            forms = [len(_reduced_indefinite_forms(d)) for d in t.magnitude.tolist()]
             assert np.all(t.h <= np.array(forms))
         assert t.h.dtype == np.int32
 
@@ -618,8 +607,8 @@ def test_cached_table_rebuilds_a_wrong_sign_cache(tmp_path):
 def test_integrality_guard_names_the_discriminant(monkeypatch):
     real = fields.real_hr_histogram
 
-    def damaged(limit, workers=1):
-        hist = real(limit, workers)
+    def damaged(limit):
+        hist = real(limit)
         hist[1993] += 0.3 * regulator_real(1993)
         return hist
 
@@ -669,16 +658,6 @@ def test_load_rejects_a_non_positive_real_regulator(tmp_path):
     t.save(path)
     with pytest.raises(ValueError, match="regulator out of range"):
         DiscriminantTable.load(path)
-
-
-def test_worker_paths_agree_with_serial():
-    a = DiscriminantTable.compute(-1, 3000, workers=1)
-    b = DiscriminantTable.compute(-1, 3000, workers=2)
-    assert np.array_equal(a.h, b.h)
-    c = DiscriminantTable.compute(1, 2000, workers=1)
-    d = DiscriminantTable.compute(1, 2000, workers=3)
-    assert np.array_equal(c.h, d.h)
-    assert np.array_equal(c.reg, d.reg)
 
 
 def test_oracle_input_validation():
