@@ -331,6 +331,7 @@ def test_repeated_checkpoint_exits_2(tmp_path, capsys, monkeypatch, checkpoints)
         (["--cond", "inf=C", "--X", "abc"], "argument --X: invalid int value: 'abc'"),
         (["--X", "1000"], "the following arguments are required: --cond"),
     ],
+    ids=["workers", "X-abc", "no-cond"],
 )
 def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, args, message):
     # the parser's own errors take the runners' form, with no usage block
