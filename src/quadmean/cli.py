@@ -35,7 +35,6 @@ from .fields import cached_table
 from .meanvalue import (
     EULER_CUTOFF,
     check_checkpoints,
-    check_euler_cutoff,
     condition_sign,
     convergence_report,
     default_checkpoints,
@@ -219,6 +218,8 @@ def _parse_primes(text: str) -> list[int]:
         v = int(part)
         if not is_prime(v):
             raise ValueError(f"{v} is not prime")
+        if v in out:
+            raise ValueError(f"prime {v} repeated")
         out.append(v)
     return out
 
@@ -243,13 +244,8 @@ def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
     sign = condition_sign(conds)  # validates the archimedean part
     pref = predicted_prefactor(conds)
-    tenth = args.euler_cutoff // 10
-    if tenth < 2:
-        raise ValueError(
-            f"Euler cutoff {args.euler_cutoff}: the stability check compares it with "
-            f"cutoff/10 = {tenth}, below 2"
-        )
-    const = predicted_constant(conds, args.euler_cutoff)
+    tenth = EULER_CUTOFF // 10
+    const = predicted_constant(conds)
     const_tenth = predicted_constant(conds, tenth)
     tol = 1.02 * euler_tail_bound(tenth)
     rel = abs(const - const_tenth) / const
@@ -266,7 +262,7 @@ def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
     return {
         "cond": args.cond,
         "sign": sign,
-        "euler_cutoff": args.euler_cutoff,
+        "euler_cutoff": EULER_CUTOFF,
     }, items
 
 
@@ -276,7 +272,6 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     limit = args.X
     if limit < 1:
         raise ValueError(f"--X {limit} below 1")
-    check_euler_cutoff(args.euler_cutoff)  # before the table is built
     checkpoints = (
         [int(v) for v in args.checkpoints.split(",")]
         if args.checkpoints
@@ -284,7 +279,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     )
     check_checkpoints(checkpoints, limit)  # before the table is built
     table = cached_table(sign, limit, args.cache)
-    rows = convergence_report(table, conds, checkpoints, args.euler_cutoff)
+    rows = convergence_report(table, conds, checkpoints)
     items = []
     final = rows[-1].upto
     for row in rows:
@@ -313,7 +308,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
         "sign": sign,
         "X": limit,
         "checkpoints": checkpoints,
-        "euler_cutoff": args.euler_cutoff,
+        "euler_cutoff": EULER_CUTOFF,
         "cache": args.cache,
     }, items
 
@@ -388,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("constant", help="predicted leading coefficient")
     pk.add_argument("--cond", required=True,
                     help='conditions, e.g. "inf=C,2=ram:-1"')
-    pk.add_argument("--euler-cutoff", type=int, default=EULER_CUTOFF)
 
     pm = sub.add_parser("mean-value", help="empirical sums against the prediction")
     pm.add_argument("--cond", required=True,
@@ -397,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--checkpoints", default="",
                     help="comma-separated partial bounds (default X/100, X/10, X)")
     pm.add_argument("--cache", default=None, help="table cache path")
-    pm.add_argument("--euler-cutoff", type=int, default=EULER_CUTOFF)
     return parser
 
 

@@ -28,12 +28,8 @@ from .orbits import (
     ramified_algebra,
     unramified_algebra,
 )
-from .residue import CapacityError
 
 EULER_CUTOFF = 10**4
-# Largest Euler cutoff: the prime sieve allocates (cutoff + 1) // 2 bytes, so
-# the guard is the table bound's, fields.MAX_TABLE_LIMIT = 10^8.
-MAX_EULER_CUTOFF = 10**8
 
 # zeta(3), Apery's constant, to 17 significant digits
 ZETA3 = 1.2020569031595943
@@ -65,16 +61,6 @@ def primes_upto(n: int) -> np.ndarray:
     return primes
 
 
-def check_euler_cutoff(cutoff: int) -> None:
-    """Refuse a cutoff below 2, which leaves no prime to multiply out, with
-    ValueError, and one above MAX_EULER_CUTOFF with CapacityError, before
-    anything is allocated."""
-    if cutoff < 2:
-        raise ValueError(f"Euler cutoff {cutoff} below 2 leaves an empty product")
-    if cutoff > MAX_EULER_CUTOFF:
-        raise CapacityError(f"Euler cutoff {cutoff} exceeds {MAX_EULER_CUTOFF}")
-
-
 def euler_product(cutoff: int = EULER_CUTOFF, skip: tuple[int, ...] = ()) -> float:
     """Product of the total local densities f(p) = 1 - p^-2 - p^-3 + p^-4
     over all primes p not in skip.
@@ -87,10 +73,8 @@ def euler_product(cutoff: int = EULER_CUTOFF, skip: tuple[int, ...] = ()) -> flo
     cutoff, and euler_tail_bound bounds the rest.  Each skipped prime
     divides out its own f(p), exactly, as a Fraction.  Past p = 2^(53/4),
     about 9741, p^-4 < 2^-53 and every factor rounds to 1.0, so every
-    cutoff from 10^4 up gives the same float.  check_euler_cutoff guards
-    the cutoff.
+    cutoff from 10^4 up gives the same float.
     """
-    check_euler_cutoff(cutoff)
     u = 1.0 / primes_upto(cutoff)
     u2 = u * u  # products, not libm pow calls
     remainder = float(np.multiply.reduce(1.0 + u2 * u2 / ((1.0 + u) * (1.0 - u2 * u))))
@@ -265,14 +249,13 @@ def convergence_report(
     table: DiscriminantTable,
     conditions: list[LocalCondition],
     checkpoints: list[int],
-    cutoff: int = EULER_CUTOFF,
 ) -> list[ConvergenceRow]:
     """Empirical versus predicted conditioned sums at increasing cutoffs."""
     conds = list(conditions)
     xs = check_checkpoints(checkpoints, table.limit)
     if condition_sign(conds) != table.sign:
         raise ValueError("conditions pin the other discriminant sign")
-    const = predicted_constant(conds, cutoff)
+    const = predicted_constant(conds)
     mask = condition_mask(table, conds)
     # |D| ascends, so the rows up to x are a prefix: the same terms in the
     # same order as a mask of them, hence the same sum.  Indices, not the

@@ -434,13 +434,11 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
             head |= image[lead + (slice(i, i + 1),)]
         image = head
     projected = int(np.count_nonzero(image))
-    return LiftSaturation(x, level, idx.size, orbit_count, projected, missing, not absent.size)
+    return LiftSaturation(idx.size, orbit_count, projected, missing, not absent.size)
 
 
 @dataclass(frozen=True)
 class LiftSaturation:
-    rep: StandardRep
-    level: int
     lifts: int
     orbit_size: int
     projected_size: int  # the orbit's image at the working level x.n
@@ -512,8 +510,6 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CosetNormalForm:
-    rep: StandardRep
-    ring: ResidueRing
     stabilizer_size: int
     torus_size: int
     coset_count: int
@@ -582,7 +578,7 @@ def coset_normal_form_check(
                 detail = "normal form is not unipotent-diagonal"
             else:
                 detail = "left factor escaped the torus"
-            return CosetNormalForm(x, ring, len(stab), 0, 0, False, detail)
+            return CosetNormalForm(len(stab), 0, 0, False, detail)
         keys[lo : lo + len(t)] = u * m + v
     fibers, counts = np.unique(keys, return_counts=True)
     expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int32)
@@ -592,7 +588,7 @@ def coset_normal_form_check(
         and len(fibers) * tsize == len(stab)
     )
     detail = "" if ok else "fiber sizes or representative set mismatch"
-    return CosetNormalForm(x, ring, len(stab), tsize, len(fibers), ok, detail)
+    return CosetNormalForm(len(stab), tsize, len(fibers), ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +625,6 @@ def congruence_count_closed(x: StandardRep) -> int:
 
 @dataclass(frozen=True)
 class CongruenceCharacterization:
-    rep: StandardRep
-    ring: ResidueRing
     solutions: frozenset
     described: frozenset
     branch_sizes: tuple
@@ -698,5 +692,5 @@ def congruence_solution_check(
         disjoint = not (branch_sets[0] & branch_sets[1])
     described_f = frozenset(described)
     passed = described_f == brute and disjoint
-    return CongruenceCharacterization(x, ring, brute, described_f, branches, disjoint, passed)
+    return CongruenceCharacterization(brute, described_f, branches, disjoint, passed)
 

@@ -90,9 +90,7 @@ def test_verify_local_reaches_p7():
 
 
 def test_constant_command_prefactor():
-    code, out = run_cli(
-        ["--format", "json", "constant", "--cond", "inf=C,2=ram:-1", "--euler-cutoff", "100000"]
-    )
+    code, out = run_cli(["--format", "json", "constant", "--cond", "inf=C,2=ram:-1"])
     assert code == 0
     doc = json.loads(out)
     by_anchor = {i["anchor"]: i for i in doc["items"]}
@@ -326,18 +324,23 @@ def test_repeated_checkpoint_exits_2(tmp_path, capsys, monkeypatch, checkpoints)
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--cond", "inf=C", "--X", "1000", "--workers", "2"],
+        (["mean-value", "--cond", "inf=C", "--X", "1000", "--workers", "2"],
          "unrecognized arguments: --workers 2"),
-        (["--cond", "inf=C", "--X", "abc"], "argument --X: invalid int value: 'abc'"),
-        (["--X", "1000"], "the following arguments are required: --cond"),
+        (["mean-value", "--cond", "inf=C", "--X", "abc"],
+         "argument --X: invalid int value: 'abc'"),
+        (["mean-value", "--X", "1000"], "the following arguments are required: --cond"),
+        (["mean-value", "--cond", "inf=C", "--X", "1000", "--euler-cutoff", "100000"],
+         "unrecognized arguments: --euler-cutoff 100000"),
+        (["constant", "--cond", "inf=C", "--euler-cutoff", "100000"],
+         "unrecognized arguments: --euler-cutoff 100000"),
     ],
-    ids=["workers", "X-abc", "no-cond"],
+    ids=["workers", "X-abc", "no-cond", "euler-cutoff-mean-value", "euler-cutoff-constant"],
 )
 def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, args, message):
     # the parser's own errors take the runners' form, with no usage block
     monkeypatch.setattr(quadmean.cli, "cached_table", _no_table)
     with pytest.raises(SystemExit) as exc:
-        run_cli(["mean-value", *args])
+        run_cli(args)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -405,6 +408,15 @@ def test_error_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, primes, repeated", [("verify-local", "2,2", 2), ("census", "3,5,3", 3)]
+)
+def test_repeated_prime_exits_2(capsys, command, primes, repeated):
+    # each of its items would appear twice under one anchor
+    assert run_cli([command, "--primes", primes]) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [f"error: prime {repeated} repeated"]
+
+
 def test_size_guard_refusal_exits_2(monkeypatch, capsys):
     # the first orbit at p=3 lives in a space of 3^3 forms
     monkeypatch.setattr(quadmean.orbits, "MAX_ORBIT_SPACE", 3**3 - 1)
@@ -433,34 +445,14 @@ def test_table_limit_guard_refuses_before_allocating(capsys):
     _refused(capsys, ["mean-value", "--cond", "inf=C", "--X", str(10**12)], str(10**12))
 
 
-@pytest.mark.parametrize(
-    "command, least", [(["constant"], 20), (["mean-value", "--X", "1000"], 2)]
-)
-def test_euler_cutoff_guard_boundaries(monkeypatch, capsys, command, least):
-    cond = ["--cond", "inf=C"]
-    monkeypatch.setattr(quadmean.meanvalue, "MAX_EULER_CUTOFF", 1000)
-    assert run_cli([*command, *cond, "--euler-cutoff", "1000"])[0] == 0
-    capsys.readouterr()
-    _refused(capsys, [*command, *cond, "--euler-cutoff", "1001"], "1001")
-    # 2 is the least cutoff with a prime, and constant also needs one in
-    # cutoff // 10, so it takes 20 at least.  mean-value at 2 passes: the
-    # zeta factors carry every prime, the remainder multiplied out at 2 alone
-    # leaves the prediction 1.1% low, and the ratio at X = 1000 reads 1.0057,
-    # inside its 5% window
-    assert run_cli([*command, *cond, "--euler-cutoff", str(least)])[0] == 0
-    capsys.readouterr()
-    for cutoff in (str(least - 1), "1", "0", "-5"):
-        _refused(capsys, [*command, *cond, "--euler-cutoff", cutoff], "below 2")
-
-
-@pytest.mark.parametrize("cutoff", [20, 100, 10**3, 10**4, 10**5, 10**6])
-def test_constant_stability_compares_with_a_tenth_of_the_cutoff(cutoff):
+def test_constant_stability_compares_with_a_tenth_of_the_cutoff():
     cond = "inf=C,2=ram:-1"
-    code, out = run_cli(
-        ["--format", "json", "constant", "--cond", cond, "--euler-cutoff", str(cutoff)]
-    )
+    code, out = run_cli(["--format", "json", "constant", "--cond", cond])
     assert code == 0
-    item = {i["anchor"]: i for i in json.loads(out)["items"]}[f"euler-cutoff-stability[{cond}]"]
+    doc = json.loads(out)
+    item = {i["anchor"]: i for i in doc["items"]}[f"euler-cutoff-stability[{cond}]"]
+    cutoff = quadmean.meanvalue.EULER_CUTOFF
+    assert doc["config"]["euler_cutoff"] == cutoff == 10**4
     conds = quadmean.meanvalue.parse_conditions(cond)
     const = quadmean.meanvalue.predicted_constant(conds, cutoff)
     tenth = quadmean.meanvalue.predicted_constant(conds, cutoff // 10)
@@ -468,18 +460,6 @@ def test_constant_stability_compares_with_a_tenth_of_the_cutoff(cutoff):
     bound = 1.02 * quadmean.meanvalue.euler_tail_bound(cutoff // 10)
     assert item["expected"] == f"relative move under cutoff/10 <= {bound:.3e}"
     assert item["pass"] is True
-
-
-def test_constant_refuses_a_cutoff_with_no_prime_in_its_tenth(capsys):
-    _refused(capsys, ["constant", "--cond", "inf=C", "--euler-cutoff", "5"], "cutoff/10 = 0")
-
-
-def test_euler_cutoff_guard_refuses_before_allocating(monkeypatch, capsys):
-    # the prime sieve alone would ask for 10^12 bytes; mean-value refuses
-    # before it builds its table
-    monkeypatch.setattr(quadmean.cli, "cached_table", None)
-    for command in (["constant"], ["mean-value", "--X", "1000"]):
-        _refused(capsys, [*command, "--cond", "inf=C", "--euler-cutoff", str(10**12)], str(10**12))
 
 
 def test_orbit_space_guard_boundary(monkeypatch):

