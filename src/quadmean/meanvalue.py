@@ -73,8 +73,11 @@ def euler_product(cutoff: int = EULER_CUTOFF, skip: tuple[int, ...] = ()) -> flo
     cutoff, and euler_tail_bound bounds the rest.  Each skipped prime
     divides out its own f(p), exactly, as a Fraction.  Past p = 2^(53/4),
     about 9741, p^-4 < 2^-53 and every factor rounds to 1.0, so every
-    cutoff from 10^4 up gives the same float.
+    cutoff from 10^4 up gives the same float.  A cutoff below 2 leaves no
+    prime to multiply out and raises ValueError.
     """
+    if cutoff < 2:
+        raise ValueError(f"Euler cutoff {cutoff} below 2 leaves an empty product")
     u = 1.0 / primes_upto(cutoff)
     u2 = u * u  # products, not libm pow calls
     remainder = float(np.multiply.reduce(1.0 + u2 * u2 / ((1.0 + u) * (1.0 - u2 * u))))

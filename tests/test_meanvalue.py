@@ -91,6 +91,15 @@ def test_euler_product_small_cutoff_exact():
     )
 
 
+def test_euler_product_guards_its_cutoff():
+    assert euler_product(2) == pytest.approx(
+        _ZETA_PRODUCT * float(euler_factor(2) / _g(2)), rel=1e-15
+    )
+    for cutoff in (1, 0, -5):
+        with pytest.raises(ValueError):
+            euler_product(cutoff)
+
+
 def test_euler_product_frozen_value():
     # past p = 9741 every remainder factor rounds to 1.0, so the cutoffs
     # from 10^4 up give one float
