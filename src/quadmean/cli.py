@@ -9,7 +9,9 @@ Four subcommands:
   mean-value     empirical conditioned sums against the prediction
 
 Every command emits a list of checked items; the process exits 0 only
-if every item passes.  Formats: text (default), json, csv.
+if every item passes.  Formats: text (default), json, csv.  The library
+modules return values; this module alone decides which values an item
+compares, under which anchor, and what counts as a pass.
 """
 
 from __future__ import annotations
@@ -18,18 +20,20 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .densities import (
-    IdentityCheck,
     PiPower,
-    census_check,
     census_expected,
-    mass_identity_check,
-    orbital_volume_closed,
-    remark_sums_check,
+    density_total,
+    euler_factor,
+    extension_census,
+    local_density,
+    ramified_density_sum,
+    ramified_density_sum_closed,
 )
 from .fields import cached_table
 from .meanvalue import (
@@ -74,6 +78,20 @@ CONTEXT_RATIO_TOL = 0.5
 _DIRECT_COUNT_MAX_MODULUS = 32
 
 
+@dataclass(frozen=True)
+class IdentityCheck:
+    """One verified identity: a label, both sides, and the verdict."""
+
+    name: str
+    expected: object
+    got: object
+    passed: bool
+
+    @classmethod
+    def compare(cls, name: str, expected, got) -> "IdentityCheck":
+        return cls(name, expected, got, expected == got)
+
+
 def _jsonable(v):
     if isinstance(v, Fraction):
         return str(v)
@@ -109,7 +127,20 @@ def _group_order_direct(ring: ResidueRing) -> int:
 
 
 def _census_items(p: int) -> list[IdentityCheck]:
-    items = [census_check(p), *remark_sums_check(p), mass_identity_check(p)]
+    items = [
+        IdentityCheck.compare(
+            f"extension-census[p={p}]", census_expected(p), extension_census(p)
+        ),
+        *(
+            IdentityCheck.compare(
+                f"ramified-density-sum[p={p},{parity}]",
+                ramified_density_sum_closed(p, parity),
+                ramified_density_sum(p, parity),
+            )
+            for parity in ("even", "odd")
+        ),
+        IdentityCheck.compare(f"mass-identity[p={p}]", euler_factor(p), density_total(p)),
+    ]
     expected_vals = sorted(
         [0, 0] + [d for d, cnt in census_expected(p).items() for _ in range(cnt)]
     )
@@ -135,7 +166,8 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
     got_torus = torus_order(rep, ring)
     stab = stabilizer_elements(rep, ring)
     solutions = congruence_solution_set(rep, ring)
-    cc = congruence_solution_check(rep, ring, solutions)
+    # equal exactly when the branches are disjoint and their union is the set
+    described = sorted(sol for branch in congruence_solution_check(rep, ring) for sol in branch)
     cn = coset_normal_form_check(rep, ring, stab, got_torus, solutions)
     return [
         IdentityCheck.compare(f"torus-order[{at}]", expected_torus, got_torus),
@@ -144,9 +176,7 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
         ),
         IdentityCheck.compare(f"stabilizer-scan[{at}]", expected_stab, len(stab)),
         IdentityCheck.compare(f"congruence-count[{at}]", expected_cong, len(solutions)),
-        IdentityCheck(
-            f"congruence-structure[{at}]", sorted(cc.solutions), sorted(cc.described), cc.passed
-        ),
+        IdentityCheck.compare(f"congruence-structure[{at}]", sorted(solutions), described),
         IdentityCheck(
             f"coset-normal-form[{at}]",
             {"fiber": cn.torus_size, "cosets": expected_cong},
@@ -161,7 +191,7 @@ def _rep_items(rep: StandardRep) -> list[IdentityCheck]:
     p, n = rep.p, rep.n
     tag = f"p={p},{rep.algebra}"
     ring = rep.natural_ring()
-    vol = orbital_volume_closed(rep)
+    vol = local_density(rep.algebra, p)
     expected_orbit = vol * p ** (3 * n)
     assert expected_orbit.denominator == 1
     # one BFS, at level n + 1: the level-n orbit is its image
@@ -212,10 +242,20 @@ def _local_items(p: int) -> list[IdentityCheck]:
 # subcommand runners
 # ---------------------------------------------------------------------------
 
-def _parse_primes(text: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
+    """A comma-separated list of integers; a bad item is refused naming the option."""
     out = []
     for part in text.split(","):
-        v = int(part)
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ValueError(f"{option}: {part!r} is not an integer") from None
+    return out
+
+
+def _parse_primes(text: str) -> list[int]:
+    out = []
+    for v in _parse_ints(text, "--primes"):
         if not is_prime(v):
             raise ValueError(f"{v} is not prime")
         if v in out:
@@ -273,7 +313,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     if limit < 1:
         raise ValueError(f"--X {limit} below 1")
     checkpoints = (
-        [int(v) for v in args.checkpoints.split(",")]
+        _parse_ints(args.checkpoints, "--checkpoints")
         if args.checkpoints
         else default_checkpoints(limit)
     )

@@ -4,8 +4,9 @@ Each separable quadratic algebra of Q_p gets a density: the volume of
 the orbit of its standard representative under the integral group, with
 the measure normalized so the ambient coefficient ball has volume one.
 Archimedean completions get exact rational multiples of powers of pi.
-The module also checks the census of ramified classes and the identity
-expressing the summed densities as a single rational factor.
+The module also gives the census of ramified classes and the closed
+forms of the summed densities, which the command line compares with the
+sums taken class by class.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbits import (
-    QuadraticAlgebraDescriptor,
-    StandardRep,
-    ramified_algebra,
-    standard_representatives,
-)
+from .orbits import QuadraticAlgebraDescriptor, ramified_algebra, standard_representatives
 from .residue import SquareClassLabel, ramified_labels
 
 
@@ -77,27 +73,6 @@ def local_density(alg: QuadraticAlgebraDescriptor, p: int | None = None) -> Frac
     return Fraction(1, 2) * q**-delta * (1 - 1 / q) * (1 - q**-2)
 
 
-def orbital_volume_closed(rep: StandardRep) -> Fraction:
-    """Closed form of the orbit volume of a standard representative."""
-    vol = local_density(rep.algebra, rep.p)
-    assert isinstance(vol, Fraction)
-    return vol
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """One verified identity: a label, both sides, and the verdict."""
-
-    name: str
-    expected: object
-    got: object
-    passed: bool
-
-    @classmethod
-    def compare(cls, name: str, expected, got) -> "IdentityCheck":
-        return cls(name, expected, got, expected == got)
-
-
 def extension_census(p: int) -> dict[int, int]:
     """Count ramified square classes of Q_p by discriminant valuation."""
     census: dict[int, int] = {}
@@ -116,12 +91,6 @@ def census_expected(p: int) -> dict[int, int]:
     return out
 
 
-def census_check(p: int) -> IdentityCheck:
-    return IdentityCheck.compare(
-        f"extension-census[p={p}]", census_expected(p), extension_census(p)
-    )
-
-
 def ramified_density_sum(p: int, parity: str) -> Fraction:
     """Sum of local densities over the ramified classes whose discriminant
     valuation has the given parity ("even" or "odd")."""
@@ -133,27 +102,20 @@ def ramified_density_sum(p: int, parity: str) -> Fraction:
     )
 
 
-def remark_sums_check(p: int) -> list[IdentityCheck]:
-    """The per-parity ramified density sums in closed form.
+def ramified_density_sum_closed(p: int, parity: str) -> Fraction:
+    """Closed form of ramified_density_sum.
 
     Even valuations 2l contribute q^-l (1 - 1/q)^2 (1 - q^-2) each;
     the odd valuation contributes q^-(m+1) (1 - 1/q) (1 - q^-2).
     """
     m = 1 if p == 2 else 0
     q = Fraction(p)
-    even_closed = sum(
+    if parity == "odd":
+        return q ** -(m + 1) * (1 - 1 / q) * (1 - q**-2)
+    return sum(
         (q**-ell * (1 - 1 / q) ** 2 * (1 - q**-2) for ell in range(1, m + 1)),
         Fraction(0),
     )
-    odd_closed = q ** -(m + 1) * (1 - 1 / q) * (1 - q**-2)
-    return [
-        IdentityCheck.compare(
-            f"ramified-density-sum[p={p},even]", even_closed, ramified_density_sum(p, "even")
-        ),
-        IdentityCheck.compare(
-            f"ramified-density-sum[p={p},odd]", odd_closed, ramified_density_sum(p, "odd")
-        ),
-    ]
 
 
 def density_total(p: int) -> Fraction:
@@ -163,13 +125,13 @@ def density_total(p: int) -> Fraction:
     for rep in standard_representatives(p):
         if rep.is_ramified:
             continue
-        total += orbital_volume_closed(rep)
+        total += local_density(rep.algebra, p)
     total += ramified_density_sum(p, "even") + ramified_density_sum(p, "odd")
     return total
 
 
-def mass_identity_check(p: int) -> IdentityCheck:
-    """Total density equals 1 - q^-2 - q^-3 + q^-4 exactly."""
+def euler_factor(p: int) -> Fraction:
+    """Total local density at p in closed form: 1 - q^-2 - q^-3 + q^-4, exact;
+    density_total(p) sums the same density class by class."""
     q = Fraction(p)
-    expected = 1 - q**-2 - q**-3 + q**-4
-    return IdentityCheck.compare(f"mass-identity[p={p}]", expected, density_total(p))
+    return 1 - q**-2 - q**-3 + q**-4

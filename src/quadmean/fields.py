@@ -36,7 +36,7 @@ from .orbits import (
     ramified_algebra,
     unramified_algebra,
 )
-from .residue import CapacityError, kronecker, ramified_labels, square_class
+from .residue import CapacityError, kronecker, primes_upto, ramified_labels, square_class
 
 TRACKED_PRIMES = (2, 3, 5)
 
@@ -46,16 +46,9 @@ TRACKED_PRIMES = (2, 3, 5)
 # ---------------------------------------------------------------------------
 
 def _squarefree_sieve(limit: int) -> np.ndarray:
-    """sf[n] is False exactly when p^2 divides n for a prime p (sf[0] stays True);
-    the primes up to isqrt(limit) come from a small sieve of their own."""
-    root = isqrt(limit)
-    prime = np.ones(root + 1, dtype=bool)
-    prime[:2] = False
-    for k in range(2, isqrt(root) + 1):
-        if prime[k]:
-            prime[k * k :: k] = False
+    """sf[n] is False exactly when p^2 divides n for a prime p (sf[0] stays True)."""
     sf = np.ones(limit + 1, dtype=bool)
-    for p in np.flatnonzero(prime).tolist():
+    for p in primes_upto(isqrt(limit)).tolist():
         sf[p * p :: p * p] = False
     return sf
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
-from .densities import PiPower, local_density
+from .densities import PiPower, euler_factor, local_density
 from .fields import TRACKED_PRIMES, DiscriminantTable, local_type_codes, type_labels
 from .orbits import (
     ALG_COMPLEX,
@@ -28,6 +27,7 @@ from .orbits import (
     ramified_algebra,
     unramified_algebra,
 )
+from .residue import primes_upto
 
 EULER_CUTOFF = 10**4
 
@@ -37,28 +37,6 @@ ZETA3 = 1.2020569031595943
 _ZETA_PRODUCT = 6.0 / (math.pi**2 * ZETA3)
 
 _ARCH_VALUES = {"C": ALG_COMPLEX, "RxR": ALG_REAL_PAIR}
-
-
-def euler_factor(p: int) -> Fraction:
-    """Total local density at p: 1 - q^-2 - q^-3 + q^-4, exact."""
-    q = Fraction(p)
-    return 1 - q**-2 - q**-3 + q**-4
-
-
-def primes_upto(n: int) -> np.ndarray:
-    """The primes up to n, ascending, as int64.  The sieve holds the odd
-    numbers only, odd[i] standing for 2i + 1, and crosses out from the odd
-    primes k <= sqrt(n); 1 is left in and becomes the prime 2."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    odd = np.ones((n + 1) // 2, dtype=bool)
-    for i in range(1, (isqrt(n) - 1) // 2 + 1):
-        if odd[i]:
-            k = 2 * i + 1
-            odd[k * k // 2 :: k] = False
-    primes = 2 * np.flatnonzero(odd).astype(np.int64, copy=False) + 1
-    primes[0] = 2
-    return primes
 
 
 def euler_product(cutoff: int = EULER_CUTOFF, skip: tuple[int, ...] = ()) -> float:
@@ -198,15 +176,10 @@ def condition_mask(table: DiscriminantTable, conditions: list[LocalCondition]) -
 def predicted_prefactor(conditions: list[LocalCondition]) -> PiPower:
     """Exact part of the predicted constant: pi^2/9 times the archimedean
     density times the densities of the pinned finite types."""
+    condition_sign(conditions)  # refuses a list without an archimedean condition
     pref = PiPower(Fraction(1, 9), 2)
-    saw_arch = False
     for c in conditions:
-        dens = local_density(c.algebra(), c.prime)
-        if c.is_archimedean:
-            saw_arch = True
-        pref = pref * dens
-    if not saw_arch:
-        raise ValueError("an inf=C or inf=RxR condition is required")
+        pref = pref * local_density(c.algebra(), c.prime)
     return pref
 
 

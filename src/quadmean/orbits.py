@@ -74,17 +74,6 @@ class BinaryQF:
         return f"({self.x0}, {self.x1}, {self.x2})"
 
 
-def act(g: tuple[int, int, int, int, int], x: BinaryQF, m: int) -> BinaryQF:
-    """Apply g = (t, a, b, c, d), the pair (t, [[a, b], [c, d]]), to a form
-    over Z/m: substitute v -> v*g2, then scale by t."""
-    t, a, b, c, d = g
-    x0, x1, x2 = x.x0, x.x1, x.x2
-    y0 = t * (x0 * a * a + x1 * a * b + x2 * b * b) % m
-    y1 = t * (2 * x0 * a * c + x1 * (a * d + b * c) + 2 * x2 * b * d) % m
-    y2 = t * (x0 * c * c + x1 * c * d + x2 * d * d) % m
-    return BinaryQF(y0, y1, y2)
-
-
 # ---------------------------------------------------------------------------
 # quadratic algebra descriptors and standard representatives
 # ---------------------------------------------------------------------------
@@ -116,10 +105,6 @@ class QuadraticAlgebraDescriptor:
                 raise ValueError("disc_valuation inconsistent with square class")
         elif self.disc_valuation != 0:
             raise ValueError(f"{self.kind} algebra has disc_valuation 0")
-
-    @property
-    def is_archimedean(self) -> bool:
-        return self.kind in self._ARCH
 
     def __str__(self) -> str:
         if self.kind == "ramified":
@@ -434,7 +419,7 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
             head |= image[lead + (slice(i, i + 1),)]
         image = head
     projected = int(np.count_nonzero(image))
-    return LiftSaturation(idx.size, orbit_count, projected, missing, not absent.size)
+    return LiftSaturation(idx.size, orbit_count, projected, missing)
 
 
 @dataclass(frozen=True)
@@ -442,8 +427,7 @@ class LiftSaturation:
     lifts: int
     orbit_size: int
     projected_size: int  # the orbit's image at the working level x.n
-    missing: tuple
-    passed: bool
+    missing: tuple  # the first absent lifts; empty exactly when the orbit saturates
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +494,6 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CosetNormalForm:
-    stabilizer_size: int
     torus_size: int
     coset_count: int
     passed: bool
@@ -578,7 +561,7 @@ def coset_normal_form_check(
                 detail = "normal form is not unipotent-diagonal"
             else:
                 detail = "left factor escaped the torus"
-            return CosetNormalForm(len(stab), 0, 0, False, detail)
+            return CosetNormalForm(0, 0, False, detail)
         keys[lo : lo + len(t)] = u * m + v
     fibers, counts = np.unique(keys, return_counts=True)
     expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int32)
@@ -588,7 +571,7 @@ def coset_normal_form_check(
         and len(fibers) * tsize == len(stab)
     )
     detail = "" if ok else "fiber sizes or representative set mismatch"
-    return CosetNormalForm(len(stab), tsize, len(fibers), ok, detail)
+    return CosetNormalForm(tsize, len(fibers), ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -623,74 +606,56 @@ def congruence_count_closed(x: StandardRep) -> int:
     return 2 * x.p**x.delta
 
 
-@dataclass(frozen=True)
-class CongruenceCharacterization:
-    solutions: frozenset
-    described: frozenset
-    branch_sizes: tuple
-    disjoint: bool
-    passed: bool
-
-
 def _mod_inverse_fraction(q: Fraction, m: int) -> int:
     """Reduce a p-integral rational mod m (denominator a unit mod m)."""
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
-def congruence_solution_check(
-    x: StandardRep, ring: ResidueRing, solutions: set[tuple[int, int]]
-) -> CongruenceCharacterization:
-    """Compare the brute-force solution set, congruence_solution_set of x at
-    ring, with its closed description.
+def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> tuple[frozenset, ...]:
+    """The closed description of the congruence solution set of x at ring,
+    as its branches: the brute-force set congruence_solution_set is their
+    union, and they are disjoint.
 
-    Odd trace valuation (delta = 2m+1, trace 0 here): u = 0 mod p^(3m+2)
-    and s^2 = 1 mod p^(4m+1).  Even delta = 2l <= 2m: two disjoint coset
-    branches u in p^(l+2m+1) and u in -b*pi + p^(l+2m+1), each with
-    s = 1 - (2/a1) u mod p^(l+2m+1).
+    Odd trace valuation (delta = 2m+1, trace 0 here): one branch,
+    u = 0 mod p^(3m+2) and s^2 = 1 mod p^(4m+1).  Even delta = 2l <= 2m:
+    two coset branches u in p^(l+2m+1) and u in -b*pi + p^(l+2m+1), each
+    with s = 1 - (2/a1) u mod p^(l+2m+1).
     """
     if not x.is_ramified:
         raise ValueError("characterization applies to ramified representatives")
     m_ord = x.m
     p = ring.p
     mod = ring.modulus
-    brute = frozenset(solutions)
-    described: set[tuple[int, int]] = set()
     if x.delta == 2 * m_ord + 1:
         pu = p ** (3 * m_ord + 2)
         ps = p ** (4 * m_ord + 1)
-        for u in range(0, mod, pu):
-            for s in range(mod):
-                if s % p == 0:
-                    continue
-                if (s * s - 1) % ps == 0:
-                    described.add((u, s))
-        branches = (len(described),)
-        disjoint = True
-    else:
-        ell = x.delta // 2
-        a1, a2 = x.a1, x.a2
-        pi = Fraction(a2)
-        b1 = 4 * pi * pi / (a1 * a1) - pi
-        b2 = Fraction(a1) - 4 * pi / a1
-        b = b2 / b1
-        # valuations claimed by the closed description
-        assert valuation(b1, p) == 1 and valuation(b2, p) == ell
-        step = p ** (ell + 2 * m_ord + 1)
-        two_over_a1 = _mod_inverse_fraction(Fraction(2, a1), mod)
-        u0_b = (-_mod_inverse_fraction(b, mod) * a2) % step
-        branch_sets = []
-        for u0 in (0, u0_b):
-            branch = set()
-            for u in range(u0 % step, mod, step):
-                s0 = (1 - two_over_a1 * u) % step
-                for s in range(s0, mod, step):
-                    if s % p:
-                        branch.add((u, s))
-            branch_sets.append(branch)
-        described = branch_sets[0] | branch_sets[1]
-        branches = tuple(len(bs) for bs in branch_sets)
-        disjoint = not (branch_sets[0] & branch_sets[1])
-    described_f = frozenset(described)
-    passed = described_f == brute and disjoint
-    return CongruenceCharacterization(brute, described_f, branches, disjoint, passed)
+        return (
+            frozenset(
+                (u, s)
+                for u in range(0, mod, pu)
+                for s in range(mod)
+                if s % p and (s * s - 1) % ps == 0
+            ),
+        )
+    ell = x.delta // 2
+    a1, a2 = x.a1, x.a2
+    pi = Fraction(a2)
+    b1 = 4 * pi * pi / (a1 * a1) - pi
+    b2 = Fraction(a1) - 4 * pi / a1
+    b = b2 / b1
+    # valuations claimed by the closed description
+    assert valuation(b1, p) == 1 and valuation(b2, p) == ell
+    step = p ** (ell + 2 * m_ord + 1)
+    two_over_a1 = _mod_inverse_fraction(Fraction(2, a1), mod)
+    u0_b = (-_mod_inverse_fraction(b, mod) * a2) % step
+    branches = []
+    for u0 in (0, u0_b):
+        branch = set()
+        for u in range(u0 % step, mod, step):
+            s0 = (1 - two_over_a1 * u) % step
+            for s in range(s0, mod, step):
+                if s % p:
+                    branch.add((u, s))
+        branches.append(frozenset(branch))
+    return tuple(branches)
 

@@ -2,13 +2,17 @@
 
 Residues are canonical integers in [0, p^n), valuations are plain ints,
 and square classes carry fixed integer labels so they can be compared,
-sorted and serialized without any symbolic layer.
+sorted and serialized without any symbolic layer.  The module also has the
+one prime sieve, for the Euler product and the squarefree sieve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
+
+import numpy as np
 
 
 class CapacityError(Exception):
@@ -33,6 +37,22 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def primes_upto(n: int) -> np.ndarray:
+    """The primes up to n, ascending, as int64.  The sieve holds the odd
+    numbers only, odd[i] standing for 2i + 1, and crosses out from the odd
+    primes k <= sqrt(n); 1 is left in and becomes the prime 2."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (isqrt(n) - 1) // 2 + 1):
+        if odd[i]:
+            k = 2 * i + 1
+            odd[k * k // 2 :: k] = False
+    primes = 2 * np.flatnonzero(odd).astype(np.int64, copy=False) + 1
+    primes[0] = 2
+    return primes
 
 
 @dataclass(frozen=True)

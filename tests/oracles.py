@@ -1,9 +1,12 @@
-"""Scalar oracles: per-field and per-representative reference values.
+"""Scalar oracles: per-field, per-representative and per-element
+reference values.
 
-They compute one discriminant or one representative at a time, straight
-from the definitions, so the tests can check the array kernels of
-quadmean.fields and the closed forms of quadmean.densities against them.
-Nothing in the package calls them.
+They compute one discriminant, one representative or one group element's
+action at a time, straight from the definitions, so the tests can check
+the array kernels of quadmean.fields and quadmean.orbits and the closed
+forms of quadmean.densities against them.  act applies one element of
+GL1 x GL2 to one form, the scalar reference for the orbit, stabilizer
+and torus kernels.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -12,8 +15,19 @@ import math
 from fractions import Fraction
 from math import isqrt
 
-from quadmean.orbits import StandardRep, orbit_size
+from quadmean.orbits import BinaryQF, StandardRep, orbit_size
 from quadmean.residue import ResidueRing, kronecker
+
+
+def act(g: tuple[int, int, int, int, int], x: BinaryQF, m: int) -> BinaryQF:
+    """Apply g = (t, a, b, c, d), the pair (t, [[a, b], [c, d]]), to a form
+    over Z/m: substitute v -> v*g2, then scale by t."""
+    t, a, b, c, d = g
+    x0, x1, x2 = x.x0, x.x1, x.x2
+    y0 = t * (x0 * a * a + x1 * a * b + x2 * b * b) % m
+    y1 = t * (2 * x0 * a * c + x1 * (a * d + b * c) + 2 * x2 * b * d) % m
+    y2 = t * (x0 * c * c + x1 * c * d + x2 * d * d) % m
+    return BinaryQF(y0, y1, y2)
 
 
 def is_fundamental(d: int) -> bool:

@@ -54,12 +54,12 @@ def test_census_single_prime_text():
 
 
 def test_verify_local_small_primes():
-    code, out = run_cli(["--format", "json", "verify-local", "--primes", "2,3"])
+    code, out = run_cli(["--format", "json", "verify-local", "--primes", "2,3,5"])
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["failed"] == 0
     anchors = [i["anchor"] for i in doc["items"]]
-    # every verification family shows up for both primes
+    # every verification family shows up for two primes
     for stem in (
         "orbit-size",
         "torus-order",
@@ -74,11 +74,9 @@ def test_verify_local_small_primes():
     ):
         assert any(stem in a and "p=2" in a for a in anchors), stem
         assert any(stem in a and "p=3" in a for a in anchors), stem
-    # exact expected/got, pinned against the recorded --primes 2,3,5 run
+    # every item, in order, with exact expected/got: the recorded run
     with open(GOLDEN_LOCAL) as f:
-        golden = {i["anchor"]: i for i in json.load(f)["items"]}
-    for item in doc["items"]:
-        assert item == golden[item["anchor"]]
+        assert doc["items"] == json.load(f)["items"]
 
 
 def test_verify_local_reaches_p7():
@@ -406,6 +404,29 @@ def test_error_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["verify-local", "--primes", "2,nope"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify-local", "--primes", ""], "--primes: '' is not an integer"),
+        (["verify-local", "--primes", "2,,3"], "--primes: '' is not an integer"),
+        (["census", "--primes", "3,"], "--primes: '' is not an integer"),
+        (["mean-value", "--cond", "inf=C", "--X", "100", "--checkpoints", "10,,20"],
+         "--checkpoints: '' is not an integer"),
+    ],
+    ids=["primes-empty", "primes-gap", "primes-trailing", "checkpoints-gap"],
+)
+def test_bad_integer_item_names_its_option(capsys, monkeypatch, args, message):
+    monkeypatch.setattr(quadmean.cli, "cached_table", _no_table)
+    assert run_cli(args) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_integer_items_keep_surrounding_spaces_accepted():
+    code, out = run_cli(["--format", "json", "census", "--primes", " 3, 5"])
+    assert code == 0
+    assert json.loads(out)["config"]["primes"] == [3, 5]
 
 
 @pytest.mark.parametrize(
