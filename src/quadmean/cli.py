@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -56,19 +57,14 @@ from .orbits import (
     coset_normal_form_check,
     group_order,
     lift_saturation_check,
+    local_algebras,
     stabilizer_elements,
     stabilizer_order,
     standard_representatives,
     torus_order,
     torus_order_closed,
 )
-from .residue import (
-    CapacityError,
-    ResidueRing,
-    SquareClassLabel,
-    is_prime,
-    square_class_labels,
-)
+from .residue import CapacityError, ResidueRing, is_prime
 
 # loose sanity bound for non-final checkpoints; the final checkpoint of a
 # sweep must land within the tight bound
@@ -144,9 +140,8 @@ def _census_items(p: int) -> list[IdentityCheck]:
     expected_vals = sorted(
         [0, 0] + [d for d, cnt in census_expected(p).items() for _ in range(cnt)]
     )
-    got_vals = sorted(
-        SquareClassLabel(p, lab).disc_valuation for lab in square_class_labels(p)
-    )
+    # one algebra per square class, split for the class of 1
+    got_vals = sorted(alg.disc_valuation for alg in local_algebras(p))
     items.append(
         IdentityCheck.compare(f"square-class-valuations[p={p}]", expected_vals, got_vals)
     )
@@ -264,20 +259,10 @@ def _parse_primes(text: str) -> list[int]:
     return out
 
 
-def _run_verify_local(args) -> tuple[dict, list[IdentityCheck]]:
+def _run_per_prime(items_at, args) -> tuple[dict, list[IdentityCheck]]:
+    """verify-local and census: the items of each prime of --primes, in turn."""
     primes = _parse_primes(args.primes)
-    items: list[IdentityCheck] = []
-    for p in primes:
-        items.extend(_local_items(p))
-    return {"primes": primes}, items
-
-
-def _run_census(args) -> tuple[dict, list[IdentityCheck]]:
-    primes = _parse_primes(args.primes)
-    items: list[IdentityCheck] = []
-    for p in primes:
-        items.extend(_census_items(p))
-    return {"primes": primes}, items
+    return {"primes": primes}, [item for p in primes for item in items_at(p)]
 
 
 def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
@@ -435,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _RUNNERS = {
-    "verify-local": _run_verify_local,
-    "census": _run_census,
+    "verify-local": partial(_run_per_prime, _local_items),
+    "census": partial(_run_per_prime, _census_items),
     "constant": _run_constant,
     "mean-value": _run_mean_value,
 }

@@ -12,11 +12,11 @@ sums taken class by class.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbits import QuadraticAlgebraDescriptor, ramified_algebra, standard_representatives
-from .residue import SquareClassLabel, ramified_labels
+from .orbits import QuadraticAlgebraDescriptor, local_algebras
 
 
 @dataclass(frozen=True)
@@ -45,24 +45,18 @@ class PiPower:
         return f"{self.coef}*pi^{self.exp}"
 
 
-def local_density(alg: QuadraticAlgebraDescriptor, p: int | None = None) -> Fraction | PiPower:
-    """Orbital volume of the standard representative of the algebra.
+def local_density(alg: QuadraticAlgebraDescriptor, p: int | None) -> Fraction | PiPower:
+    """Orbital volume of the standard representative of the algebra at p,
+    with p None at the archimedean place.
 
     Finite places give exact rationals; archimedean places give exact
-    pi-power multiples.  For finite kinds, p may be omitted when the
-    descriptor carries a square class.
+    pi-power multiples.
     """
     kind = alg.kind
     if kind == "real-pair":
         return PiPower(Fraction(1, 4))
     if kind == "complex":
         return PiPower(Fraction(1, 2), -1)
-    if kind == "complex-pair":
-        return PiPower(Fraction(1, 4), -2)
-    if p is None:
-        if alg.square_class is None:
-            raise ValueError("prime required for the split algebra")
-        p = alg.square_class.p
     q = Fraction(p)
     if kind == "split":
         return Fraction(1, 2) * (1 - q**-2)
@@ -75,10 +69,7 @@ def local_density(alg: QuadraticAlgebraDescriptor, p: int | None = None) -> Frac
 
 def extension_census(p: int) -> dict[int, int]:
     """Count ramified square classes of Q_p by discriminant valuation."""
-    census: dict[int, int] = {}
-    for label in ramified_labels(p):
-        d = SquareClassLabel(p, label).disc_valuation
-        census[d] = census.get(d, 0) + 1
+    census = Counter(alg.disc_valuation for alg in local_algebras(p) if alg.kind == "ramified")
     return dict(sorted(census.items()))
 
 
@@ -94,10 +85,13 @@ def census_expected(p: int) -> dict[int, int]:
 def ramified_density_sum(p: int, parity: str) -> Fraction:
     """Sum of local densities over the ramified classes whose discriminant
     valuation has the given parity ("even" or "odd")."""
-    algebras = (ramified_algebra(p, lab) for lab in ramified_labels(p))
     want = 1 if parity == "odd" else 0
     return sum(
-        (local_density(alg, p) for alg in algebras if alg.disc_valuation % 2 == want),
+        (
+            local_density(alg, p)
+            for alg in local_algebras(p)
+            if alg.kind == "ramified" and alg.disc_valuation % 2 == want
+        ),
         Fraction(0),
     )
 
@@ -119,15 +113,8 @@ def ramified_density_sum_closed(p: int, parity: str) -> Fraction:
 
 
 def density_total(p: int) -> Fraction:
-    """Sum of densities over every separable quadratic algebra of Q_p,
-    ramified classes weighted by the census."""
-    total = Fraction(0)
-    for rep in standard_representatives(p):
-        if rep.is_ramified:
-            continue
-        total += local_density(rep.algebra, p)
-    total += ramified_density_sum(p, "even") + ramified_density_sum(p, "odd")
-    return total
+    """Sum of densities over every separable quadratic algebra of Q_p."""
+    return sum((local_density(alg, p) for alg in local_algebras(p)), Fraction(0))
 
 
 def euler_factor(p: int) -> Fraction:

@@ -33,10 +33,11 @@ from .orbits import (
     ALG_SPLIT,
     QuadraticAlgebraDescriptor,
     _rem,
+    local_algebras,
     ramified_algebra,
     unramified_algebra,
 )
-from .residue import CapacityError, kronecker, primes_upto, ramified_labels, square_class
+from .residue import CapacityError, kronecker, primes_upto, square_class
 
 TRACKED_PRIMES = (2, 3, 5)
 
@@ -86,18 +87,8 @@ def local_type(d: int, p: int) -> QuadraticAlgebraDescriptor:
 
 
 def type_labels(p: int) -> list[str]:
-    """Condition labels at p in code order: split, unram, then the
-    ramified square classes."""
-    return ["split", "unram"] + [f"ram:{lab}" for lab in ramified_labels(p)]
-
-
-def local_type_label(d: int, p: int) -> str:
-    alg = local_type(d, p)
-    if alg.kind == "split":
-        return "split"
-    if alg.kind == "unramified":
-        return "unram"
-    return f"ram:{alg.square_class.label}"
+    """Condition labels at p in code order: those of local_algebras(p)."""
+    return [alg.label for alg in local_algebras(p)]
 
 
 # The type at p of a fundamental discriminant D is fixed by D mod
@@ -115,19 +106,21 @@ def _is_fundamental_residue(r: int, p: int) -> bool:
     return r % (p * p) != 0
 
 
-_TYPE_CODES = {
-    p: np.array(
-        [type_labels(p).index(local_type_label(r, p)) if _is_fundamental_residue(r, p) else 0
-         for r in range(m)],
+def _type_code_table(p: int) -> np.ndarray:
+    algebras = local_algebras(p)  # once per prime, not once per residue
+    return np.array(
+        [algebras.index(local_type(r, p)) if _is_fundamental_residue(r, p) else 0
+         for r in range(_TYPE_MODULUS[p])],
         dtype=np.int8,
     )
-    for p, m in _TYPE_MODULUS.items()
-}
+
+
+_TYPE_CODES = {p: _type_code_table(p) for p in TRACKED_PRIMES}
 
 
 def local_type_codes(d: np.ndarray, p: int) -> np.ndarray:
     """Type codes at the tracked prime p for an array of fundamental
-    discriminants: 0 = split, 1 = unram, 2+k = k-th ramified label.
+    discriminants: the index of each one's local type in local_algebras(p).
 
     The residues are taken on a copy of d, in its own integer type, by floor
     division (orbits._rem); at 10^6 an int32 copy and its reduction took

@@ -19,14 +19,7 @@ import numpy as np
 
 from .densities import PiPower, euler_factor, local_density
 from .fields import TRACKED_PRIMES, DiscriminantTable, local_type_codes, type_labels
-from .orbits import (
-    ALG_COMPLEX,
-    ALG_REAL_PAIR,
-    ALG_SPLIT,
-    QuadraticAlgebraDescriptor,
-    ramified_algebra,
-    unramified_algebra,
-)
+from .orbits import ALG_COMPLEX, ALG_REAL_PAIR, QuadraticAlgebraDescriptor, local_algebras
 from .residue import primes_upto
 
 EULER_CUTOFF = 10**4
@@ -110,11 +103,7 @@ class LocalCondition:
     def algebra(self) -> QuadraticAlgebraDescriptor:
         if self.prime is None:
             return _ARCH_VALUES[self.value]
-        if self.value == "split":
-            return ALG_SPLIT
-        if self.value == "unram":
-            return unramified_algebra(self.prime)
-        return ramified_algebra(self.prime, int(self.value.split(":", 1)[1]))
+        return {alg.label: alg for alg in local_algebras(self.prime)}[self.value]
 
     def __str__(self) -> str:
         place = "inf" if self.prime is None else str(self.prime)

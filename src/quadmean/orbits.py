@@ -25,7 +25,6 @@ from .residue import (
     SquareClassLabel,
     kronecker,
     ramified_labels,
-    smallest_nonresidue,
     square_class,
     unit_group_generators,
     unramified_label,
@@ -84,27 +83,36 @@ class QuadraticAlgebraDescriptor:
 
     Finite kinds: "split", "unramified", "ramified" (the latter two carry
     the square class whose root generates the extension).  Archimedean
-    kinds: "real-pair" (R x R), "complex" (C over R), "complex-pair"
-    (the split algebra over a complex completion).
+    kinds: "real-pair" (R x R) and "complex" (C over R).
     """
 
     kind: str
     square_class: SquareClassLabel | None = None
-    disc_valuation: int = 0
 
     _FINITE = ("split", "unramified", "ramified")
-    _ARCH = ("real-pair", "complex", "complex-pair")
+    _ARCH = ("real-pair", "complex")
 
     def __post_init__(self) -> None:
         if self.kind not in self._FINITE + self._ARCH:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
+        if self.kind == "ramified" and (
+            self.square_class is None or not self.square_class.is_ramified
+        ):
+            raise ValueError("ramified algebra needs a ramified square class")
+
+    @property
+    def disc_valuation(self) -> int:
+        """Valuation of the discriminant: that of the square class when
+        ramified, 0 otherwise."""
+        return self.square_class.disc_valuation if self.kind == "ramified" else 0
+
+    @property
+    def label(self) -> str:
+        """The condition label of a finite algebra: "split", "unram" or
+        "ram:<square class label>"."""
         if self.kind == "ramified":
-            if self.square_class is None or not self.square_class.is_ramified:
-                raise ValueError("ramified algebra needs a ramified square class")
-            if self.disc_valuation != self.square_class.disc_valuation:
-                raise ValueError("disc_valuation inconsistent with square class")
-        elif self.disc_valuation != 0:
-            raise ValueError(f"{self.kind} algebra has disc_valuation 0")
+            return f"ram:{self.square_class.label}"
+        return {"split": "split", "unramified": "unram"}[self.kind]
 
     def __str__(self) -> str:
         if self.kind == "ramified":
@@ -117,7 +125,6 @@ class QuadraticAlgebraDescriptor:
 ALG_SPLIT = QuadraticAlgebraDescriptor("split")
 ALG_REAL_PAIR = QuadraticAlgebraDescriptor("real-pair")
 ALG_COMPLEX = QuadraticAlgebraDescriptor("complex")
-ALG_COMPLEX_PAIR = QuadraticAlgebraDescriptor("complex-pair")
 
 
 def unramified_algebra(p: int) -> QuadraticAlgebraDescriptor:
@@ -125,19 +132,21 @@ def unramified_algebra(p: int) -> QuadraticAlgebraDescriptor:
 
 
 def ramified_algebra(p: int, label: int) -> QuadraticAlgebraDescriptor:
-    sc = SquareClassLabel(p, label)
-    return QuadraticAlgebraDescriptor("ramified", sc, sc.disc_valuation)
+    return QuadraticAlgebraDescriptor("ramified", SquareClassLabel(p, label))
 
 
-# fixed dyadic representatives: label -> (a1, a2) for v1^2 + a1 v1 v2 + a2 v2^2
-_RAMIFIED_COEFFS_AT_2 = {
-    -1: (2, 2),
-    -5: (2, 6),
-    2: (0, -2),
-    -2: (0, 2),
-    10: (0, -10),
-    -10: (0, 10),
-}
+def local_algebras(p: int) -> list[QuadraticAlgebraDescriptor]:
+    """Every separable quadratic algebra of Q_p, in the one order that the
+    representatives, condition labels and type codes share: split,
+    unramified, then the ramified classes in ramified_labels order."""
+    return [ALG_SPLIT, unramified_algebra(p)] + [
+        ramified_algebra(p, label) for label in ramified_labels(p)
+    ]
+
+
+# the dyadic classes that have no trace-0 Eisenstein representative:
+# label -> (a1, a2) for v1^2 + a1 v1 v2 + a2 v2^2
+_RAMIFIED_COEFFS_AT_2 = {-1: (2, 2), -5: (2, 6)}
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,7 @@ class StandardRep:
             return
         if self.form.x0 != 1:
             raise ValueError("non-split representatives are monic")
-        if square_class(disc, self.p) != self._expected_class():
+        if square_class(disc, self.p) != self.algebra.square_class:
             raise ValueError("discriminant square class does not match algebra")
         if kind == "unramified":
             if kronecker(disc, self.p) != -1:
@@ -192,11 +201,6 @@ class StandardRep:
             raise ValueError("disc valuation inconsistent with trace valuation")
         if valuation(disc, p) != self.delta:
             raise ValueError("discriminant valuation must equal delta")
-
-    def _expected_class(self) -> SquareClassLabel:
-        if self.algebra.kind == "split":
-            return SquareClassLabel(self.p, 1)
-        return self.algebra.square_class
 
     @property
     def a1(self) -> int:
@@ -222,25 +226,23 @@ class StandardRep:
 
 
 def standard_representatives(p: int) -> list[StandardRep]:
-    """One representative per separable quadratic algebra of Q_p.
+    """One representative per algebra of local_algebras(p), in its order.
 
-    Order: split, unramified, then ramified sorted by (delta, label order).
+    The unramified one is v1^2 + v1 v2 + c v2^2 with 1 - 4c the smallest
+    valid unit non-square: its root generates the maximal order.  A
+    ramified class l is represented by v1^2 - l v2^2, apart from the
+    dyadic classes of _RAMIFIED_COEFFS_AT_2 (no ramified label at odd p is
+    negative, so none of them meets that table).
     """
-    reps = [StandardRep(p, ALG_SPLIT, BinaryQF(0, 1, 0))]
-    # unramified: v1^2 + v1 v2 + c v2^2 with 1 - 4c the smallest valid
-    # unit non-square; its root generates the maximal order
     c = 1
     while kronecker(1 - 4 * c, p) != -1:
         c += 1
-    reps.append(StandardRep(p, unramified_algebra(p), BinaryQF(1, 1, c)))
-    if p == 2:
-        for label in ramified_labels(2):
-            a1, a2 = _RAMIFIED_COEFFS_AT_2[label]
-            reps.append(StandardRep(2, ramified_algebra(2, label), BinaryQF(1, a1, a2)))
-    else:
-        u = smallest_nonresidue(p)
-        for label, a2 in ((p, -p), (u * p, -u * p)):
-            reps.append(StandardRep(p, ramified_algebra(p, label), BinaryQF(1, 0, a2)))
+    split, unram, *ramified = local_algebras(p)
+    reps = [StandardRep(p, split, BinaryQF(0, 1, 0)), StandardRep(p, unram, BinaryQF(1, 1, c))]
+    for alg in ramified:
+        label = alg.square_class.label
+        a1, a2 = _RAMIFIED_COEFFS_AT_2.get(label, (0, -label))
+        reps.append(StandardRep(p, alg, BinaryQF(1, a1, a2)))
     return reps
 
 

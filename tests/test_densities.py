@@ -18,7 +18,6 @@ from quadmean.densities import (
 )
 from quadmean.orbits import (
     ALG_COMPLEX,
-    ALG_COMPLEX_PAIR,
     ALG_REAL_PAIR,
     ALG_SPLIT,
     ramified_algebra,
@@ -40,21 +39,20 @@ def test_pipower_arithmetic():
 
 
 def test_archimedean_densities():
-    assert local_density(ALG_REAL_PAIR) == PiPower(Fraction(1, 4))
-    assert local_density(ALG_COMPLEX) == PiPower(Fraction(1, 2), -1)
-    assert local_density(ALG_COMPLEX_PAIR) == PiPower(Fraction(1, 4), -2)
+    assert local_density(ALG_REAL_PAIR, None) == PiPower(Fraction(1, 4))
+    assert local_density(ALG_COMPLEX, None) == PiPower(Fraction(1, 2), -1)
 
 
 def test_finite_densities_frozen():
     assert local_density(ALG_SPLIT, 2) == Fraction(3, 8)
     assert local_density(ALG_SPLIT, 3) == Fraction(4, 9)
-    assert local_density(unramified_algebra(2)) == Fraction(1, 8)
-    assert local_density(unramified_algebra(3)) == Fraction(2, 9)
-    assert local_density(ramified_algebra(3, 3)) == Fraction(8, 81)
-    assert local_density(ramified_algebra(3, 6)) == Fraction(8, 81)
-    assert local_density(ramified_algebra(2, -1)) == Fraction(3, 64)
-    assert local_density(ramified_algebra(2, 2)) == Fraction(3, 128)
-    with pytest.raises(ValueError):
+    assert local_density(unramified_algebra(2), 2) == Fraction(1, 8)
+    assert local_density(unramified_algebra(3), 3) == Fraction(2, 9)
+    assert local_density(ramified_algebra(3, 3), 3) == Fraction(8, 81)
+    assert local_density(ramified_algebra(3, 6), 3) == Fraction(8, 81)
+    assert local_density(ramified_algebra(2, -1), 2) == Fraction(3, 64)
+    assert local_density(ramified_algebra(2, 2), 2) == Fraction(3, 128)
+    with pytest.raises(TypeError):
         local_density(ALG_SPLIT)  # prime required
 
 

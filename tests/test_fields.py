@@ -30,11 +30,12 @@ from quadmean.fields import (
     imaginary_class_number_histogram,
     local_type,
     local_type_codes,
-    local_type_label,
     real_hr_histogram,
     type_labels,
     _isqrt_array,
 )
+from quadmean.meanvalue import parse_condition
+from quadmean.orbits import local_algebras, standard_representatives
 
 
 def test_is_fundamental_matches_definition():
@@ -438,18 +439,18 @@ def test_real_histogram_equals_the_per_ac_loop(monkeypatch):
 
 
 def test_local_type_spot_values():
-    assert local_type_label(-4, 2) == "ram:-1"
-    assert local_type_label(-20, 2) == "ram:-5"
-    assert local_type_label(8, 2) == "ram:2"
-    assert local_type_label(-8, 2) == "ram:-2"
-    assert local_type_label(40, 2) == "ram:10"
-    assert local_type_label(-40, 2) == "ram:-10"
-    assert local_type_label(-23, 2) == "split"
-    assert local_type_label(-3, 2) == "unram"
-    assert local_type_label(12, 3) == "ram:3"
-    assert local_type_label(-3, 3) == "ram:6"
-    assert local_type_label(-4, 5) == "split"
-    assert local_type_label(-3, 5) == "unram"
+    assert local_type(-4, 2).label == "ram:-1"
+    assert local_type(-20, 2).label == "ram:-5"
+    assert local_type(8, 2).label == "ram:2"
+    assert local_type(-8, 2).label == "ram:-2"
+    assert local_type(40, 2).label == "ram:10"
+    assert local_type(-40, 2).label == "ram:-10"
+    assert local_type(-23, 2).label == "split"
+    assert local_type(-3, 2).label == "unram"
+    assert local_type(12, 3).label == "ram:3"
+    assert local_type(-3, 3).label == "ram:6"
+    assert local_type(-4, 5).label == "split"
+    assert local_type(-3, 5).label == "unram"
     assert local_type(5, 5).kind == "ramified"
     assert local_type(-23, 3).kind == "split"
 
@@ -467,12 +468,31 @@ def test_local_type_agrees_with_discriminant_arithmetic():
             assert kind == {1: "split", -1: "unramified", 0: "ramified"}[k]
 
 
+def test_local_algebras_is_the_one_enumeration():
+    # the representatives, condition labels, parsed conditions and type
+    # codes all read the one ordered list of algebras at p
+    for p in (2, 3, 5, 7):
+        algebras = local_algebras(p)
+        assert [r.algebra for r in standard_representatives(p)] == algebras
+        assert type_labels(p) == [alg.label for alg in algebras]
+    for p in TRACKED_PRIMES:
+        algebras = local_algebras(p)
+        for code, label in enumerate(type_labels(p)):
+            assert parse_condition(f"{p}={label}").algebra() == algebras[code]
+    for sign in (-1, 1):
+        ds = sign * fundamental_magnitudes(sign, 2 * 10**4)
+        for p in TRACKED_PRIMES:
+            algebras = local_algebras(p)
+            codes = local_type_codes(ds, p).tolist()
+            assert [algebras[k] for k in codes] == [local_type(int(d), p) for d in ds]
+
+
 def test_vectorized_codes_match_scalar():
     for sign in (-1, 1):
         ds = sign * fundamental_magnitudes(sign, 2 * 10**4)
         for p in TRACKED_PRIMES:
             labels = [type_labels(p)[k] for k in local_type_codes(ds, p)]
-            assert labels == [local_type_label(int(d), p) for d in ds]
+            assert labels == [local_type(int(d), p).label for d in ds]
             # int32 input is reduced in int32, on a copy
             d32 = ds.astype(np.int32)
             assert np.array_equal(local_type_codes(d32, p), local_type_codes(ds, p))
