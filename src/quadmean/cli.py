@@ -40,7 +40,6 @@ from .fields import cached_table
 from .meanvalue import (
     EULER_CUTOFF,
     check_checkpoints,
-    condition_sign,
     convergence_report,
     default_checkpoints,
     euler_tail_bound,
@@ -89,13 +88,11 @@ class IdentityCheck:
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
+    if isinstance(v, (Fraction, PiPower)):
         return str(v)
-    if isinstance(v, PiPower):
-        return str(v)
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, np.floating):
         return float(v)
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
@@ -267,7 +264,6 @@ def _run_per_prime(items_at, args) -> tuple[dict, list[IdentityCheck]]:
 
 def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
-    sign = condition_sign(conds)  # validates the archimedean part
     pref = predicted_prefactor(conds)
     tenth = EULER_CUTOFF // 10
     const = predicted_constant(conds)
@@ -286,14 +282,13 @@ def _run_constant(args) -> tuple[dict, list[IdentityCheck]]:
     ]
     return {
         "cond": args.cond,
-        "sign": sign,
+        "sign": conds.sign,
         "euler_cutoff": EULER_CUTOFF,
     }, items
 
 
 def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
     conds = parse_conditions(args.cond)
-    sign = condition_sign(conds)
     limit = args.X
     if limit < 1:
         raise ValueError(f"--X {limit} below 1")
@@ -303,7 +298,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
         else default_checkpoints(limit)
     )
     check_checkpoints(checkpoints, limit)  # before the table is built
-    table = cached_table(sign, limit, args.cache)
+    table = cached_table(conds.sign, limit, args.cache)
     rows = convergence_report(table, conds, checkpoints)
     items = []
     final = rows[-1].upto
@@ -330,7 +325,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
         )
     return {
         "cond": args.cond,
-        "sign": sign,
+        "sign": conds.sign,
         "X": limit,
         "checkpoints": checkpoints,
         "euler_cutoff": EULER_CUTOFF,

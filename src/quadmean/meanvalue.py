@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .densities import PiPower, euler_factor, local_density
-from .fields import TRACKED_PRIMES, DiscriminantTable, local_type_codes, type_labels
+from .fields import TRACKED_PRIMES, TYPE_CELLS, DiscriminantTable, local_type_codes
 from .orbits import ALG_COMPLEX, ALG_REAL_PAIR, QuadraticAlgebraDescriptor, local_algebras
 from .residue import primes_upto
 
@@ -29,7 +29,8 @@ ZETA3 = 1.2020569031595943
 # prod_p (1 - p^-2)(1 - p^-3) = 1 / (zeta(2) zeta(3)), with zeta(2) = pi^2/6
 _ZETA_PRODUCT = 6.0 / (math.pi**2 * ZETA3)
 
-_ARCH_VALUES = {"C": ALG_COMPLEX, "RxR": ALG_REAL_PAIR}
+# archimedean condition value -> (discriminant sign, algebra)
+_ARCH_VALUES = {"C": (-1, ALG_COMPLEX), "RxR": (1, ALG_REAL_PAIR)}
 
 
 def euler_product(cutoff: int = EULER_CUTOFF, skip: tuple[int, ...] = ()) -> float:
@@ -76,110 +77,81 @@ def euler_tail_bound(cutoff: int) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LocalCondition:
-    """A pinned completion: the archimedean place (prime None) set to
-    "C" or "RxR", or a tracked prime set to a local type label."""
+class Conditions:
+    """A parsed condition list: the discriminant sign and the algebra that
+    the archimedean place is pinned to, and the pinned tracked primes as
+    (p, algebra) pairs in ascending p."""
 
-    prime: int | None
-    value: str
+    sign: int
+    arch: QuadraticAlgebraDescriptor
+    pinned: tuple[tuple[int, QuadraticAlgebraDescriptor], ...]
 
-    def __post_init__(self) -> None:
-        if self.prime is None:
-            if self.value not in _ARCH_VALUES:
+
+def parse_conditions(text: str) -> Conditions:
+    """A comma-separated place=value list: exactly one of inf=C and inf=RxR,
+    and at most one type label per tracked prime.  Anything else raises
+    ValueError, naming the first fault in reading order."""
+    arch, pinned = None, {}
+    for part in text.split(",") if text.strip() else ():
+        place, sep, value = part.partition("=")
+        if not sep or not value:
+            raise ValueError(f"condition {part!r} is not place=value")
+        place, value = place.strip(), value.strip()
+        if place == "inf":
+            if value not in _ARCH_VALUES:
                 raise ValueError('archimedean value must be "C" or "RxR"')
-        else:
-            if self.prime not in TRACKED_PRIMES:
-                raise ValueError(f"conditions are tracked at primes {TRACKED_PRIMES}")
-            if self.value not in type_labels(self.prime):
-                raise ValueError(
-                    f"unknown type {self.value!r} at {self.prime}; "
-                    f"choose from {type_labels(self.prime)}"
-                )
-
-    @property
-    def is_archimedean(self) -> bool:
-        return self.prime is None
-
-    def algebra(self) -> QuadraticAlgebraDescriptor:
-        if self.prime is None:
-            return _ARCH_VALUES[self.value]
-        return {alg.label: alg for alg in local_algebras(self.prime)}[self.value]
-
-    def __str__(self) -> str:
-        place = "inf" if self.prime is None else str(self.prime)
-        return f"{place}={self.value}"
-
-
-def parse_condition(text: str) -> LocalCondition:
-    place, sep, value = text.partition("=")
-    if not sep or not value:
-        raise ValueError(f"condition {text!r} is not place=value")
-    place = place.strip()
-    if place == "inf":
-        return LocalCondition(None, value.strip())
-    if not place.isdigit():
-        raise ValueError(f"place {place!r} is neither 'inf' nor a prime")
-    return LocalCondition(int(place), value.strip())
-
-
-def parse_conditions(text: str) -> list[LocalCondition]:
-    """Comma-separated place=value list; at most one condition per place."""
-    if not text.strip():
-        return []
-    conds = [parse_condition(part) for part in text.split(",")]
-    places = [c.prime for c in conds]
-    if len(set(places)) != len(places):
-        raise ValueError("duplicate place in condition list")
-    return conds
-
-
-def condition_sign(conditions: list[LocalCondition]) -> int:
-    """Discriminant sign pinned by the archimedean condition."""
-    for c in conditions:
-        if c.is_archimedean:
-            return -1 if c.value == "C" else 1
-    raise ValueError("an inf=C or inf=RxR condition is required")
-
-
-def condition_mask(table: DiscriminantTable, conditions: list[LocalCondition]) -> np.ndarray:
-    """Row mask of table entries whose tracked local types match every
-    finite condition."""
-    mask = np.ones(len(table), dtype=bool)
-    # |D| <= MAX_TABLE_LIMIT < 2^31, so D fits int32, where the types are cheapest
-    d = (table.sign * table.magnitude).astype(np.int32)
-    for c in conditions:
-        if c.is_archimedean:
-            want = -1 if c.value == "C" else 1
-            if want != table.sign:
-                raise ValueError("archimedean condition contradicts the table sign")
+            if arch is not None:
+                raise ValueError("duplicate place in condition list")
+            arch = _ARCH_VALUES[value]
             continue
-        code = type_labels(c.prime).index(c.value)
-        mask &= local_type_codes(d, c.prime) == code
-    return mask
+        if not place.isdigit():
+            raise ValueError(f"place {place!r} is neither 'inf' nor a prime")
+        p = int(place)
+        if p not in TRACKED_PRIMES:
+            raise ValueError(f"conditions are tracked at primes {TRACKED_PRIMES}")
+        algebras = {alg.label: alg for alg in local_algebras(p)}
+        if value not in algebras:
+            raise ValueError(f"unknown type {value!r} at {p}; choose from {list(algebras)}")
+        if p in pinned:
+            raise ValueError("duplicate place in condition list")
+        pinned[p] = algebras[value]
+    if arch is None:
+        raise ValueError("an inf=C or inf=RxR condition is required")
+    return Conditions(*arch, tuple(sorted(pinned.items())))
+
+
+def condition_mask(table: DiscriminantTable, conds: Conditions) -> np.ndarray:
+    """Row mask of table entries whose local type at every pinned tracked
+    prime is the pinned one."""
+    if conds.sign != table.sign:
+        raise ValueError("conditions pin the other discriminant sign")
+    # allowed[c_2, c_3, c_5] holds where every pinned prime has its pinned
+    # type; raveled, it is indexed by the joint code that local_type_codes gives
+    pinned = dict(conds.pinned)
+    allowed = np.zeros(TYPE_CELLS, dtype=bool)
+    allowed[tuple(local_algebras(p).index(pinned[p]) if p in pinned else slice(None)
+                  for p in TRACKED_PRIMES)] = True
+    if allowed.all():
+        return np.ones(len(table), dtype=bool)
+    # |D| <= MAX_TABLE_LIMIT < 2^31, so D fits int32, where the codes are cheapest
+    return allowed.ravel().take(local_type_codes((table.sign * table.magnitude).astype(np.int32)))
 
 
 # ---------------------------------------------------------------------------
 # the predicted constant and convergence
 # ---------------------------------------------------------------------------
 
-def predicted_prefactor(conditions: list[LocalCondition]) -> PiPower:
+def predicted_prefactor(conds: Conditions) -> PiPower:
     """Exact part of the predicted constant: pi^2/9 times the archimedean
     density times the densities of the pinned finite types."""
-    condition_sign(conditions)  # refuses a list without an archimedean condition
-    pref = PiPower(Fraction(1, 9), 2)
-    for c in conditions:
-        pref = pref * local_density(c.algebra(), c.prime)
-    return pref
+    pref = PiPower(Fraction(1, 9), 2) * local_density(conds.arch, None)
+    return math.prod((local_density(alg, p) for p, alg in conds.pinned), start=pref)
 
 
-def predicted_constant(
-    conditions: list[LocalCondition], cutoff: int = EULER_CUTOFF
-) -> float:
+def predicted_constant(conds: Conditions, cutoff: int = EULER_CUTOFF) -> float:
     """Leading coefficient of the X^(3/2) growth of the conditioned sum."""
-    conds = list(conditions)
-    pref = predicted_prefactor(conds)
-    pinned = tuple(c.prime for c in conds if not c.is_archimedean)
-    return pref.value() * euler_product(cutoff, skip=pinned)
+    pinned = tuple(p for p, _ in conds.pinned)
+    return predicted_prefactor(conds).value() * euler_product(cutoff, skip=pinned)
 
 
 @dataclass(frozen=True)
@@ -212,16 +184,13 @@ def check_checkpoints(checkpoints: list[int], limit: int) -> list[int]:
 
 def convergence_report(
     table: DiscriminantTable,
-    conditions: list[LocalCondition],
+    conds: Conditions,
     checkpoints: list[int],
 ) -> list[ConvergenceRow]:
     """Empirical versus predicted conditioned sums at increasing cutoffs."""
-    conds = list(conditions)
     xs = check_checkpoints(checkpoints, table.limit)
-    if condition_sign(conds) != table.sign:
-        raise ValueError("conditions pin the other discriminant sign")
-    const = predicted_constant(conds)
     mask = condition_mask(table, conds)
+    const = predicted_constant(conds)
     # |D| ascends, so the rows up to x are a prefix: the same terms in the
     # same order as a mask of them, hence the same sum.  Indices, not the
     # mask, select them: at 10^6 a boolean index of a column took 1.2 ms and

@@ -143,12 +143,14 @@ def test_criterion_8_mean_value_matches_prediction(neg_table, pos_table):
     neg, _ = neg_table
     pos, _ = pos_table
 
+    # README's claims: within 0.02% at 10^6 on the imaginary side and 2% at
+    # 10^5 on the real side, where the secondary term is not modelled
     rows = convergence_report(neg, parse_conditions("inf=C"), (10**4, 10**5, 10**6))
-    assert abs(rows[-1].ratio - 1) < 0.05
+    assert abs(rows[-1].ratio - 1) < 2e-4
     assert abs(rows[-1].ratio - 1) < abs(rows[0].ratio - 1)
 
     rows = convergence_report(pos, parse_conditions("inf=RxR"), (10**4, 10**5))
-    assert abs(rows[-1].ratio - 1) < 0.05
+    assert abs(rows[-1].ratio - 1) < 2e-2
     assert abs(rows[-1].ratio - 1) < abs(rows[0].ratio - 1)
 
 

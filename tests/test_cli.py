@@ -423,6 +423,30 @@ def test_bad_integer_item_names_its_option(capsys, monkeypatch, args, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+_LABELS_AT_2 = "['split', 'unram', 'ram:-1', 'ram:-5', 'ram:2', 'ram:-2', 'ram:10', 'ram:-10']"
+
+
+@pytest.mark.parametrize(
+    "cond, message",
+    [
+        ("", "an inf=C or inf=RxR condition is required"),
+        ("2=split", "an inf=C or inf=RxR condition is required"),
+        ("inf=H", 'archimedean value must be "C" or "RxR"'),
+        ("inf=C,inf=RxR", "duplicate place in condition list"),
+        ("inf=C,2=split,2=unram", "duplicate place in condition list"),
+        ("inf=C,7=split", "conditions are tracked at primes (2, 3, 5)"),
+        ("inf=C,x=split", "place 'x' is neither 'inf' nor a prime"),
+        ("inf=C,2split", "condition '2split' is not place=value"),
+        ("inf=C,2=", "condition '2=' is not place=value"),
+        ("inf=C,2=ram:5", f"unknown type 'ram:5' at 2; choose from {_LABELS_AT_2}"),
+        ("inf=C,2=ram:-3", f"unknown type 'ram:-3' at 2; choose from {_LABELS_AT_2}"),
+    ],
+)
+def test_bad_condition_list_exits_2_with_its_fault(capsys, cond, message):
+    assert run_cli(["constant", "--cond", cond]) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_integer_items_keep_surrounding_spaces_accepted():
     code, out = run_cli(["--format", "json", "census", "--primes", " 3, 5"])
     assert code == 0

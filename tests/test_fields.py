@@ -25,16 +25,16 @@ from quadmean import fields
 from quadmean.fields import (
     DiscriminantTable,
     TRACKED_PRIMES,
+    TYPE_CELLS,
+    TYPE_MODULUS,
     cached_table,
     fundamental_magnitudes,
     imaginary_class_number_histogram,
     local_type,
     local_type_codes,
     real_hr_histogram,
-    type_labels,
     _isqrt_array,
 )
-from quadmean.meanvalue import parse_condition
 from quadmean.orbits import local_algebras, standard_representatives
 
 
@@ -469,34 +469,36 @@ def test_local_type_agrees_with_discriminant_arithmetic():
 
 
 def test_local_algebras_is_the_one_enumeration():
-    # the representatives, condition labels, parsed conditions and type
-    # codes all read the one ordered list of algebras at p
+    # the representatives and the joint type codes read the one ordered list
+    # of algebras at p; the condition labels are checked in test_meanvalue
     for p in (2, 3, 5, 7):
-        algebras = local_algebras(p)
-        assert [r.algebra for r in standard_representatives(p)] == algebras
-        assert type_labels(p) == [alg.label for alg in algebras]
-    for p in TRACKED_PRIMES:
-        algebras = local_algebras(p)
-        for code, label in enumerate(type_labels(p)):
-            assert parse_condition(f"{p}={label}").algebra() == algebras[code]
-    for sign in (-1, 1):
-        ds = sign * fundamental_magnitudes(sign, 2 * 10**4)
-        for p in TRACKED_PRIMES:
-            algebras = local_algebras(p)
-            codes = local_type_codes(ds, p).tolist()
-            assert [algebras[k] for k in codes] == [local_type(int(d), p) for d in ds]
+        assert [r.algebra for r in standard_representatives(p)] == local_algebras(p)
+    assert TYPE_CELLS == tuple(len(local_algebras(p)) for p in TRACKED_PRIMES) == (8, 4, 4)
+
+
+def test_joint_codes_match_scalar_types_at_every_residue():
+    # at every residue mod 64 * 9 * 25 that a fundamental discriminant can
+    # have, the joint code unravels to the scalar type's index at 2, 3 and 5
+    assert TYPE_MODULUS == 14400
+    r = np.arange(TYPE_MODULUS)
+    cells = np.unravel_index(local_type_codes(r), TYPE_CELLS)
+    fundamental = ((r % 4 == 1) | np.isin(r % 16, (8, 12))) & (r % 9 != 0) & (r % 25 != 0)
+    for i in np.flatnonzero(fundamental).tolist():
+        want = [local_algebras(p).index(local_type(i, p)) for p in TRACKED_PRIMES]
+        assert [int(c[i]) for c in cells] == want, i
 
 
 def test_vectorized_codes_match_scalar():
     for sign in (-1, 1):
         ds = sign * fundamental_magnitudes(sign, 2 * 10**4)
-        for p in TRACKED_PRIMES:
-            labels = [type_labels(p)[k] for k in local_type_codes(ds, p)]
-            assert labels == [local_type(int(d), p).label for d in ds]
-            # int32 input is reduced in int32, on a copy
-            d32 = ds.astype(np.int32)
-            assert np.array_equal(local_type_codes(d32, p), local_type_codes(ds, p))
-            assert np.array_equal(d32, ds)
+        cells = np.unravel_index(local_type_codes(ds), TYPE_CELLS)
+        for p, codes in zip(TRACKED_PRIMES, cells):
+            algebras = local_algebras(p)
+            assert [algebras[k] for k in codes] == [local_type(int(d), p) for d in ds]
+        # int32 input is reduced in int32, on a copy
+        d32 = ds.astype(np.int32)
+        assert np.array_equal(local_type_codes(d32), local_type_codes(ds))
+        assert np.array_equal(d32, ds)
 
 
 def test_table_compute_columns():

@@ -1,5 +1,6 @@
 """Euler products, condition parsing, prediction and convergence plumbing."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,24 +9,29 @@ import pytest
 
 from quadmean import meanvalue
 from quadmean.densities import PiPower
-from quadmean.fields import DiscriminantTable
+from quadmean.fields import TRACKED_PRIMES, DiscriminantTable, local_type
 from quadmean.meanvalue import (
     EULER_CUTOFF,
     ZETA3,
+    Conditions,
     ConvergenceRow,
-    LocalCondition,
     condition_mask,
-    condition_sign,
     convergence_report,
     default_checkpoints,
     euler_factor,
     euler_product,
     euler_tail_bound,
-    parse_condition,
     parse_conditions,
     predicted_constant,
     predicted_prefactor,
     primes_upto,
+)
+from quadmean.orbits import (
+    ALG_COMPLEX,
+    ALG_REAL_PAIR,
+    ALG_SPLIT,
+    local_algebras,
+    ramified_algebra,
 )
 
 
@@ -152,31 +158,36 @@ def test_log_factor_bound_margin_nonnegative():
         assert 2 * a * a >= abs(math.log(1 - a * a - a**3 + a**4))
 
 
-def test_parse_condition_roundtrip():
-    c = parse_condition("inf=C")
-    assert c.is_archimedean and c.value == "C"
-    c = parse_condition("2=ram:-1")
-    assert c.prime == 2 and c.value == "ram:-1"
-    c = parse_condition("5=split")
-    assert c.prime == 5 and c.value == "split"
-    cs = parse_conditions("inf=RxR,3=unram")
-    assert [str(x) for x in cs] == ["inf=RxR", "3=unram"]
-    assert parse_conditions("") == []
+def test_parse_conditions_returns_one_value():
+    assert parse_conditions("inf=C") == Conditions(-1, ALG_COMPLEX, ())
+    c = parse_conditions(" 5=split , inf=RxR,2=ram:-1")
+    assert c.arch == ALG_REAL_PAIR
+    assert c.pinned == ((2, ramified_algebra(2, -1)), (5, ALG_SPLIT))
+    # the pinned primes come in ascending order, whatever the list's order
+    shuffled = parse_conditions("3=unram,inf=RxR,2=split")
+    assert shuffled == parse_conditions("inf=RxR,2=split,3=unram")
+    # each label names its algebra in the one list of local types at p
+    for p in TRACKED_PRIMES:
+        for alg in local_algebras(p):
+            assert parse_conditions(f"inf=C,{p}={alg.label}").pinned == ((p, alg),)
 
 
 def test_parse_condition_rejects_bad_input():
-    for bad in ("inf=H", "7=split", "2=ram:3", "2-split", "inf=C,inf=RxR", "2=split,2=unram"):
+    # the exact messages are pinned through the command line in test_cli
+    for bad in ("", "2=split", "inf=H", "7=split,inf=C", "inf=C,2=ram:3", "inf=C,2-split",
+                "inf=C,inf=RxR", "inf=C,2=split,2=unram", "inf=C,2=ram:-3", "inf=C,"):
         with pytest.raises(ValueError):
             parse_conditions(bad)
-    with pytest.raises(ValueError):
-        LocalCondition(2, "ram:-3")
+    # with two faults, the first in reading order is named
+    with pytest.raises(ValueError, match="duplicate place"):
+        parse_conditions("inf=C,2=split,2=unram,7=x")
 
 
 def test_condition_sign():
-    assert condition_sign(parse_conditions("inf=C")) == -1
-    assert condition_sign(parse_conditions("inf=RxR,2=split")) == 1
-    with pytest.raises(ValueError):
-        condition_sign(parse_conditions("2=split"))
+    assert parse_conditions("inf=C").sign == -1
+    assert parse_conditions("2=split,inf=RxR").sign == 1
+    with pytest.raises(ValueError, match="inf=C or inf=RxR"):
+        parse_conditions("2=split")
 
 
 def test_condition_mask_and_empirical_sum():
@@ -195,6 +206,24 @@ def test_condition_mask_and_empirical_sum():
     assert float((t.h[m] * t.reg[m]).sum()) == float(t.h[m].sum())
 
 
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_condition_mask_is_the_and_of_scalar_types(sign):
+    # all 9 * 5 * 5 = 225 lists that leave each tracked prime free or pin it
+    # to one of its types
+    t = DiscriminantTable.compute(sign, 2 * 10**4)
+    ds = (sign * t.magnitude).tolist()
+    labels = {p: np.array([local_type(d, p).label for d in ds]) for p in TRACKED_PRIMES}
+    arch = "inf=C" if sign < 0 else "inf=RxR"
+    choices = [[None] + [alg.label for alg in local_algebras(p)] for p in TRACKED_PRIMES]
+    for combo in itertools.product(*choices):
+        text, want = arch, np.ones(len(t), dtype=bool)
+        for p, label in zip(TRACKED_PRIMES, combo):
+            if label is not None:
+                text += f",{p}={label}"
+                want &= labels[p] == label
+        assert np.array_equal(condition_mask(t, parse_conditions(text)), want), text
+
+
 def test_predicted_prefactor_forms():
     pre = predicted_prefactor(parse_conditions("inf=C"))
     assert isinstance(pre, PiPower)
@@ -205,8 +234,6 @@ def test_predicted_prefactor_forms():
     assert pre.value() == pytest.approx(math.pi**2 / 36, rel=1e-15)
     pre = predicted_prefactor(parse_conditions("inf=C,2=ram:-1"))
     assert str(pre) == "1/384*pi^1"
-    with pytest.raises(ValueError):
-        predicted_prefactor(parse_conditions(""))
 
 
 def test_predicted_constant_frozen():

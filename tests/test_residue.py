@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadmean.residue import (
+    MAX_MODULUS,
     CapacityError,
     ResidueRing,
     SquareClassLabel,
@@ -31,6 +32,15 @@ def test_ring_construction():
         ResidueRing(3, 0)
     with pytest.raises(CapacityError):
         ResidueRing(2, 64)
+
+
+def test_max_modulus_boundary():
+    # 2^30 is the guard itself; 3^18 < 2^30 < 3^19 = 1,162,261,467
+    assert ResidueRing(2, 30).modulus == MAX_MODULUS
+    assert ResidueRing(3, 18).modulus == 3**18
+    for p, n in ((2, 31), (3, 19)):
+        with pytest.raises(CapacityError):
+            ResidueRing(p, n)
 
 
 def test_valuation():
