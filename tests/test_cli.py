@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,40 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, args, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def _traced_peak(argv):
+    """tracemalloc peak, in MB of 2^20 bytes, of one CLI call that exits 0."""
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak / 2**20
+
+
+@pytest.mark.parametrize("cond", ["inf=C,3=split", "inf=C", "inf=C,2=ram:-1,3=split,5=unram"])
+def test_imaginary_mean_value_call_fits_6_mb(tmp_path, cond):
+    # at 10^6 the table takes 8 bytes a row, int32 |D| and h with R one
+    # shared 1.0, and every temporary is bounded.  With int64 |D| and a
+    # column of ones for R (20 bytes a row) a call took 10.8-13.1 MB, and
+    # either one alone takes it past 6 MB (7.7 and 6.6 MB).
+    path = str(tmp_path / "neg.npz")
+    for phase in ("cold", "warm"):
+        peak = _traced_peak(["--format", "json", "mean-value", "--cond", cond,
+                             "--X", "1000000", "--cache", path])
+        assert peak <= 6.0, (phase, peak)
+
+
+def test_real_mean_value_call_keeps_its_memory():
+    # the real side keeps its float64 regulator lanes; with int32 |D| one call
+    # at 10^5 peaks at 3.09 MB, at or below the 3.21 MB it took with int64 |D|
+    # (the first call of a process allocates 0.15 MB more, once)
+    argv = ["--format", "json", "mean-value", "--cond", "inf=RxR,5=split", "--X", "100000"]
+    run_cli(argv)
+    assert _traced_peak(argv) <= 3.21
 
 
 def test_mean_value_real_small(tmp_path):

@@ -479,26 +479,60 @@ def test_local_algebras_is_the_one_enumeration():
 def test_joint_codes_match_scalar_types_at_every_residue():
     # at every residue mod 64 * 9 * 25 that a fundamental discriminant can
     # have, the joint code unravels to the scalar type's index at 2, 3 and 5
+    # and so does the code of -r, read from |D| = r on the imaginary side
     assert TYPE_MODULUS == 14400
     r = np.arange(TYPE_MODULUS)
-    cells = np.unravel_index(local_type_codes(r), TYPE_CELLS)
-    fundamental = ((r % 4 == 1) | np.isin(r % 16, (8, 12))) & (r % 9 != 0) & (r % 25 != 0)
-    for i in np.flatnonzero(fundamental).tolist():
-        want = [local_algebras(p).index(local_type(i, p)) for p in TRACKED_PRIMES]
-        assert [int(c[i]) for c in cells] == want, i
+    for sign in (-1, 1):
+        d = sign * r % TYPE_MODULUS
+        cells = np.unravel_index(local_type_codes(sign, r), TYPE_CELLS)
+        fundamental = ((d % 4 == 1) | np.isin(d % 16, (8, 12))) & (d % 9 != 0) & (d % 25 != 0)
+        for i in np.flatnonzero(fundamental).tolist():
+            want = [local_algebras(p).index(local_type(sign * i, p)) for p in TRACKED_PRIMES]
+            assert [int(c[i]) for c in cells] == want, sign * i
 
 
 def test_vectorized_codes_match_scalar():
     for sign in (-1, 1):
-        ds = sign * fundamental_magnitudes(sign, 2 * 10**4)
-        cells = np.unravel_index(local_type_codes(ds), TYPE_CELLS)
+        mags = fundamental_magnitudes(sign, 2 * 10**4)
+        ds = (sign * mags).tolist()
+        cells = np.unravel_index(local_type_codes(sign, mags), TYPE_CELLS)
         for p, codes in zip(TRACKED_PRIMES, cells):
             algebras = local_algebras(p)
-            assert [algebras[k] for k in codes] == [local_type(int(d), p) for d in ds]
-        # int32 input is reduced in int32, on a copy
-        d32 = ds.astype(np.int32)
-        assert np.array_equal(local_type_codes(d32), local_type_codes(ds))
-        assert np.array_equal(d32, ds)
+            assert [algebras[k] for k in codes] == [local_type(d, p) for d in ds]
+        # int64 input gives the same codes, and the input is reduced on a copy
+        m64 = mags.astype(np.int64)
+        assert np.array_equal(local_type_codes(sign, m64), local_type_codes(sign, mags))
+        assert np.array_equal(m64, mags) and np.array_equal(sign * mags, ds)
+
+
+def _fundamental_reference(sign, limit):
+    """int64 |D| of the fundamental D = sign * n, n <= limit, in one pass:
+    D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree."""
+    n = np.arange(limit + 1)
+    sf = np.ones(limit + 1, dtype=bool)
+    for k in range(2, math.isqrt(limit) + 1):
+        sf[k * k :: k * k] = False
+    d = sign * n
+    odd = (d % 4 == 1) & sf
+    even = (n % 4 == 0) & np.isin(d // 4 % 4, (2, 3)) & sf[n // 4]
+    return np.flatnonzero((odd | even) & (n > 1))
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_blocked_passes_equal_a_one_shot_reference(sign):
+    # the sieve is read block by block of fields._BLOCK entries, and the codes
+    # are taken block by block of as many rows: cut at and around the edges
+    block = fields._BLOCK
+    cuts = (block - 1, block, block + 1, 3 * block + 7)
+    for limit in (*cuts, 10**6):
+        mags = fundamental_magnitudes(sign, limit)
+        assert mags.dtype == np.int32
+        assert np.array_equal(mags, _fundamental_reference(sign, limit)), limit
+    codes = fields._TYPE_CODES[sign * mags.astype(np.int64) % TYPE_MODULUS]
+    lookup = np.random.default_rng(7).integers(0, 2, math.prod(TYPE_CELLS)).astype(bool)
+    for rows in (*cuts, mags.size):
+        assert np.array_equal(local_type_codes(sign, mags[:rows]), codes[:rows]), rows
+        assert np.array_equal(local_type_codes(sign, mags[:rows], lookup), lookup[codes[:rows]])
 
 
 def test_table_compute_columns():
@@ -580,6 +614,42 @@ def test_class_numbers_fit_int32_up_to_the_table_guard():
             forms = [len(_reduced_indefinite_forms(d)) for d in t.magnitude.tolist()]
             assert np.all(t.h <= np.array(forms))
         assert t.h.dtype == np.int32
+
+
+def test_magnitudes_fit_int32_up_to_the_table_guard():
+    # |D|, -|D|, the index |D| >> 1 into the imaginary histogram of
+    # limit // 2 + 1 entries and every sieve index are at most the bound
+    n = fields.MAX_TABLE_LIMIT
+    assert n < 2**31 - 1
+    top = np.array([n], dtype=np.int32)
+    assert int((top >> 1)[0]) == n // 2
+    assert int((-1 * top)[0]) == -n
+    for sign in (-1, 1):
+        mags = fundamental_magnitudes(sign, 5000)
+        assert mags.dtype == (sign * mags).dtype == (mags >> 1).dtype == np.int32
+        assert DiscriminantTable.compute(sign, 5000).magnitude.dtype == np.int32
+
+
+def test_table_columns_carry_only_information(tmp_path):
+    # the imaginary R is one read-only 1.0 seen with stride 0, computed or
+    # loaded, and truncation takes views of every column
+    path = str(tmp_path / "t.npz")
+    for sign in (-1, 1):
+        t = DiscriminantTable.compute(sign, 3000)
+        t.save(path)
+        u = DiscriminantTable.load(path)
+        for table in (t, u, t.truncated(1000)):
+            assert table.magnitude.dtype == table.h.dtype == np.int32
+            assert table.reg.dtype == np.float64 and table.reg.size == len(table)
+            if sign < 0:
+                assert table.reg.strides == (0,) and not table.reg.flags.writeable
+                assert np.all(table.reg == 1.0)
+        s = t.truncated(1000)
+        for col in ("magnitude", "h", "reg"):
+            assert np.shares_memory(getattr(s, col), getattr(t, col)), col
+    neg = DiscriminantTable.compute(-1, 300)
+    with pytest.raises(ValueError, match="read-only"):
+        neg.reg[0] = 2.0
 
 
 def test_table_truncation():
