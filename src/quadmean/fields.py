@@ -5,12 +5,14 @@ integer data.  Class numbers of imaginary fields come from counting
 reduced positive forms into an int32 histogram, one periodic comb per
 leading coefficient a; 4ac - b^2 is 0 or 3 mod 4, so the count at n is
 stored at n // 2 and the histogram holds no entry that is always zero.
-The comb rows are summed in an int16 buffer, added into the histogram
-before it could overflow, and the few forms below the comb are listed hit
-by hit, one ragged list per block of a.
+The combs of a chain a = m, 2m, 4m, ... (m odd) are summed in one pass,
+into an int16 buffer that is added into the histogram before it could
+overflow, and the few forms below the comb are listed hit by hit, one
+ragged list per block of a.
 For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
 per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
-(half of it when a = c); the regulators walk half of the palindromic
+(half of it when a = c), skipping every form whose D is 0 or 4 mod 16 and
+so not fundamental; the regulators walk half of the palindromic
 continued fraction cycle of the maximal order's generator with the same
 kernel, in lockstep over all D, in float64 lanes that stay exact integers
 below 2^53 and are compacted once a tenth of them have stopped; h is the
@@ -54,8 +56,9 @@ def _squarefree_sieve(limit: int) -> np.ndarray:
     return sf
 
 
-# Entries a blocked pass (_flatnonzero_int32, local_type_codes) takes at once:
-# its temporaries hold at most this many entries, 512 KB of int64.
+# Entries a blocked pass (_flatnonzero_int32, local_type_codes, the imaginary
+# h in DiscriminantTable.compute) takes at once: its temporaries hold at most
+# this many entries, 512 KB of int64.
 _BLOCK = 1 << 16
 
 
@@ -179,9 +182,12 @@ def local_type_codes(
 # the adds follows the bytes they touch, not the number of entries; widths
 # from 512 to 4096 took the same time.
 _COMB_ROW = 1024
-# dtype of the buffer the comb rows are added into before they reach the
-# int32 histogram: half the bytes of int32 per add.  Every entry of a row is
-# at most 2a <= 2 * isqrt(MAX_TABLE_LIMIT // 3) < 2^15, so one row always fits.
+# dtype of the buffer the chain rows are added into before they reach the
+# int32 histogram: half the bytes of int32 per add.  An entry of the comb of
+# a counts at most the a + 1 values of b, two each, so an entry of the row of
+# a chain a = m, 2m, ..., 2^k m (k <= 12 here) is at most the sum of 2(a + 1)
+# over the chain, below 4 * amax + 30 = 23,122 < 2^15 at
+# amax = isqrt(MAX_TABLE_LIMIT // 3): one chain row always fits.
 _COMB_ACC = np.int16
 # Head hits _add_imag_head lists at once: a block of a grows until it holds
 # this many; from 2^16 to 2^17 took the same time, 2^18 longer.
@@ -199,10 +205,8 @@ def imaginary_class_number_histogram(limit: int) -> np.ndarray:
     limit = 2 mod 4 the last one stands for n = limit + 1 and stays 0.
     From n = 4a^2 on every b has started, so the count there is a comb of
     period 4a in n, whose residues 0 and 3 mod 4 make a comb of period 2a
-    in n // 2, tiled from index 2a^2.  The combs are added into a _COMB_ACC
-    buffer, which goes into the histogram whenever the sum of the row tops
-    since it was last emptied could pass its maximum, and once at the end;
-    the rows are non-negative, so no entry of the buffer can overflow.
+    in n // 2 from index 2a^2 on; _add_imag_combs adds them, one pass per
+    chain a = m, 2m, 4m, ... with m odd.
     The head window [3a^2, 4a^2) is added hit by hit by _add_imag_head, for
     blocks of consecutive a of about _HEAD_BLOCK hits each."""
     hist = np.zeros(limit // 2 + 1, dtype=np.int32)
@@ -219,31 +223,60 @@ def imaginary_class_number_histogram(limit: int) -> np.ndarray:
     return hist
 
 
+def _imag_comb(a: int) -> np.ndarray:
+    """The comb of a in n // 2, one period 2a from an index = 0 mod 2a: the
+    weight of the forms (a, b, c), 0 <= b <= a, at each residue of n = -b^2
+    mod 4a, which is 0 or 3 mod 4 and so lands at its own n // 2."""
+    b = np.arange(a + 1)
+    comb = np.bincount((4 * a * a - b * b) % (4 * a) >> 1, minlength=2 * a)
+    comb *= 2
+    comb[0] -= 1  # b = 0
+    comb[3 * a * a % (4 * a) >> 1] -= 1  # b = a
+    return comb
+
+
 def _add_imag_combs(live: np.ndarray, amax: int) -> None:
     """live[i] += the comb of every a = 1..amax at every index i >= 2a^2,
-    through one _COMB_ACC buffer of the size of live."""
+    through one _COMB_ACC buffer of the size of live.
+
+    The a are taken in chains a = m, 2m, 4m, ... with m odd, one pass over
+    the buffer each, from 2m^2 on, in segments [2a^2, 2(2a)^2): the row of a
+    segment is the sum of the combs of the chain up to a, tiled to period 2a.
+    Each of those periods divides 2a, and 2a^2 = 0 mod 2a, so every comb keeps
+    its phase.  Members with 2a^2 past the buffer add nothing and are left
+    out.  No entry receives more than one segment row per chain, so the
+    buffer is charged once per chain, with the sum of its members' row tops;
+    it goes into the histogram whenever that charge since it was last emptied
+    could pass its maximum, and once at the end.  The rows are non-negative,
+    so no entry of the buffer can overflow."""
     acc = np.zeros(live.size, dtype=_COMB_ACC)
     room = cap = int(np.iinfo(_COMB_ACC).max)
-    for a in range(1, amax + 1):
-        period, full = 4 * a, 2 * a * a  # full: index of n = 4a^2
-        b = np.arange(a + 1, dtype=np.int32)
-        comb = 2 * np.bincount(-b * b % period, minlength=period).astype(np.int32)
-        comb[0] -= 1  # b = 0
-        comb[-a * a % period] -= 1  # b = a
-        comb = comb.reshape(a, 4)[:, [0, 3]].ravel()
-        top = int(comb.max())
+    amax = min(amax, isqrt((acc.size - 1) // 2))  # 2a^2 inside the buffer
+    for m in range(1, amax + 1, 2):
+        chain = [m << k for k in range((amax // m).bit_length())]
+        combs = [_imag_comb(a) for a in chain]
+        top = sum(int(comb.max()) for comb in combs)
         if top > room:
             live += acc
             acc[:] = 0
             room = cap
         room -= top
-        row = np.tile(comb.astype(_COMB_ACC), max(1, _COMB_ROW // (2 * a)))
-        tail = acc[full:]
-        rows = tail.size // row.size
-        body = tail[: rows * row.size].reshape(rows, row.size)
-        body += row
-        tail[rows * row.size :] += row[: tail.size - rows * row.size]
+        row = combs[0]
+        for k, a in enumerate(chain):
+            if k:
+                row = np.tile(row, 2) + combs[k]
+            end = 8 * a * a if k + 1 < len(chain) else acc.size
+            _add_tiled(acc[2 * a * a : end], row.astype(_COMB_ACC))
     live += acc
+
+
+def _add_tiled(segment: np.ndarray, period: np.ndarray) -> None:
+    """segment += period repeated over it, from its first entry on."""
+    row = np.tile(period, max(1, _COMB_ROW // period.size))
+    rows = segment.size // row.size
+    body = segment[: rows * row.size].reshape(rows, row.size)
+    body += row
+    segment[rows * row.size :] += row[: segment.size - rows * row.size]
 
 
 def _add_imag_head(live: np.ndarray, a: np.ndarray, limit: int) -> None:
@@ -298,44 +331,83 @@ def _log_squared_over(w: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.log(w, out=w)
 
 
-# Forms built at once in real_hr_histogram: a block holds whole rows (one c) of
-# at most this many forms, or a single longer row; bounds its temporary arrays.
-_PAIR_BLOCK = 1 << 16
+# Forms built at once in real_hr_histogram: a block holds whole progressions
+# of b of at most this many forms, or a single longer one; bounds its five
+# temporary float64 arrays.  2^16 took 4% less time at 10^5, but its peak
+# was 1.2 MB higher there, above that of the regulators.
+_PAIR_BLOCK = 1 << 15
+# (a, c) rows real_hr_histogram sets up at once: a group of whole a grows
+# until it holds this many.
+_ROW_GROUP = 1 << 12
+# [ac mod 4, b mod 4] -> 1 when D = b^2 + 4ac is not 0 or 4 mod 16: odd b
+# always; b = 2 mod 4 (D = 4(1 + ac) mod 16) when ac = 1, 2 mod 4; b = 0 mod 4
+# (D = 4ac mod 16) when ac = 2, 3 mod 4.
+_KEPT_B = np.array([[0, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 0, 1]])
 
 
 def real_hr_histogram(limit: int) -> np.ndarray:
     """hist[D] = h(D)*R(D) for fundamental D <= limit, other indices carrying
-    partial sums: log((b + sqrt(D))^2/(4ac)) summed over reduced forms
+    partial sums or 0: log((b + sqrt(D))^2/(4ac)) summed over reduced forms
     (a, b, -c) with a <= c: 4ac < limit, a + c <= isqrt(limit), c - a < b.
 
     (a, b, -c) is reduced exactly when (c, b, -a) is, and their terms
     log((b + sqrt(D))/(2c)) + log((b + sqrt(D))/(2a)) make one log; the row
     c = a, a single form, takes half of it.  Squaring keeps sqrt(D) - b, which
-    cancels, out of the kernel.  The (c, b) pairs of each a are added in
-    blocks of about _PAIR_BLOCK forms, in order, one np.add.at each."""
+    cancels, out of the kernel.  No form with D = 0 or 4 mod 16 is built: such
+    a D is not fundamental (D/4 would be 0 or 1 mod 4), and its entry stays 0.
+    The kept b of a row (a, c) are up to four progressions of step 4, one per
+    residue mod 4 that _KEPT_B keeps for ac mod 4.  The rows are set up for
+    groups of whole a of about _ROW_GROUP rows, and their progressions go in,
+    in (a, c) order, in blocks of about _PAIR_BLOCK forms, one np.add.at
+    each.  Within a row every b gives another D, so every D receives its terms
+    in (a, c) order, whatever the blocks.  The kernel runs in float64:
+    b^2 + 4ac <= MAX_TABLE_LIMIT is an exact float."""
     hist = np.zeros(limit + 1, dtype=np.float64)
-    smax = isqrt(limit)
-    for a in range(1, isqrt(max(limit - 1, 0)) // 2 + 1):  # 4a^2 < limit
-        c = np.arange(a, min(smax - a, (limit - 1) // (4 * a)) + 1, dtype=np.int64)
-        counts = np.maximum(_isqrt_array(limit - 4 * a * c) - (c - a), 0)
-        ends = np.cumsum(counts)
-        lo = 0
-        while lo < c.size:
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _PAIR_BLOCK, "right")))
-            n = counts[lo:hi]
-            ac4 = np.repeat(4 * a * c[lo:hi], n)
-            b = np.repeat(c[lo:hi] - a + 1 + n - np.cumsum(n), n)
-            b += np.arange(b.size)
-            ds = b * b
-            ds += ac4
-            w = np.sqrt(ds)
-            w += b
-            _log_squared_over(w, ac4)
-            if lo == 0:
-                w[: n[0]] *= 0.5  # c = a
-            np.add.at(hist, ds, w)
-            lo = hi
+    a = np.arange(1, isqrt(max(limit - 1, 0)) // 2 + 1)  # 4a^2 < limit
+    width = np.minimum(isqrt(limit) - a, (limit - 1) // (4 * a)) - a + 1  # rows c = a..
+    ends = np.cumsum(width)
+    lo = 0
+    while lo < a.size:
+        hi = int(np.searchsorted(ends, ends[lo] - width[lo] + _ROW_GROUP)) + 1
+        _add_real_rows(hist, a[lo:hi], width[lo:hi], limit)
+        lo = hi
     return hist
+
+
+def _add_real_rows(hist: np.ndarray, a: np.ndarray, width: np.ndarray, limit: int) -> None:
+    """hist[D] += the paired term of every kept form (a, b, -c) of the rows
+    c = a..a + width - 1 of each a, in (a, c) order."""
+    ends = np.cumsum(width)
+    diag = ends - width  # the rows c = a
+    ra = np.repeat(a, width)
+    c = np.arange(ends[-1]) - np.repeat(diag, width) + ra
+    ac = ra * c
+    lo = (c - ra + 1)[:, None]
+    first = lo + (np.arange(4) - lo) % 4  # the first b >= c - a + 1 of each residue
+    count = np.maximum((_isqrt_array(limit - 4 * ac)[:, None] - first) // 4 + 1, 0)
+    count *= _KEPT_B[ac % 4]
+    first, count, ac4 = first.ravel(), count.ravel(), np.repeat(4.0 * ac, 4)
+    stop = np.cumsum(count)
+    # the forms of the rows c = a, which take half the log: [half_lo, half_hi)
+    half_lo, half_hi = stop[4 * diag] - count[4 * diag], stop[4 * diag + 3]
+    lo = 0
+    while lo < count.size:
+        f0 = int(stop[lo] - count[lo])
+        hi = max(lo + 1, int(np.searchsorted(stop, f0 + _PAIR_BLOCK, "right")))
+        n = count[lo:hi]
+        b = np.repeat((first[lo:hi] - 4 * (stop[lo:hi] - n - f0)).astype(np.float64), n)
+        b += np.arange(0, 4 * b.size, 4, dtype=np.float64)
+        q = np.repeat(ac4[lo:hi], n)
+        ds = b * b
+        ds += q
+        w = np.sqrt(ds)
+        w += b
+        _log_squared_over(w, q)
+        i, j = np.searchsorted(half_hi, f0, "right"), np.searchsorted(half_lo, f0 + w.size)
+        for start, end in zip(half_lo[i:j].tolist(), half_hi[i:j].tolist()):
+            w[max(start - f0, 0) : end - f0] *= 0.5
+        np.add.at(hist, ds.astype(np.intp), w)
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +419,10 @@ def real_hr_histogram(limit: int) -> np.ndarray:
 # 100 MB int16 buffer for its comb rows.  The form count at n is at most
 # (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and the head hits it lists in
 # int32, below 4a^2 <= 4 * limit / 3, stay so with one step 4a added: both
-# far below 2^31.  An entry of one comb row is at most 2 * isqrt(limit / 3)
-# < 2^15.  The regulator lanes and their products stay below 4 * limit,
-# exact integers in float64.  |D|, -|D|, |D| >> 1 and every sieve index are
+# far below 2^31.  An entry of one chain row of combs is below
+# 4 * isqrt(limit / 3) + 30 < 2^15.  The real forms' D = b^2 + 4ac <= limit,
+# the regulator lanes and their products stay below 4 * limit, exact
+# integers in float64.  |D|, -|D|, |D| >> 1 and every sieve index are
 # at most limit < 2^31, so |D| is int32, and so are the blocked residues.
 MAX_TABLE_LIMIT = 10**8
 _INTEGRALITY_TOL = 1e-6
@@ -412,7 +485,11 @@ class DiscriminantTable:
         mags = fundamental_magnitudes(sign, limit)
         if sign < 0:
             hist = imaginary_class_number_histogram(limit)
-            h = hist[mags >> 1]
+            h = np.empty(mags.size, dtype=np.int32)
+            # one block of indices at a time, none in full length; they are in
+            # range, so "clip" clips nothing, and unlike "raise" writes out unbuffered
+            for lo in range(0, mags.size, _BLOCK):
+                hist.take(mags[lo : lo + _BLOCK] >> 1, out=h[lo : lo + _BLOCK], mode="clip")
             reg = _unit_regulators(mags.size)
         else:
             reg = cls._regulators(mags)

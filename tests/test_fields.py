@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     class_number_real,
     fundamental_unit_exact,
     hr_real,
+    imaginary_combs_per_a,
     is_fundamental,
     reduction_cycle_count,
     regulator_real,
@@ -126,9 +128,9 @@ def test_imaginary_histogram_equals_the_per_ab_loop():
 
 
 def test_imaginary_histogram_flushes_a_narrow_buffer_exactly(monkeypatch):
-    # an int8 buffer holds the sum of the row tops only up to 127, so the
-    # kernel must flush it into the histogram and empty it mid-loop, twice
-    # at 20000 (the int16 buffer first flushes above 10^7)
+    # an int8 buffer holds the sum of the chain charges only up to 127, so
+    # the kernel must flush it into the histogram and empty it mid-loop,
+    # twice at 20000 (the int16 buffer first flushes above 3 * 10^7)
     monkeypatch.setattr(fields, "_COMB_ACC", np.int8)
     for limit in _PER_AB_LIMITS:
         hist = imaginary_class_number_histogram(limit)
@@ -173,10 +175,53 @@ def test_imaginary_head_does_not_depend_on_the_block(monkeypatch, block):
 
 def test_imaginary_comb_row_fits_the_buffer_at_the_table_guard():
     # an entry of a's comb row counts at most the a + 1 values of b, two for
-    # each, less one for each of b = 0 and b = a: at most 2a, so one row fits
-    # the empty buffer up to the largest a the guard admits
-    a = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
-    assert 2 * a + 1 <= np.iinfo(fields._COMB_ACC).max
+    # each, so an entry of a chain row a = m, 2m, 4m, ... is at most the sum
+    # of 2(a + 1) over the chain: one chain row fits the empty buffer up to
+    # the largest a the guard admits
+    amax = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
+    for m in range(1, amax + 1, 2):
+        chain = [m << k for k in range((amax // m).bit_length())]
+        assert chain[-1] <= amax < 2 * chain[-1]
+        assert sum(2 * (a + 1) for a in chain) < 4 * amax + 30 == 23122
+    assert 4 * amax + 30 <= np.iinfo(fields._COMB_ACC).max
+    for a in range(1, 200):
+        assert int(fields._imag_comb(a).max()) <= 2 * a
+
+
+# every offset of the last chain members from the end below 200
+_CHAIN_LIMITS = tuple(range(200)) + (1000, 4321, 20000) + tuple(10**5 + k for k in range(4))
+
+
+def _comb_counts(limit, add_combs):
+    live = np.zeros(limit // 4 + (limit + 1) // 4 + 1, dtype=np.int32)
+    add_combs(live, math.isqrt(limit // 3))
+    return live
+
+
+def test_chained_combs_equal_the_per_a_loop():
+    # at 1000 the chain 1, 2, 4, 8, 16 has 16 <= amax = 18, but 2 * 16^2 past
+    # the 501 entries, so its last member starts past the end
+    assert 16 <= math.isqrt(1000 // 3) and 2 * 16**2 >= 1000 // 4 + 1001 // 4 + 1
+    for limit in _CHAIN_LIMITS:
+        got = _comb_counts(limit, fields._add_imag_combs)
+        assert np.array_equal(got, _comb_counts(limit, imaginary_combs_per_a)), limit
+
+
+def test_chained_combs_flush_a_narrow_buffer_exactly(monkeypatch):
+    # the buffer is charged the sum of the members' row tops once per chain;
+    # here every chain's charge fits int8, and together they pass 127, so
+    # the int8 buffer must be flushed mid-loop
+    monkeypatch.setattr(fields, "_COMB_ACC", np.int8)
+    for limit in (20000, 10**5):
+        live_size = limit // 4 + (limit + 1) // 4 + 1
+        amax = math.isqrt(limit // 3)
+        charges = []
+        for m in range(1, amax + 1, 2):
+            chain = [m << k for k in range((amax // m).bit_length()) if 2 * (m << k) ** 2 < live_size]
+            charges.append(sum(int(fields._imag_comb(a).max()) for a in chain))
+        assert max(charges) <= 127 < sum(charges), limit
+        got = _comb_counts(limit, fields._add_imag_combs)
+        assert np.array_equal(got, _comb_counts(limit, imaginary_combs_per_a)), limit
 
 
 def test_squarefree_sieve_over_primes_equals_the_all_k_loop():
@@ -421,20 +466,33 @@ def _unpaired_per_ac_loop(limit):
 
 
 def test_real_histogram_equals_the_per_ac_loop(monkeypatch):
-    # the paired per-(a, c) loop adds each D's logs in the same order, so
-    # the histogram is equal, not just close, whatever the block size
+    # no form with D = 0 or 4 mod 16 is built, as no such D is fundamental:
+    # the histogram is 0 there.  Elsewhere the paired per-(a, c) loop adds
+    # each D's logs in the same order, so the histogram is equal to it, not
+    # just close, whatever the block and row-group sizes
+    assert not np.isin(fundamental_magnitudes(1, 10**5) % 16, (0, 4)).any()
     for limit in (5000, 4097, 100, 8, 5):
+        d = np.arange(limit + 1)
+        skipped = (d % 16 == 0) | (d % 16 == 4)
         ref = _paired_per_ac_loop(limit)
-        assert np.array_equal(real_hr_histogram(limit), ref), limit
+        if limit >= 100:
+            assert ref[skipped].any(), limit
+        hists = [real_hr_histogram(limit)]
         for block in (1, 7, 100):
-            monkeypatch.setattr(fields, "_PAIR_BLOCK", block)
-            assert np.array_equal(real_hr_histogram(limit), ref), (limit, block)
+            for group in (1, 3):
+                monkeypatch.setattr(fields, "_PAIR_BLOCK", block)
+                monkeypatch.setattr(fields, "_ROW_GROUP", group)
+                hists.append(real_hr_histogram(limit))
         monkeypatch.undo()
+        for hist in hists:
+            assert np.array_equal(hist[~skipped], ref[~skipped]), limit
+            assert not hist[skipped].any(), limit
         # pairing reorders the sum: the one-log-per-form loop has the same
-        # support and agrees to rounding
+        # support and agrees to rounding, off D = 0, 4 mod 16
         unpaired = _unpaired_per_ac_loop(limit)
         nz = unpaired != 0
         assert np.array_equal(ref != 0, nz), limit
+        assert np.array_equal(hists[0] != 0, nz & ~skipped), limit
         assert np.all(np.abs(ref[nz] - unpaired[nz]) <= 1e-13 * unpaired[nz]), limit
 
 
@@ -548,6 +606,24 @@ def test_table_compute_columns():
     i = int(np.nonzero(t.magnitude == 40)[0][0])
     assert t.h[i] == 2
     assert t.reg[i] == pytest.approx(regulator_real(40), rel=1e-12)
+
+
+def test_imaginary_table_gathers_h_in_blocks():
+    # h is taken from the histogram _BLOCK rows at a time into one int32
+    # column, with no full-length index |D| >> 1: the build at 10^6 peaks at
+    # 5.02 MB by tracemalloc, against 5.45 MB with hist[mags >> 1]
+    limit = 10**6
+    DiscriminantTable.compute(-1, limit)  # the first call allocates more, once
+    tracemalloc.start()
+    try:
+        table = DiscriminantTable.compute(-1, limit)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.3
+    assert len(table) > 4 * fields._BLOCK and table.h.dtype == np.int32
+    hist = imaginary_class_number_histogram(limit)
+    assert np.array_equal(table.h, hist[table.magnitude >> 1])
 
 
 def test_table_roundtrip(tmp_path):
