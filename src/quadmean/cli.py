@@ -355,8 +355,8 @@ def _emit(command: str, config: dict, items: list[IdentityCheck], fmt: str, out)
             ],
             "summary": summary,
         }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        # one compact line: without indent, json takes its C encoder
+        out.write(json.dumps(doc) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["anchor", "expected", "got", "pass"])

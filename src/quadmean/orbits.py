@@ -44,8 +44,8 @@ def _rem(v, m: int):
 
     Floor division makes the result agree with Python's % on negative
     values.  numpy's floor division by a scalar has a fast path that its
-    remainder lacks: on int32, v - v // m * m took 0.8 ns per element and
-    v % m 3.1 ns (numpy 2.4.6, Xeon).  v must be a fresh temporary that no
+    remainder lacks: on int32, v - v // m * m took 0.76 ns per element and
+    v % m 4.9 ns (numpy 2.4.6, AMD EPYC).  v must be a fresh temporary that no
     caller still reads.  A Python int is reduced and returned as well.
     """
     v -= v // m * m
@@ -308,68 +308,104 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
     return gens
 
 
-# frontier entries decoded at once; bounds the BFS's temporary arrays (2^13
-# took 0.4 MB off the peak of a verify-local --primes 2,3,5 call against
-# 2^14, for 5-7% more BFS time)
+# orbit elements written at once when the classes are expanded, and class
+# representatives decoded at once; bounds the BFS's temporary arrays.  A
+# verify-local --primes 2,3,5 call peaks at 2.22 MB with 2^13, and its 16
+# closures take 5.4 ms; 2.14 MB and 6.2 ms with 2^12, 2.37 MB and 5.0 ms
+# with 2^14, 4.24 MB with every class expanded at once.
 _BFS_BLOCK = 1 << 13
 
 
-def _row_image(row: list, xs: tuple, m: int) -> np.ndarray:
-    """sum of k * xs[j] over the nonzero terms (k, j) of a matrix row, mod m;
-    a lone coordinate with coefficient 1 is a residue already."""
-    (k, j), *rest = row
-    if k == 1 and not rest:
-        return xs[j]
-    y = k * xs[j]  # a fresh array (a copy at k = 1): the adds work in place
-    for k, j in rest:
-        y += xs[j] if k == 1 else k * xs[j]
-    return _rem(y, m)
+def _unpack(packed: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients (x0, x1, x2) of packed triples (x0 * m + x1) * m + x2."""
+    x01 = packed // m
+    x0 = x01 // m
+    return x0, x01 - x0 * m, packed - x01 * m
+
+
+def _unit_scaling(ring: ResidueRing) -> tuple[np.ndarray, np.ndarray]:
+    """(val, scale) over the residues r mod p^N: val[r] = ord_p(r), N at
+    r = 0, and scale[r] the inverse mod p^N of the unit r / p^val[r], 0 at
+    r = 0."""
+    m, p = ring.modulus, ring.p
+    r = np.arange(m, dtype=np.int64)
+    val = sum(r % p**k == 0 for k in range(1, ring.n + 1))
+    return val, _unit_inverses(ring)[r // p**val]
 
 
 def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
     """Dense level-synchronous closure of the G-orbit of a form.
 
-    Each generator acts on (x0, x1, x2) by a 3x3 matrix mod m; every level
-    applies them all to the frontier, in blocks of packed int32 coefficient
-    triples.  Only the nonzero terms of each matrix are applied (a
-    transvection is a few adds, diag(u, 1) and the scalar u are diagonal).
+    The scalar t commutes with g2, so the orbit is a union of unit-scaling
+    classes {u*y : u a unit}, and the closure walks one representative per
+    class under the GL2 generators alone.  The representative of y divides
+    y by the unit part w of its first coefficient of least valuation
+    y_j = p^v w.  Every coefficient lies in p^v, so only w mod p^(N-v)
+    matters, and every member of the class has the same representative.
+    Each level applies every generator to a block of representatives in one
+    int32 (3G, 3) @ (3, k) product.  The class of y is {u*y : u a unit
+    below p^(N-v)}, without repeats (just {0} at the zero form), and the
+    content valuation v is constant on the orbit; the classes are expanded
+    into the bitset at the end, _BFS_BLOCK elements at a time.
     Returns (bool array keyed by packed triples, orbit size).
     """
-    m = ring.modulus
+    m, p, n = ring.modulus, ring.p, ring.n
     space = m**3
     if space > MAX_ORBIT_SPACE:
-        raise CapacityError(f"orbit space {ring.p}^(3*{ring.n}) exceeds {MAX_ORBIT_SPACE}")
-    gens = []
-    for t, a, b, c, d in _generators(ring):
-        rows = ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
-        # the nonzero terms (coefficient, source coordinate) of each row
-        gens.append([[(t * k % m, j) for j, k in enumerate(row) if t * k % m] for row in rows])
-    x0, x1, x2 = (v % m for v in form.coeffs())
+        raise CapacityError(f"orbit space {p}^(3*{n}) exceeds {MAX_ORBIT_SPACE}")
+    # the GL2 generators' matrices on (x0, x1, x2), stacked row 0 of each,
+    # then row 1, then row 2, so the product splits into the three images
+    mats = [
+        ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
+        for t, a, b, c, d in _generators(ring)
+        if t == 1
+    ]
+    gens = (np.array(mats, dtype=np.int64).transpose(1, 0, 2).reshape(-1, 3) % m).astype(np.int32)
+    val, scale = _unit_scaling(ring)
+    x = tuple(c % m for c in form.coeffs())
+    v = int(val[list(x)].min())
+    # scale[r] where r has the orbit's least valuation v, 0 elsewhere
+    lead = np.where(val == v, scale, 0).astype(np.int32)
+    s = next((int(lead[c]) for c in x if lead[c]), 0)  # 0 only at the zero form
+    x0, x1, x2 = (c * s % m for c in x)
     start = (x0 * m + x1) * m + x2
     visited = np.zeros(space, dtype=bool)
     visited[start] = True
-    # packed triples (< m^3) and the sums k0*x0 + k1*x1 + k2*x2 (< 3 m^2) fit
-    # int32 for any space that passes the guard; int32 halves the temporaries
+    # packed triples (< m^3), the sums k0*x0 + k1*x1 + k2*x2 (< 3 m^2) and
+    # scaled residues (< m^2) fit int32 for any space that passes the guard
     frontier = np.array([start], dtype=np.int32)
-    count = 1
+    reps = [frontier]
     while frontier.size:
         found = []
         for lo in range(0, frontier.size, _BFS_BLOCK):
-            block = frontier[lo : lo + _BFS_BLOCK]
-            x01 = block // m
-            x0 = x01 // m
-            xs = (x0, x01 - x0 * m, block - x01 * m)
-            for rows in gens:
-                y0, y1, y2 = (_row_image(row, xs, m) for row in rows)
-                idx = (y0 * m + y1) * m + y2
-                # a generator permutes the forms, so distinct entries have
-                # distinct images: the unseen ones need no deduplication
-                new = idx[~visited[idx]]
-                visited[new] = True
-                found.append(new)
-        frontier = np.concatenate(found)
-        count += frontier.size
-    return visited, count
+            xs = np.stack(_unpack(frontier[lo : lo + _BFS_BLOCK], m))
+            y = _rem(gens @ xs, m).reshape(3, -1)
+            # the lead scale of each image: that of its first coefficient
+            # of least valuation
+            k = lead[y]
+            s = np.where(k[0] != 0, k[0], np.where(k[1] != 0, k[1], k[2]))
+            y = _rem(y * s, m)
+            idx = (y[0] * m + y[1]) * m + y[2]
+            found.append(idx[~visited[idx]])
+        # two generators can reach one class: deduplicate by a sort (in a
+        # fresh process a first np.unique call raised maxrss by 1.67 MB, the
+        # sort and neighbour compare by 0.52 MB)
+        new = np.concatenate(found)
+        new.sort()
+        frontier = new[np.append(True, new[1:] != new[:-1])] if new.size else new
+        visited[frontier] = True
+        reps.append(frontier)
+    units = np.arange(1, p ** (n - v) + 1, dtype=np.int32)
+    units = units[units % p != 0]
+    reps = np.concatenate(reps)
+    step = max(1, _BFS_BLOCK // units.size)
+    for lo in range(0, reps.size, step):
+        x0, x1, x2 = _unpack(reps[lo : lo + step, None], m)
+        # (u*x0 mod m, u*x1 mod m, u*x2 mod m) packed, for every unit u
+        idx = _rem(x0 * units, m) * (m * m) + _rem(x1 * units, m) * m
+        idx += _rem(x2 * units, m)
+        visited[idx] = True
+    return visited, reps.size * units.size
 
 
 def orbit_size(x: StandardRep | BinaryQF, ring: ResidueRing) -> int:

@@ -8,7 +8,9 @@ forms of quadmean.densities against them.  act applies one element of
 GL1 x GL2 to one form, the scalar reference for the orbit, stabilizer
 and torus kernels.  imaginary_combs_per_a adds the imaginary comb rows one
 leading coefficient at a time, the reference for the chained passes of
-quadmean.fields.  Nothing in the package calls them.
+quadmean.fields.  orbit_bitset_by_generators closes an orbit under every
+generator of GL1 x GL2, the reference for the class-quotient closure of
+quadmean.orbits.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import isqrt
 
 import numpy as np
 
-from quadmean.orbits import BinaryQF, StandardRep, orbit_size
+from quadmean.orbits import BinaryQF, StandardRep, _generators, orbit_size
 from quadmean.residue import ResidueRing, kronecker
 
 
@@ -239,3 +241,39 @@ def orbital_volume_bruteforce(rep: StandardRep, level: int) -> Fraction:
     """
     ring = ResidueRing(rep.p, level)
     return Fraction(orbit_size(rep, ring), rep.p ** (3 * level))
+
+
+def orbit_bitset_by_generators(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
+    """Dense level-synchronous closure of the G-orbit of a form under every
+    generator of _generators, the unit scalars included: the reference for
+    the class-quotient closure of quadmean.orbits._orbit_bitset.
+
+    Each generator acts on (x0, x1, x2) by a 3x3 matrix mod m, applied to
+    the whole frontier of packed int64 triples per level.  Returns (bool
+    array keyed by packed triples, orbit size).
+    """
+    m = ring.modulus
+    gens = []
+    for t, a, b, c, d in _generators(ring):
+        rows = ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
+        gens.append([[t * k % m for k in row] for row in rows])
+    x0, x1, x2 = (v % m for v in form.coeffs())
+    start = (x0 * m + x1) * m + x2
+    visited = np.zeros(m**3, dtype=bool)
+    visited[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    count = 1
+    while frontier.size:
+        xs = (frontier // (m * m), frontier // m % m, frontier % m)
+        found = []
+        for rows in gens:
+            y0, y1, y2 = ((k0 * xs[0] + k1 * xs[1] + k2 * xs[2]) % m for k0, k1, k2 in rows)
+            idx = (y0 * m + y1) * m + y2
+            # a generator permutes the forms, so distinct entries have
+            # distinct images: the unseen ones need no deduplication
+            new = idx[~visited[idx]]
+            visited[new] = True
+            found.append(new)
+        frontier = np.concatenate(found)
+        count += frontier.size
+    return visited, count

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quadmean.orbits
-from oracles import act
+from oracles import act, orbit_bitset_by_generators
 from quadmean.cli import _group_order_direct
 from quadmean.orbits import (
     ALG_SPLIT,
@@ -19,6 +19,7 @@ from quadmean.orbits import (
     _orbit_bitset,
     _rem,
     _unit_inverses,
+    _unit_scaling,
     congruence_solution_check,
     congruence_solution_set,
     coset_normal_form_check,
@@ -417,6 +418,44 @@ def test_orbit_bitset_matches_scalar_closure(p, level):
         expected = _scalar_orbit(rep.form, ring)
         assert got == expected, rep.algebra
         assert count == len(expected)
+
+
+def _assert_same_orbit(form, ring):
+    visited, count = _orbit_bitset(form, ring)
+    expected, expected_count = orbit_bitset_by_generators(form, ring)
+    assert visited.dtype == bool and visited.shape == expected.shape
+    assert np.array_equal(visited, expected), (form, ring.p, ring.n)
+    assert count == expected_count == np.count_nonzero(expected)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_bitset_matches_the_generator_closure(p):
+    for rep in standard_representatives(p):
+        for level in (rep.n, rep.n + 1):
+            _assert_same_orbit(rep.form, ResidueRing(p, level))
+
+
+@pytest.mark.parametrize(
+    "coeffs,p,level",
+    [((3, 0, 9), 3, 3), ((2, 2, 4), 2, 4), ((5, 5, 10), 5, 2), ((4, 0, 0), 2, 3),
+     ((0, 0, 0), 3, 2), ((0, 0, 0), 2, 3)],
+)
+def test_orbit_bitset_of_non_primitive_forms_matches_the_generator_closure(coeffs, p, level):
+    # no coefficient is a unit: the class representative divides by the unit
+    # part of the first coefficient of least valuation, not of a unit one
+    _assert_same_orbit(BinaryQF(*coeffs), ResidueRing(p, level))
+
+
+@pytest.mark.parametrize("p,level", [(2, 4), (3, 3), (5, 2)])
+def test_unit_scaling_tables(p, level):
+    ring = ResidueRing(p, level)
+    m = ring.modulus
+    val, scale = _unit_scaling(ring)
+    assert val[0] == level and scale[0] == 0
+    for r in range(1, m):
+        v = int(val[r])
+        assert r % p**v == 0 and (r // p**v) % p != 0
+        assert r * int(scale[r]) % m == p**v and int(scale[r]) % p != 0
 
 
 @pytest.mark.parametrize("p,level", [(3, 2), (2, 3)])
