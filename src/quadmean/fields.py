@@ -31,15 +31,8 @@ from math import isqrt
 
 import numpy as np
 
-from .orbits import (
-    ALG_SPLIT,
-    QuadraticAlgebraDescriptor,
-    _rem,
-    local_algebras,
-    ramified_algebra,
-    unramified_algebra,
-)
-from .residue import CapacityError, kronecker, primes_upto, square_class
+from .orbits import QuadraticAlgebraDescriptor, _rem, local_algebras
+from .residue import CapacityError, primes_upto, square_class, square_class_labels
 
 TRACKED_PRIMES = (2, 3, 5)
 
@@ -98,13 +91,8 @@ def fundamental_magnitudes(sign: int, limit: int) -> np.ndarray:
 
 def local_type(d: int, p: int) -> QuadraticAlgebraDescriptor:
     """Isomorphism type of the completion at p of the quadratic algebra of
-    discriminant d."""
-    k = kronecker(d, p)
-    if k == 1:
-        return ALG_SPLIT
-    if k == -1:
-        return unramified_algebra(p)
-    return ramified_algebra(p, square_class(d, p).label)
+    Q(sqrt(d)), for any nonzero d: the algebra of its square class."""
+    return local_algebras(p)[square_class_labels(p).index(square_class(d, p))]
 
 
 # The type at p of a fundamental discriminant D is fixed by D mod
@@ -113,10 +101,10 @@ def local_type(d: int, p: int) -> QuadraticAlgebraDescriptor:
 # and the square class of the unit part is fixed mod 8, so D mod 2^6
 # decides.  So D mod TYPE_MODULUS = 64 * 9 * 25 = 14,400 decides the types
 # at every tracked prime at once.  The joint code of D is its index c_p in
-# local_algebras(p) at each tracked prime, raveled over TYPE_CELLS = (8, 4,
-# 4): 16 c_2 + 4 c_3 + c_5, one of 128.  Its table runs the scalar
-# classifier once per residue of each prime's modulus; residues that no
-# fundamental discriminant has read index 0 at that prime.
+# local_algebras(p), which is that of its class in square_class_labels(p),
+# at each tracked prime, raveled over TYPE_CELLS = (8, 4, 4): 16 c_2 +
+# 4 c_3 + c_5, one of 128.  Its table classifies each residue of each
+# prime's modulus once; a residue that no fundamental D has reads index 0.
 _TYPE_MODULI = {p: 2**6 if p == 2 else p * p for p in TRACKED_PRIMES}
 TYPE_MODULUS = math.prod(_TYPE_MODULI.values())
 TYPE_CELLS = tuple(len(local_algebras(p)) for p in TRACKED_PRIMES)
@@ -129,9 +117,9 @@ def _is_fundamental_residue(r: int, p: int) -> bool:
 
 
 def _type_code_table(p: int) -> np.ndarray:
-    algebras = local_algebras(p)  # once per prime, not once per residue
+    labels = square_class_labels(p)  # once per prime, not once per residue
     return np.array(
-        [algebras.index(local_type(r, p)) if _is_fundamental_residue(r, p) else 0
+        [labels.index(square_class(r, p)) if _is_fundamental_residue(r, p) else 0
          for r in range(_TYPE_MODULI[p])]
     )
 

@@ -1,11 +1,12 @@
 """Binary quadratic forms under GL(1) x GL(2) over Z/p^n.
 
 A form x = x0*v1^2 + x1*v1*v2 + x2*v2^2 is acted on by g = (t, g2) via
-(g.x)(v) = t * x(v * g2), with v a row vector.  The module provides the
-standard orbital representative for each separable quadratic algebra of
-Q_p, the stabilizer torus attached to a monic representative, orbit
-enumeration by breadth-first closure, and the unit congruence systems
-that account for the stabilizer's torus cosets.
+(g.x)(v) = t * x(v * g2), with v a row vector.  local_algebras(p) lists
+the separable quadratic algebras of Q_p, one per label of
+residue.square_class_labels(p).  The module gives the standard orbital
+representative of each, the stabilizer torus attached to a monic
+representative, orbit enumeration by breadth-first closure, and the unit
+congruence systems that account for the stabilizer's torus cosets.
 
 The array kernels (orbit closure, stabilizer scan, coset normal form)
 reduce with _rem, floor division in place, and work in int32 wherever the
@@ -14,6 +15,7 @@ size guards bound every intermediate value below 2^31.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,12 +24,11 @@ import numpy as np
 from .residue import (
     CapacityError,
     ResidueRing,
-    SquareClassLabel,
+    disc_valuation,
     kronecker,
-    ramified_labels,
     square_class,
+    square_class_labels,
     unit_group_generators,
-    unramified_label,
     valuation,
 )
 
@@ -81,67 +82,47 @@ class BinaryQF:
 class QuadraticAlgebraDescriptor:
     """A separable quadratic algebra over Q_p or over R, by isomorphism type.
 
-    Finite kinds: "split", "unramified", "ramified" (the latter two carry
-    the square class whose root generates the extension).  Archimedean
-    kinds: "real-pair" (R x R) and "complex" (C over R).
+    Finite kinds "split", "unramified" and "ramified" carry the label of
+    the square class whose root generates them (1 when split) and their
+    discriminant valuation; local_algebras(p) builds them.  They carry no
+    p (unramified(2) at 3 equals unramified(2) at 5), so every consumer
+    keys them by p.  Archimedean kinds: "real-pair" (R x R), "complex".
     """
 
     kind: str
-    square_class: SquareClassLabel | None = None
-
-    _FINITE = ("split", "unramified", "ramified")
-    _ARCH = ("real-pair", "complex")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._FINITE + self._ARCH:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        if self.kind == "ramified" and (
-            self.square_class is None or not self.square_class.is_ramified
-        ):
-            raise ValueError("ramified algebra needs a ramified square class")
-
-    @property
-    def disc_valuation(self) -> int:
-        """Valuation of the discriminant: that of the square class when
-        ramified, 0 otherwise."""
-        return self.square_class.disc_valuation if self.kind == "ramified" else 0
+    square_class: int | None
+    disc_valuation: int = 0
 
     @property
     def label(self) -> str:
         """The condition label of a finite algebra: "split", "unram" or
         "ram:<square class label>"."""
         if self.kind == "ramified":
-            return f"ram:{self.square_class.label}"
+            return f"ram:{self.square_class}"
         return {"split": "split", "unramified": "unram"}[self.kind]
 
     def __str__(self) -> str:
-        if self.kind == "ramified":
-            return f"ramified({self.square_class.label})"
-        if self.kind == "unramified":
-            return f"unramified({self.square_class.label})"
+        if self.kind in ("unramified", "ramified"):
+            return f"{self.kind}({self.square_class})"
         return self.kind
 
 
-ALG_SPLIT = QuadraticAlgebraDescriptor("split")
-ALG_REAL_PAIR = QuadraticAlgebraDescriptor("real-pair")
-ALG_COMPLEX = QuadraticAlgebraDescriptor("complex")
-
-
-def unramified_algebra(p: int) -> QuadraticAlgebraDescriptor:
-    return QuadraticAlgebraDescriptor("unramified", unramified_label(p))
-
-
-def ramified_algebra(p: int, label: int) -> QuadraticAlgebraDescriptor:
-    return QuadraticAlgebraDescriptor("ramified", SquareClassLabel(p, label))
+ALG_SPLIT = QuadraticAlgebraDescriptor("split", 1)
+ALG_REAL_PAIR = QuadraticAlgebraDescriptor("real-pair", None)
+ALG_COMPLEX = QuadraticAlgebraDescriptor("complex", None)
 
 
 def local_algebras(p: int) -> list[QuadraticAlgebraDescriptor]:
-    """Every separable quadratic algebra of Q_p, in the one order that the
-    representatives, condition labels and type codes share: split,
-    unramified, then the ramified classes in ramified_labels order."""
-    return [ALG_SPLIT, unramified_algebra(p)] + [
-        ramified_algebra(p, label) for label in ramified_labels(p)
-    ]
+    """Every separable quadratic algebra of Q_p, one per square class in
+    square_class_labels(p) order, which the representatives, condition
+    labels and type codes share: split for the class of 1, unramified for
+    the other class of discriminant valuation 0, ramified for the rest."""
+    algebras = []
+    for label in square_class_labels(p):
+        v = disc_valuation(label, p)
+        kind = "split" if label == 1 else "ramified" if v else "unramified"
+        algebras.append(QuadraticAlgebraDescriptor(kind, label, v))
+    return algebras
 
 
 # the dyadic classes that have no trace-0 Eisenstein representative:
@@ -186,9 +167,9 @@ class StandardRep:
             raise ValueError("non-split representatives are monic")
         if square_class(disc, self.p) != self.algebra.square_class:
             raise ValueError("discriminant square class does not match algebra")
+        if valuation(disc, self.p) != self.delta:
+            raise ValueError("discriminant valuation must equal delta")
         if kind == "unramified":
-            if kronecker(disc, self.p) != -1:
-                raise ValueError("unramified representative needs unit non-square disc")
             return
         # ramified: Eisenstein shape and the disc-valuation dichotomy
         a1, a2, p = self.a1, self.a2, self.p
@@ -199,8 +180,6 @@ class StandardRep:
         expected_delta = 2 * v1 if v1 <= self.m else 2 * self.m + 1
         if self.delta != expected_delta:
             raise ValueError("disc valuation inconsistent with trace valuation")
-        if valuation(disc, p) != self.delta:
-            raise ValueError("discriminant valuation must equal delta")
 
     @property
     def a1(self) -> int:
@@ -240,8 +219,7 @@ def standard_representatives(p: int) -> list[StandardRep]:
     split, unram, *ramified = local_algebras(p)
     reps = [StandardRep(p, split, BinaryQF(0, 1, 0)), StandardRep(p, unram, BinaryQF(1, 1, c))]
     for alg in ramified:
-        label = alg.square_class.label
-        a1, a2 = _RAMIFIED_COEFFS_AT_2.get(label, (0, -label))
+        a1, a2 = _RAMIFIED_COEFFS_AT_2.get(alg.square_class, (0, -alg.square_class))
         reps.append(StandardRep(p, alg, BinaryQF(1, a1, a2)))
     return reps
 
@@ -472,12 +450,15 @@ class LiftSaturation:
 # stabilizer enumeration and the coset normal form
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _unit_inverses(ring: ResidueRing) -> np.ndarray:
-    """Inverse of every residue mod p^N as an int64 table, 0 at non-units."""
+    """Inverse of every residue mod p^N as an int64 table, 0 at non-units.
+    Built once per ring and returned read-only, since every call shares it."""
     m, p = ring.modulus, ring.p
     inv = np.zeros(m, dtype=np.int64)
     units = [v for v in range(m) if v % p]
     inv[units] = [pow(v, -1, m) for v in units]
+    inv.flags.writeable = False
     return inv
 
 

@@ -1,9 +1,10 @@
 """Exact arithmetic in Z/p^n and square-class bookkeeping for Q_p.
 
-Residues are canonical integers in [0, p^n), valuations are plain ints,
-and square classes carry fixed integer labels so they can be compared,
-sorted and serialized without any symbolic layer.  The module also has the
-one prime sieve, for the Euler product and the squarefree sieve.
+Residues are canonical integers in [0, p^n) and valuations are plain ints.
+A square class of Q_p^x is an int label from the one list
+square_class_labels(p), with the one rule disc_valuation(label, p).  The
+module also has the one prime sieve, for the Euler product and the
+squarefree sieve.
 """
 
 from __future__ import annotations
@@ -172,60 +173,29 @@ _TWO_ADIC_UNIT_LABEL = {1: 1, 3: -5, 5: 5, 7: -1}
 
 
 def square_class_labels(p: int) -> list[int]:
-    """Canonical labels for Q_p^x mod squares: {1, u, p, up} for odd p
-    with u the smallest non-residue; the eight classes at p = 2."""
+    """The labels of Q_p^x mod squares in the one order of the local types
+    at p: 1, the unit non-square, then the ramified classes; [1, u, p, up]
+    for odd p with u the smallest non-residue."""
     if p == 2:
-        return [1, -1, 2, -2, 5, -5, 10, -10]
+        return [1, 5, -1, -5, 2, -2, 10, -10]
     u = smallest_nonresidue(p)
     return [1, u, p, u * p]
 
 
-def ramified_labels(p: int) -> list[int]:
-    """Labels whose square roots generate ramified quadratic extensions."""
-    if p == 2:
-        return [-1, -5, 2, -2, 10, -10]
-    u = smallest_nonresidue(p)
-    return [p, u * p]
+def disc_valuation(label: int, p: int) -> int:
+    """Valuation of the discriminant of Q_p(sqrt(label)) over Q_p: at odd p
+    1 when p divides the label; at p = 2, 3 for an even label, 2 for one
+    that is 3 mod 4, else 0.  It is 0 for 1 and the unit non-square only."""
+    if p != 2:
+        return 1 if label % p == 0 else 0
+    if label % 2 == 0:
+        return 3
+    return 2 if label % 4 == 3 else 0
 
 
-@dataclass(frozen=True)
-class SquareClassLabel:
-    """A class of Q_p^x mod squares, named by its canonical integer label."""
-
-    p: int
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.label not in square_class_labels(self.p):
-            raise ValueError(f"{self.label} is not a square-class label at p={self.p}")
-
-    @property
-    def disc_valuation(self) -> int:
-        """Valuation of the discriminant of Q_p(sqrt(label)) over Q_p."""
-        if self.p != 2:
-            return 1 if self.label % self.p == 0 else 0
-        if self.label in (-1, -5):
-            return 2
-        if self.label % 2 == 0:
-            return 3
-        return 0
-
-    @property
-    def is_ramified(self) -> bool:
-        return self.disc_valuation > 0
-
-    def __str__(self) -> str:
-        return f"{self.label} (mod squares at {self.p})"
-
-
-def unramified_label(p: int) -> SquareClassLabel:
-    """The unit non-square class: sqrt of it generates the unramified
-    quadratic extension of Q_p."""
-    return SquareClassLabel(p, 5 if p == 2 else smallest_nonresidue(p))
-
-
-def square_class(a, p: int) -> SquareClassLabel:
-    """Square class of a nonzero rational a in Q_p^x.
+def square_class(a, p: int) -> int:
+    """Label in square_class_labels(p) of the class of a nonzero rational a
+    in Q_p^x.
 
     The label is p^(v mod 2) times the unit-part label: for odd p that is 1
     or the smallest non-residue by the Legendre symbol; for p = 2 the unit
@@ -243,6 +213,4 @@ def square_class(a, p: int) -> SquareClassLabel:
     else:
         w = num * pow(den, -1, p) % p
         label = 1 if kronecker(w, p) == 1 else smallest_nonresidue(p)
-    if v % 2 == 1:
-        label *= p
-    return SquareClassLabel(p, label)
+    return label * p if v % 2 == 1 else label

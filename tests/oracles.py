@@ -10,7 +10,8 @@ and torus kernels.  imaginary_combs_per_a adds the imaginary comb rows one
 leading coefficient at a time, the reference for the chained passes of
 quadmean.fields.  orbit_bitset_by_generators closes an orbit under every
 generator of GL1 x GL2, the reference for the class-quotient closure of
-quadmean.orbits.  Nothing in the package calls them.
+quadmean.orbits.  algebra(p, label) looks up the local type of a square
+class.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,20 @@ from math import isqrt
 
 import numpy as np
 
-from quadmean.orbits import BinaryQF, StandardRep, _generators, orbit_size
-from quadmean.residue import ResidueRing, kronecker
+from quadmean.orbits import (
+    BinaryQF,
+    QuadraticAlgebraDescriptor,
+    StandardRep,
+    _generators,
+    local_algebras,
+    orbit_size,
+)
+from quadmean.residue import ResidueRing, kronecker, square_class_labels
+
+
+def algebra(p: int, label: int) -> QuadraticAlgebraDescriptor:
+    """The algebra of local_algebras(p) whose square class is label."""
+    return local_algebras(p)[square_class_labels(p).index(label)]
 
 
 def act(g: tuple[int, int, int, int, int], x: BinaryQF, m: int) -> BinaryQF:

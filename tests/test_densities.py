@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import orbital_volume_bruteforce
+from oracles import algebra, orbital_volume_bruteforce
 from quadmean.densities import (
     PiPower,
     census_expected,
@@ -16,14 +16,7 @@ from quadmean.densities import (
     ramified_density_sum,
     ramified_density_sum_closed,
 )
-from quadmean.orbits import (
-    ALG_COMPLEX,
-    ALG_REAL_PAIR,
-    ALG_SPLIT,
-    ramified_algebra,
-    standard_representatives,
-    unramified_algebra,
-)
+from quadmean.orbits import ALG_COMPLEX, ALG_REAL_PAIR, ALG_SPLIT, standard_representatives
 
 
 def test_pipower_arithmetic():
@@ -46,12 +39,12 @@ def test_archimedean_densities():
 def test_finite_densities_frozen():
     assert local_density(ALG_SPLIT, 2) == Fraction(3, 8)
     assert local_density(ALG_SPLIT, 3) == Fraction(4, 9)
-    assert local_density(unramified_algebra(2), 2) == Fraction(1, 8)
-    assert local_density(unramified_algebra(3), 3) == Fraction(2, 9)
-    assert local_density(ramified_algebra(3, 3), 3) == Fraction(8, 81)
-    assert local_density(ramified_algebra(3, 6), 3) == Fraction(8, 81)
-    assert local_density(ramified_algebra(2, -1), 2) == Fraction(3, 64)
-    assert local_density(ramified_algebra(2, 2), 2) == Fraction(3, 128)
+    assert local_density(algebra(2, 5), 2) == Fraction(1, 8)
+    assert local_density(algebra(3, 2), 3) == Fraction(2, 9)
+    assert local_density(algebra(3, 3), 3) == Fraction(8, 81)
+    assert local_density(algebra(3, 6), 3) == Fraction(8, 81)
+    assert local_density(algebra(2, -1), 2) == Fraction(3, 64)
+    assert local_density(algebra(2, 2), 2) == Fraction(3, 128)
     with pytest.raises(TypeError):
         local_density(ALG_SPLIT)  # prime required
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    algebra,
     analytic_class_number_imaginary,
     analytic_hr_real,
     class_number_imaginary,
@@ -37,7 +38,8 @@ from quadmean.fields import (
     real_hr_histogram,
     _isqrt_array,
 )
-from quadmean.orbits import local_algebras, standard_representatives
+from quadmean.orbits import ALG_SPLIT, local_algebras, standard_representatives
+from quadmean.residue import disc_valuation, square_class_labels
 
 
 def test_is_fundamental_matches_definition():
@@ -511,19 +513,25 @@ def test_local_type_spot_values():
     assert local_type(-3, 5).label == "unram"
     assert local_type(5, 5).kind == "ramified"
     assert local_type(-23, 3).kind == "split"
+    # non-fundamental d take the type of their square class
+    assert str(local_type(-12, 2)) == "unramified(5)"
+    assert str(local_type(20, 2)) == "unramified(5)"
+    assert local_type(9, 3) == ALG_SPLIT
+    assert local_type(-36, 2).label == "ram:-1"
+    assert local_type(50, 5).label == "unram"
 
 
 def test_local_type_agrees_with_discriminant_arithmetic():
-    # split iff the form of the type splits: chi(d) = 1; ramified iff p | d
-    rng = random.Random(61)
+    # for a fundamental D the type at p is split iff chi_D(p) = 1, unramified
+    # iff chi_D(p) = -1 and ramified iff p | D: the Kronecker symbol checks
+    # the square-class classifier at every D up to 2 * 10^4, both signs
     from quadmean.residue import kronecker
 
-    pool = [int(v) * s for s in (-1, 1) for v in fundamental_magnitudes(1 if s > 0 else -1, 3000)]
-    for d in rng.sample(pool, 200):
-        for p in TRACKED_PRIMES:
-            kind = local_type(d, p).kind
-            k = kronecker(d, p)
-            assert kind == {1: "split", -1: "unramified", 0: "ramified"}[k]
+    kinds = {1: "split", -1: "unramified", 0: "ramified"}
+    for sign in (-1, 1):
+        for d in (sign * fundamental_magnitudes(sign, 2 * 10**4)).tolist():
+            for p in (2, 3, 5, 7, 11):
+                assert local_type(d, p).kind == kinds[kronecker(d, p)], (d, p)
 
 
 def test_local_algebras_is_the_one_enumeration():
@@ -531,6 +539,16 @@ def test_local_algebras_is_the_one_enumeration():
     # of algebras at p; the condition labels are checked in test_meanvalue
     for p in (2, 3, 5, 7):
         assert [r.algebra for r in standard_representatives(p)] == local_algebras(p)
+        # one algebra per square class, in the order of the one label list
+        labels = [alg.square_class for alg in local_algebras(p)]
+        assert labels == square_class_labels(p) and len(set(labels)) == len(labels)
+        assert [alg.disc_valuation for alg in local_algebras(p)] == [
+            disc_valuation(lab, p) for lab in labels
+        ]
+    assert local_algebras(2)[0] == ALG_SPLIT
+    assert algebra(2, -1).disc_valuation == 2
+    assert algebra(2, 2).disc_valuation == 3
+    assert algebra(5, 10).disc_valuation == 1
     assert TYPE_CELLS == tuple(len(local_algebras(p)) for p in TRACKED_PRIMES) == (8, 4, 4)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import algebra
 from quadmean import meanvalue
 from quadmean.densities import PiPower
 from quadmean.fields import TRACKED_PRIMES, DiscriminantTable, local_type
@@ -26,13 +27,7 @@ from quadmean.meanvalue import (
     predicted_prefactor,
     primes_upto,
 )
-from quadmean.orbits import (
-    ALG_COMPLEX,
-    ALG_REAL_PAIR,
-    ALG_SPLIT,
-    local_algebras,
-    ramified_algebra,
-)
+from quadmean.orbits import ALG_COMPLEX, ALG_REAL_PAIR, ALG_SPLIT, local_algebras
 
 
 def test_euler_factor_frozen():
@@ -162,7 +157,7 @@ def test_parse_conditions_returns_one_value():
     assert parse_conditions("inf=C") == Conditions(-1, ALG_COMPLEX, ())
     c = parse_conditions(" 5=split , inf=RxR,2=ram:-1")
     assert c.arch == ALG_REAL_PAIR
-    assert c.pinned == ((2, ramified_algebra(2, -1)), (5, ALG_SPLIT))
+    assert c.pinned == ((2, algebra(2, -1)), (5, ALG_SPLIT))
     # the pinned primes come in ascending order, whatever the list's order
     shuffled = parse_conditions("3=unram,inf=RxR,2=split")
     assert shuffled == parse_conditions("inf=RxR,2=split,3=unram")

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 import quadmean.orbits
-from oracles import act, orbit_bitset_by_generators
+from oracles import act, algebra, orbit_bitset_by_generators
 from quadmean.cli import _group_order_direct
 from quadmean.orbits import (
     ALG_SPLIT,
     MAX_ORBIT_SPACE,
     BinaryQF,
     CapacityError,
-    QuadraticAlgebraDescriptor,
     StandardRep,
     _generators,
     _orbit_bitset,
@@ -26,14 +25,12 @@ from quadmean.orbits import (
     group_order,
     lift_saturation_check,
     orbit_size,
-    ramified_algebra,
     stabilizer_elements,
     stabilizer_order,
     standard_representatives,
     torus_matrix,
     torus_order,
     torus_order_closed,
-    unramified_algebra,
 )
 from quadmean.residue import ResidueRing
 
@@ -121,25 +118,16 @@ def test_representative_validation_rejects_mismatches():
         StandardRep(3, ALG_SPLIT, BinaryQF(1, 1, 0))
     with pytest.raises(ValueError):
         # discriminant 1 - 4*5 = -19 is 1 mod 5, a unit square
-        StandardRep(5, unramified_algebra(5), BinaryQF(1, 1, 5))
+        StandardRep(5, algebra(5, 2), BinaryQF(1, 1, 5))
+    with pytest.raises(ValueError, match="valuation"):
+        # disc -36 is in the unramified class 2 at 3, but it is not a unit
+        StandardRep(3, algebra(3, 2), BinaryQF(1, 0, 9))
     with pytest.raises(ValueError):
         # not Eisenstein: constant term 9 has valuation 2
-        StandardRep(3, ramified_algebra(3, 3), BinaryQF(1, 0, 9))
+        StandardRep(3, algebra(3, 3), BinaryQF(1, 0, 9))
     with pytest.raises(ValueError):
         # wrong ramified class: disc of (1, 0, -6) is 24, class 6 not 3
-        StandardRep(3, ramified_algebra(3, 3), BinaryQF(1, 0, -6))
-
-
-def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        QuadraticAlgebraDescriptor("ramified")  # no square class
-    with pytest.raises(ValueError):
-        QuadraticAlgebraDescriptor("bogus")
-    with pytest.raises(ValueError):
-        ramified_algebra(2, 5)  # 5 is the unramified class at 2
-    assert ramified_algebra(2, -1).disc_valuation == 2
-    assert ramified_algebra(2, 2).disc_valuation == 3
-    assert ramified_algebra(5, 10).disc_valuation == 1
+        StandardRep(3, algebra(3, 3), BinaryQF(1, 0, -6))
 
 
 FROZEN_COUNTS = [
@@ -488,6 +476,11 @@ def test_unit_inverses_table():
         assert inv.dtype == np.int64 and inv.shape == (m,)
         for v in range(m):
             assert int(inv[v]) == (pow(v, -1, m) if v % p else 0)
+        # built once per ring and shared, so no caller may write into it
+        assert _unit_inverses(ResidueRing(p, n)) is inv
+        assert not inv.flags.writeable
+        with pytest.raises(ValueError):
+            inv[1] = 0
 
 
 def test_lift_saturation_reports_missing_lifts(monkeypatch):
@@ -585,5 +578,5 @@ def test_representative_discriminants_lie_in_distinct_square_classes():
 
     for p in (2, 3, 5, 7):
         reps = standard_representatives(p)
-        labels = [square_class(r.form.discriminant(), p).label for r in reps]
+        labels = [square_class(r.form.discriminant(), p) for r in reps]
         assert len(set(labels)) == len(labels), (p, labels)

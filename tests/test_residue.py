@@ -9,15 +9,13 @@ from quadmean.residue import (
     MAX_MODULUS,
     CapacityError,
     ResidueRing,
-    SquareClassLabel,
+    disc_valuation,
     is_prime,
     kronecker,
-    ramified_labels,
     smallest_nonresidue,
     square_class,
     square_class_labels,
     unit_group_generators,
-    unramified_label,
     valuation,
 )
 
@@ -108,19 +106,21 @@ def test_square_class_labels():
     assert square_class_labels(3) == [1, 2, 3, 6]
     assert square_class_labels(5) == [1, 2, 5, 10]
     assert square_class_labels(7) == [1, 3, 7, 21]
-    assert square_class_labels(2) == [1, -1, 2, -2, 5, -5, 10, -10]
-    assert ramified_labels(3) == [3, 6]
-    assert ramified_labels(2) == [-1, -5, 2, -2, 10, -10]
-    assert unramified_label(2).label == 5
-    assert unramified_label(3).label == 2
+    assert square_class_labels(2) == [1, 5, -1, -5, 2, -2, 10, -10]
     assert smallest_nonresidue(7) == 3
+    # each label names its own class
+    for p in (2, 3, 5, 7):
+        assert [square_class(lab, p) for lab in square_class_labels(p)] == square_class_labels(p)
 
 
 def test_disc_valuation_of_labels():
-    vals = sorted(SquareClassLabel(2, lab).disc_valuation for lab in square_class_labels(2))
-    assert vals == [0, 0, 2, 2, 3, 3, 3, 3]
-    vals = sorted(SquareClassLabel(5, lab).disc_valuation for lab in square_class_labels(5))
-    assert vals == [0, 0, 1, 1]
+    # 1, the unit non-square, then the ramified classes, in the list's order
+    assert [disc_valuation(lab, 2) for lab in square_class_labels(2)] == [0, 0, 2, 2, 3, 3, 3, 3]
+    for p in (3, 5, 7, 11):
+        assert [disc_valuation(lab, p) for lab in square_class_labels(p)] == [0, 0, 1, 1]
+    assert disc_valuation(-1, 2) == 2
+    assert disc_valuation(2, 2) == 3
+    assert disc_valuation(10, 5) == 1
 
 
 def test_square_class_is_well_defined():
@@ -139,20 +139,20 @@ def test_square_class_is_well_defined():
 
 
 def test_square_class_spot_values():
-    assert square_class(1, 2).label == 1
-    assert square_class(-4, 2).label == -1
-    assert square_class(-20, 2).label == -5
-    assert square_class(8, 2).label == 2
-    assert square_class(-8, 2).label == -2
-    assert square_class(40, 2).label == 10
-    assert square_class(-40, 2).label == -10
-    assert square_class(17, 2).label == 1
-    assert square_class(5, 2).label == 5
-    assert square_class(12, 3).label == 3
-    assert square_class(24, 3).label == 6
-    assert square_class(-3, 3).label == 6
-    assert square_class(5, 5).label == 5
-    assert square_class(Fraction(1, 2), 2).label == 2
+    assert square_class(1, 2) == 1
+    assert square_class(-4, 2) == -1
+    assert square_class(-20, 2) == -5
+    assert square_class(8, 2) == 2
+    assert square_class(-8, 2) == -2
+    assert square_class(40, 2) == 10
+    assert square_class(-40, 2) == -10
+    assert square_class(17, 2) == 1
+    assert square_class(5, 2) == 5
+    assert square_class(12, 3) == 3
+    assert square_class(24, 3) == 6
+    assert square_class(-3, 3) == 6
+    assert square_class(5, 5) == 5
+    assert square_class(Fraction(1, 2), 2) == 2
 
 
 def test_square_class_group_structure():
@@ -164,5 +164,5 @@ def test_square_class_group_structure():
             a = rng.choice([v for v in range(-300, 300) if v])
             b = rng.choice([v for v in range(-300, 300) if v])
             lhs = square_class(a * b, p)
-            rhs = square_class(square_class(a, p).label * square_class(b, p).label, p)
+            rhs = square_class(square_class(a, p) * square_class(b, p), p)
             assert lhs == rhs
