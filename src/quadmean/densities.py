@@ -3,7 +3,8 @@
 Each separable quadratic algebra of Q_p gets a density: the volume of
 the orbit of its standard representative under the integral group, with
 the measure normalized so the ambient coefficient ball has volume one.
-Archimedean completions get exact rational multiples of powers of pi.
+At finite places that is one formula in the algebra's (chi, delta);
+archimedean completions get exact rational multiples of powers of pi.
 The module also gives the census of ramified classes and the closed
 forms of the summed densities, which the command line compares with the
 sums taken class by class.
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import QuadraticAlgebraDescriptor, local_algebras
+from .residue import valuation
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,12 @@ def local_density(alg: QuadraticAlgebraDescriptor, p: int | None) -> Fraction | 
     """Orbital volume of the standard representative of the algebra at p,
     with p None at the archimedean place.
 
-    Finite places give exact rationals; archimedean places give exact
-    pi-power multiples.
+    Finite places follow one rule in (chi, delta), exact:
+    (1/2) q^-delta (1 - 1/q)(1 - q^-2) / (1 - chi/q), with delta the
+    discriminant valuation and chi = 1, -1, 0 for split, unramified and
+    ramified.  q^-delta / 2 is the Serre mass of the algebra (2 = |Aut|),
+    so the ramified classes at p sum to q^-1 (1 - 1/q)(1 - q^-2).
+    Archimedean places give exact pi-power multiples.
     """
     kind = alg.kind
     if kind == "real-pair":
@@ -58,13 +64,8 @@ def local_density(alg: QuadraticAlgebraDescriptor, p: int | None) -> Fraction | 
     if kind == "complex":
         return PiPower(Fraction(1, 2), -1)
     q = Fraction(p)
-    if kind == "split":
-        return Fraction(1, 2) * (1 - q**-2)
-    if kind == "unramified":
-        return Fraction(1, 2) * (1 - 1 / q) ** 2
-    # ramified
-    delta = alg.disc_valuation
-    return Fraction(1, 2) * q**-delta * (1 - 1 / q) * (1 - q**-2)
+    chi = {"split": 1, "unramified": -1, "ramified": 0}[kind]
+    return Fraction(1, 2) * q**-alg.disc_valuation * (1 - 1 / q) * (1 - q**-2) / (1 - chi / q)
 
 
 def extension_census(p: int) -> dict[int, int]:
@@ -76,7 +77,7 @@ def extension_census(p: int) -> dict[int, int]:
 def census_expected(p: int) -> dict[int, int]:
     """Closed-form census: 2*q^(l-1)*(q-1) classes at valuation 2l for
     1 <= l <= ord_p(2), and 2*q^ord_p(2) at valuation 2*ord_p(2) + 1."""
-    m = 1 if p == 2 else 0
+    m = valuation(2, p)
     out = {2 * ell: 2 * p ** (ell - 1) * (p - 1) for ell in range(1, m + 1)}
     out[2 * m + 1] = 2 * p**m
     return out
@@ -102,7 +103,7 @@ def ramified_density_sum_closed(p: int, parity: str) -> Fraction:
     Even valuations 2l contribute q^-l (1 - 1/q)^2 (1 - q^-2) each;
     the odd valuation contributes q^-(m+1) (1 - 1/q) (1 - q^-2).
     """
-    m = 1 if p == 2 else 0
+    m = valuation(2, p)
     q = Fraction(p)
     if parity == "odd":
         return q ** -(m + 1) * (1 - 1 / q) * (1 - q**-2)

@@ -31,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from .orbits import QuadraticAlgebraDescriptor, _rem, local_algebras
+from .orbits import _rem, local_algebras
 from .residue import CapacityError, primes_upto, square_class, square_class_labels
 
 TRACKED_PRIMES = (2, 3, 5)
@@ -89,12 +89,6 @@ def fundamental_magnitudes(sign: int, limit: int) -> np.ndarray:
 # local classification of a discriminant
 # ---------------------------------------------------------------------------
 
-def local_type(d: int, p: int) -> QuadraticAlgebraDescriptor:
-    """Isomorphism type of the completion at p of the quadratic algebra of
-    Q(sqrt(d)), for any nonzero d: the algebra of its square class."""
-    return local_algebras(p)[square_class_labels(p).index(square_class(d, p))]
-
-
 # The type at p of a fundamental discriminant D is fixed by D mod
 # _TYPE_MODULI[p].  At odd p, v_p(D) <= 1 and the square class of the unit
 # part is fixed mod p, so D mod p^2 decides.  At p = 2, v_2(D) is 0, 2 or 3
@@ -103,25 +97,18 @@ def local_type(d: int, p: int) -> QuadraticAlgebraDescriptor:
 # at every tracked prime at once.  The joint code of D is its index c_p in
 # local_algebras(p), which is that of its class in square_class_labels(p),
 # at each tracked prime, raveled over TYPE_CELLS = (8, 4, 4): 16 c_2 +
-# 4 c_3 + c_5, one of 128.  Its table classifies each residue of each
-# prime's modulus once; a residue that no fundamental D has reads index 0.
+# 4 c_3 + c_5, one of 128.  Its table gives each nonzero residue r the
+# index of the class of r itself, which is that of every fundamental D with
+# residue r (v_p(D) and the deciding unit part are read off r); the residue
+# 0, which no fundamental D has, reads index 0.
 _TYPE_MODULI = {p: 2**6 if p == 2 else p * p for p in TRACKED_PRIMES}
 TYPE_MODULUS = math.prod(_TYPE_MODULI.values())
 TYPE_CELLS = tuple(len(local_algebras(p)) for p in TRACKED_PRIMES)
 
 
-def _is_fundamental_residue(r: int, p: int) -> bool:
-    if p == 2:
-        return r % 4 == 1 or r % 16 in (8, 12)
-    return r % (p * p) != 0
-
-
 def _type_code_table(p: int) -> np.ndarray:
     labels = square_class_labels(p)  # once per prime, not once per residue
-    return np.array(
-        [labels.index(square_class(r, p)) if _is_fundamental_residue(r, p) else 0
-         for r in range(_TYPE_MODULI[p])]
-    )
+    return np.array([labels.index(square_class(r, p)) if r else 0 for r in range(_TYPE_MODULI[p])])
 
 
 _TYPE_CODES = np.ravel_multi_index(

@@ -25,7 +25,6 @@ from .residue import (
     CapacityError,
     ResidueRing,
     disc_valuation,
-    kronecker,
     square_class,
     square_class_labels,
     unit_group_generators,
@@ -149,7 +148,7 @@ class StandardRep:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = 1 if self.p == 2 else 0
+        m = valuation(2, self.p)
         delta = self.algebra.disc_valuation
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta", delta)
@@ -207,16 +206,16 @@ class StandardRep:
 def standard_representatives(p: int) -> list[StandardRep]:
     """One representative per algebra of local_algebras(p), in its order.
 
-    The unramified one is v1^2 + v1 v2 + c v2^2 with 1 - 4c the smallest
-    valid unit non-square: its root generates the maximal order.  A
+    The unramified one is v1^2 + v1 v2 + c v2^2 for the least c >= 1 with
+    1 - 4c in the unramified class: its root generates the maximal order.  A
     ramified class l is represented by v1^2 - l v2^2, apart from the
     dyadic classes of _RAMIFIED_COEFFS_AT_2 (no ramified label at odd p is
     negative, so none of them meets that table).
     """
-    c = 1
-    while kronecker(1 - 4 * c, p) != -1:
-        c += 1
     split, unram, *ramified = local_algebras(p)
+    c = 1
+    while square_class(1 - 4 * c, p) != unram.square_class:
+        c += 1
     reps = [StandardRep(p, split, BinaryQF(0, 1, 0)), StandardRep(p, unram, BinaryQF(1, 1, c))]
     for alg in ramified:
         a1, a2 = _RAMIFIED_COEFFS_AT_2.get(alg.square_class, (0, -alg.square_class))

@@ -2,9 +2,10 @@
 
 Residues are canonical integers in [0, p^n) and valuations are plain ints.
 A square class of Q_p^x is an int label from the one list
-square_class_labels(p), with the one rule disc_valuation(label, p).  The
-module also has the one prime sieve, for the Euler product and the
-squarefree sieve.
+square_class_labels(p), with the one rule disc_valuation(label, p), and
+square_class(a, p) is the one classifier: Euler's criterion at odd p, the
+unit part mod 8 at p = 2.  The module also has the one prime sieve, for
+the Euler product and the squarefree sieve.
 """
 
 from __future__ import annotations
@@ -134,36 +135,12 @@ def unit_group_generators(ring: ResidueRing) -> list[int]:
     return [g]
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for n >= 1 (prime n gives the Legendre symbol)."""
-    if n <= 0:
-        raise ValueError("second argument must be positive")
-    res = 1
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            res = -res
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                res = -res
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            res = -res
-        a %= n
-    return res if n == 1 else 0
-
-
 def smallest_nonresidue(p: int) -> int:
     """Smallest positive quadratic non-residue mod an odd prime."""
     if p == 2:
         raise ValueError("defined for odd p only")
     u = 2
-    while kronecker(u, p) != -1:
+    while pow(u, (p - 1) // 2, p) == 1:
         u += 1
     return u
 
@@ -198,7 +175,7 @@ def square_class(a, p: int) -> int:
     in Q_p^x.
 
     The label is p^(v mod 2) times the unit-part label: for odd p that is 1
-    or the smallest non-residue by the Legendre symbol; for p = 2 the unit
+    or the smallest non-residue by Euler's criterion; for p = 2 the unit
     part mod 8 maps 1 -> 1, 3 -> -5, 5 -> 5, 7 -> -1.
     """
     a = Fraction(a)
@@ -212,5 +189,5 @@ def square_class(a, p: int) -> int:
         label = _TWO_ADIC_UNIT_LABEL[w]
     else:
         w = num * pow(den, -1, p) % p
-        label = 1 if kronecker(w, p) == 1 else smallest_nonresidue(p)
+        label = 1 if pow(w, (p - 1) // 2, p) == 1 else smallest_nonresidue(p)
     return label * p if v % 2 == 1 else label

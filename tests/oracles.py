@@ -11,7 +11,11 @@ leading coefficient at a time, the reference for the chained passes of
 quadmean.fields.  orbit_bitset_by_generators closes an orbit under every
 generator of GL1 x GL2, the reference for the class-quotient closure of
 quadmean.orbits.  algebra(p, label) looks up the local type of a square
-class.  Nothing in the package calls them.
+class, and local_type(d, p) that of any nonzero d, the scalar
+specification of the joint type codes of quadmean.fields.  kronecker is
+the general Kronecker symbol: the character of the analytic class
+numbers, and the reference for the Euler-criterion classifier of
+quadmean.residue.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -30,12 +34,42 @@ from quadmean.orbits import (
     local_algebras,
     orbit_size,
 )
-from quadmean.residue import ResidueRing, kronecker, square_class_labels
+from quadmean.residue import ResidueRing, square_class, square_class_labels
 
 
 def algebra(p: int, label: int) -> QuadraticAlgebraDescriptor:
     """The algebra of local_algebras(p) whose square class is label."""
     return local_algebras(p)[square_class_labels(p).index(label)]
+
+
+def local_type(d: int, p: int) -> QuadraticAlgebraDescriptor:
+    """Isomorphism type of the completion at p of the quadratic algebra of
+    Q(sqrt(d)), for any nonzero d: the algebra of its square class."""
+    return algebra(p, square_class(d, p))
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n) for n >= 1 (prime n gives the Legendre symbol)."""
+    if n <= 0:
+        raise ValueError("second argument must be positive")
+    res = 1
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            res = -res
+    a %= n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                res = -res
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            res = -res
+        a %= n
+    return res if n == 1 else 0
 
 
 def act(g: tuple[int, int, int, int, int], x: BinaryQF, m: int) -> BinaryQF:

@@ -16,7 +16,13 @@ from quadmean.densities import (
     ramified_density_sum,
     ramified_density_sum_closed,
 )
-from quadmean.orbits import ALG_COMPLEX, ALG_REAL_PAIR, ALG_SPLIT, standard_representatives
+from quadmean.orbits import (
+    ALG_COMPLEX,
+    ALG_REAL_PAIR,
+    ALG_SPLIT,
+    local_algebras,
+    standard_representatives,
+)
 
 
 def test_pipower_arithmetic():
@@ -47,6 +53,22 @@ def test_finite_densities_frozen():
     assert local_density(algebra(2, 2), 2) == Fraction(3, 128)
     with pytest.raises(TypeError):
         local_density(ALG_SPLIT)  # prime required
+
+
+def test_one_rule_equals_the_textbook_formulas_and_serre_mass():
+    # the one formula in (chi, delta) against the three per-kind formulas,
+    # and Serre's mass formula over the ramified classes, at every p <= 13
+    for p in (2, 3, 5, 7, 11, 13):
+        q = Fraction(p)
+        textbook = {
+            "split": lambda delta: Fraction(1, 2) * (1 - q**-2),
+            "unramified": lambda delta: Fraction(1, 2) * (1 - 1 / q) ** 2,
+            "ramified": lambda delta: Fraction(1, 2) * q**-delta * (1 - 1 / q) * (1 - q**-2),
+        }
+        for alg in local_algebras(p):
+            assert local_density(alg, p) == textbook[alg.kind](alg.disc_valuation), (p, alg)
+        ramified = [alg.disc_valuation for alg in local_algebras(p) if alg.kind == "ramified"]
+        assert sum(q ** (1 - delta) / 2 for delta in ramified) == 1, p
 
 
 def test_closed_volume_equals_bruteforce_at_working_level():

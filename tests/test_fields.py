@@ -19,6 +19,8 @@ from oracles import (
     hr_real,
     imaginary_combs_per_a,
     is_fundamental,
+    kronecker,
+    local_type,
     reduction_cycle_count,
     regulator_real,
     _reduced_indefinite_forms,
@@ -33,7 +35,6 @@ from quadmean.fields import (
     cached_table,
     fundamental_magnitudes,
     imaginary_class_number_histogram,
-    local_type,
     local_type_codes,
     real_hr_histogram,
     _isqrt_array,
@@ -525,8 +526,6 @@ def test_local_type_agrees_with_discriminant_arithmetic():
     # for a fundamental D the type at p is split iff chi_D(p) = 1, unramified
     # iff chi_D(p) = -1 and ramified iff p | D: the Kronecker symbol checks
     # the square-class classifier at every D up to 2 * 10^4, both signs
-    from quadmean.residue import kronecker
-
     kinds = {1: "split", -1: "unramified", 0: "ramified"}
     for sign in (-1, 1):
         for d in (sign * fundamental_magnitudes(sign, 2 * 10**4)).tolist():
@@ -553,18 +552,28 @@ def test_local_algebras_is_the_one_enumeration():
 
 
 def test_joint_codes_match_scalar_types_at_every_residue():
-    # at every residue mod 64 * 9 * 25 that a fundamental discriminant can
-    # have, the joint code unravels to the scalar type's index at 2, 3 and 5
-    # and so does the code of -r, read from |D| = r on the imaginary side
+    # at every residue d = sign * r mod 64 * 9 * 25 (the imaginary codes are
+    # read from |D| = r) whose reductions mod 64, 9 and 25 are all nonzero,
+    # the joint code unravels to the scalar types of those reductions at 2,
+    # 3 and 5.  Where also d is not 0 mod 16, as at every fundamental D, the
+    # reductions decide the class: it is the type of D = sign * r itself
     assert TYPE_MODULUS == 14400
+    moduli = (64, 9, 25)
+    listed = [local_algebras(p) for p in TRACKED_PRIMES]
+    types = [
+        np.array([algebras.index(local_type(x, p)) if x else -1 for x in range(m)])
+        for p, m, algebras in zip(TRACKED_PRIMES, moduli, listed)
+    ]
     r = np.arange(TYPE_MODULUS)
     for sign in (-1, 1):
         d = sign * r % TYPE_MODULUS
         cells = np.unravel_index(local_type_codes(sign, r), TYPE_CELLS)
-        fundamental = ((d % 4 == 1) | np.isin(d % 16, (8, 12))) & (d % 9 != 0) & (d % 25 != 0)
-        for i in np.flatnonzero(fundamental).tolist():
-            want = [local_algebras(p).index(local_type(sign * i, p)) for p in TRACKED_PRIMES]
-            assert [int(c[i]) for c in cells] == want, sign * i
+        nonzero = (d % 64 != 0) & (d % 9 != 0) & (d % 25 != 0)
+        for c, t, m in zip(cells, types, moduli):
+            assert np.array_equal(c[nonzero], t[d[nonzero] % m])
+        for i in np.flatnonzero(nonzero & (d % 16 != 0)).tolist():
+            got = [algebras[int(c[i])] for algebras, c in zip(listed, cells)]
+            assert got == [local_type(sign * i, p) for p in TRACKED_PRIMES], sign * i
 
 
 def test_vectorized_codes_match_scalar():

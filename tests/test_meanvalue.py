@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import algebra
+from oracles import algebra, local_type
 from quadmean import meanvalue
 from quadmean.densities import PiPower
-from quadmean.fields import TRACKED_PRIMES, DiscriminantTable, local_type
+from quadmean.fields import TRACKED_PRIMES, DiscriminantTable
 from quadmean.meanvalue import (
     EULER_CUTOFF,
     ZETA3,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quadmean.orbits
-from oracles import act, algebra, orbit_bitset_by_generators
+from oracles import act, algebra, kronecker, orbit_bitset_by_generators
 from quadmean.cli import _group_order_direct
 from quadmean.orbits import (
     ALG_SPLIT,
@@ -32,7 +32,7 @@ from quadmean.orbits import (
     torus_order,
     torus_order_closed,
 )
-from quadmean.residue import ResidueRing
+from quadmean.residue import ResidueRing, is_prime
 
 
 IDENTITY = (1, 1, 0, 0, 1)
@@ -111,6 +111,13 @@ def test_standard_representatives_shape():
     assert [r.delta for r in reps3] == [0, 0, 1, 1]
     reps7 = standard_representatives(7)
     assert reps7[1].form.coeffs() == (1, 1, 3)
+    # the unramified c is the least c >= 1 with 1 - 4c a unit non-square,
+    # as the Kronecker symbol finds it, at every p below 50, 2 included
+    for p in (q for q in range(2, 50) if is_prime(q)):
+        c = 1
+        while kronecker(1 - 4 * c, p) != -1:
+            c += 1
+        assert standard_representatives(p)[1].form.coeffs() == (1, 1, c), p
 
 
 def test_representative_validation_rejects_mismatches():

