@@ -63,7 +63,7 @@ from .orbits import (
     torus_order,
     torus_order_closed,
 )
-from .residue import CapacityError, ResidueRing, is_prime
+from .residue import MAX_MODULUS, CapacityError, ResidueRing, is_prime
 
 # loose sanity bound for non-final checkpoints; the final checkpoint of a
 # sweep must land within the tight bound
@@ -171,7 +171,7 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
         IdentityCheck.compare(f"congruence-structure[{at}]", sorted(solutions), described),
         IdentityCheck(
             f"coset-normal-form[{at}]",
-            {"fiber": cn.torus_size, "cosets": expected_cong},
+            {"fiber": expected_torus, "cosets": expected_cong},
             {"fiber": cn.torus_size if cn.passed else -1, "cosets": cn.coset_count},
             cn.passed,
         ),
@@ -184,13 +184,13 @@ def _rep_items(rep: StandardRep) -> list[IdentityCheck]:
     tag = f"p={p},{rep.algebra}"
     ring = rep.natural_ring()
     vol = local_density(rep.algebra, p)
-    expected_orbit = vol * p ** (3 * n)
-    assert expected_orbit.denominator == 1
+    orbit = vol * p ** (3 * n)  # not an integer only when the density is wrong
+    expected_orbit = orbit.numerator if orbit.denominator == 1 else orbit
     # one BFS, at level n + 1: the level-n orbit is its image
     ls = lift_saturation_check(rep, n + 1)
     got_orbit = ls.projected_size
     items = [
-        IdentityCheck.compare(f"orbit-size[{tag},level={n}]", int(expected_orbit), got_orbit)
+        IdentityCheck.compare(f"orbit-size[{tag},level={n}]", expected_orbit, got_orbit)
     ]
     if rep.is_ramified:
         items += _ramified_items(rep, ring, got_orbit)
@@ -201,7 +201,7 @@ def _rep_items(rep: StandardRep) -> list[IdentityCheck]:
         IdentityCheck.compare(
             f"lift-saturation[{tag},level={n + 1}]",
             {"lifts": p**3, "missing": 0},
-            {"lifts": ls.lifts, "missing": len(ls.missing)},
+            {"lifts": ls.lifts, "missing": ls.absent},
         ),
         IdentityCheck.compare(
             f"volume-stable[{tag},level={n + 1}]",
@@ -248,6 +248,8 @@ def _parse_ints(text: str, option: str) -> list[int]:
 def _parse_primes(text: str) -> list[int]:
     out = []
     for v in _parse_ints(text, "--primes"):
+        if v > MAX_MODULUS:  # is_prime is trial division: refuse first
+            raise ValueError(f"prime {v} exceeds {MAX_MODULUS}")
         if not is_prime(v):
             raise ValueError(f"{v} is not prime")
         if v in out:

@@ -49,9 +49,9 @@ def _squarefree_sieve(limit: int) -> np.ndarray:
     return sf
 
 
-# Entries a blocked pass (_flatnonzero_int32, local_type_codes, the imaginary
-# h in DiscriminantTable.compute) takes at once: its temporaries hold at most
-# this many entries, 512 KB of int64.
+# Entries a blocked pass (_flatnonzero_int32, local_type_codes, cell_sums,
+# the imaginary h in DiscriminantTable.compute) takes at once: its
+# temporaries hold at most this many entries, 512 KB of int64.
 _BLOCK = 1 << 16
 
 
@@ -122,30 +122,53 @@ _CODES_BY_MAGNITUDE = {
 }
 
 
-def local_type_codes(
-    sign: int, magnitude: np.ndarray, lookup: np.ndarray | None = None
-) -> np.ndarray:
+def local_type_codes(sign: int, magnitude: np.ndarray) -> np.ndarray:
     """int8 joint type codes of the fundamental discriminants sign * magnitude:
     np.unravel_index(code, TYPE_CELLS) gives, for each p in TRACKED_PRIMES,
-    the index of the local type at p in local_algebras(p).  Given lookup, an
-    array over the raveled codes, lookup[code] instead, with no code array.
+    the index of the local type at p in local_algebras(p).
 
     The residues of |D| are taken _BLOCK entries at a time, each block on a
     copy in magnitude's own integer type, by floor division (orbits._rem), and
-    the result by take from the table of the sign, composed with lookup: no
-    signed or full-length integer copy is made, not even the int64 copy of
-    its indices that a take makes.  The codes of the 303,968 imaginary rows at 10^6 take 0.24 ms
+    the codes by take from the table of the sign: no signed or full-length
+    integer copy is made, not even the int64 copy of its indices that a take
+    makes.  The codes of the 303,968 imaginary rows at 10^6 take 0.24 ms
     from int32 |D|; one int32 copy of D, reduced and taken whole, took 1.08 ms
     (raw, median of 40, numpy 2.4.6, 2-core AMD EPYC)."""
     table = _CODES_BY_MAGNITUDE[sign]
-    if lookup is not None:
-        table = lookup[table]
     out = np.empty(magnitude.size, dtype=table.dtype)
     for lo in range(0, magnitude.size, _BLOCK):
         rem = _rem(np.array(magnitude[lo : lo + _BLOCK]), TYPE_MODULUS)
         # rem is in range, so "clip" clips nothing; unlike "raise" it writes out unbuffered
         table.take(rem, out=out[lo : lo + _BLOCK], mode="clip")
     return out
+
+
+def cell_sums(table: DiscriminantTable, checkpoints: list[int]) -> np.ndarray:
+    """float64 sums of h*R, of shape (len(checkpoints), 128): entry (i, c)
+    sums the rows of table with |D| <= checkpoints[i] and joint type code c
+    (local_type_codes).  The checkpoints ascend up to table.limit.  The sum
+    of a condition list is that of the cells it allows.
+
+    One walk over the rows up to the last checkpoint, _BLOCK rows at a time,
+    each block cut at the checkpoints: its codes and its h*R go into the
+    running row by one weighted np.bincount, so no full-length code, mask,
+    index or weight array is made.  On the imaginary side h*R is h, and every
+    partial sum is an integer below about 0.1 X^(3/2), under 10^12 at
+    MAX_TABLE_LIMIT and far below 2^53: every cell sum is exact.  On the real
+    side a cell's terms are summed in row order, block by block."""
+    if list(checkpoints) != sorted(checkpoints) or max(checkpoints, default=0) > table.limit:
+        raise ValueError(f"checkpoints must ascend up to the table bound {table.limit}")
+    # int32 keys: Python ints convert the whole column to int64 first
+    cuts = np.searchsorted(table.magnitude, np.array(checkpoints, dtype=np.int32), "right")
+    running, lo = np.zeros(math.prod(TYPE_CELLS)), 0
+    sums = np.empty((cuts.size, running.size))
+    for i, cut in enumerate(cuts.tolist()):
+        for at in range(lo, cut, _BLOCK):
+            rows = slice(at, min(at + _BLOCK, cut))
+            codes = local_type_codes(table.sign, table.magnitude[rows])
+            running += np.bincount(codes, table.h[rows] * table.reg[rows], running.size)
+        sums[i], lo = running, cut
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +463,8 @@ class DiscriminantTable:
     regulator R (float64).  On the imaginary side R is 1: a read-only view
     of one 1.0 with stride 0, not an allocated column, so a row takes 8
     bytes there and 16 on the real side.  The joint type codes at the
-    tracked primes are not a column: local_type_codes computes them from
-    |D| when a condition pins a tracked prime.
+    tracked primes are not a column: cell_sums computes them from |D|, block
+    by block, as it sums h*R.
     """
 
     sign: int
@@ -618,27 +641,15 @@ class DiscriminantTable:
             raise damaged("a regulator out of range")
         return table
 
-    def truncated(self, limit: int) -> "DiscriminantTable":
-        """The rows with |D| <= limit, as views of this table's columns; the table itself
-        at its own limit."""
-        if limit > self.limit:
-            raise ValueError("cannot extend a table by truncation")
-        if limit == self.limit:
-            return self
-        # an int32 key: a Python int converts the whole column to int64 first
-        n = int(np.searchsorted(self.magnitude, np.int32(limit), "right"))
-        return DiscriminantTable(
-            self.sign, limit, self.magnitude[:n], self.h[:n], self.reg[:n]
-        )
-
 
 def cached_table(sign: int, limit: int, path: str | None = None) -> DiscriminantTable:
-    """Table from cache when the cache covers the request, else computed
-    (and saved when a path is given)."""
+    """The cached table, as it is, when it has this sign and its limit covers
+    the request; else the table computed at limit (and saved when a path is
+    given).  cell_sums reads no row past its last checkpoint."""
     if path and os.path.exists(path):
         table = DiscriminantTable.load(path)
         if table.sign == sign and table.limit >= limit:
-            return table.truncated(limit)
+            return table
     table = DiscriminantTable.compute(sign, limit)
     if path:
         table.save(path)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .densities import PiPower, euler_factor, local_density
-from .fields import TRACKED_PRIMES, TYPE_CELLS, DiscriminantTable, local_type_codes
+from .fields import TRACKED_PRIMES, TYPE_CELLS, DiscriminantTable, cell_sums
 from .orbits import ALG_COMPLEX, ALG_REAL_PAIR, QuadraticAlgebraDescriptor, local_algebras
 from .residue import primes_upto
 
@@ -86,6 +86,15 @@ class Conditions:
     arch: QuadraticAlgebraDescriptor
     pinned: tuple[tuple[int, QuadraticAlgebraDescriptor], ...]
 
+    def cells(self) -> np.ndarray:
+        """bool over the 128 raveled joint type codes (fields.cell_sums): True
+        where each pinned tracked prime has its pinned type."""
+        pinned = dict(self.pinned)
+        allowed = np.zeros(TYPE_CELLS, dtype=bool)
+        allowed[tuple(local_algebras(p).index(pinned[p]) if p in pinned else slice(None)
+                      for p in TRACKED_PRIMES)] = True
+        return allowed.ravel()
+
 
 def parse_conditions(text: str) -> Conditions:
     """A comma-separated place=value list: exactly one of inf=C and inf=RxR,
@@ -118,23 +127,6 @@ def parse_conditions(text: str) -> Conditions:
     if arch is None:
         raise ValueError("an inf=C or inf=RxR condition is required")
     return Conditions(*arch, tuple(sorted(pinned.items())))
-
-
-def condition_mask(table: DiscriminantTable, conds: Conditions) -> np.ndarray:
-    """Row mask of table entries whose local type at every pinned tracked
-    prime is the pinned one; a read-only view of one True, with stride 0,
-    when no tracked prime is pinned."""
-    if conds.sign != table.sign:
-        raise ValueError("conditions pin the other discriminant sign")
-    # allowed[c_2, c_3, c_5] holds where every pinned prime has its pinned
-    # type; raveled, it is indexed by the joint code that local_type_codes gives
-    pinned = dict(conds.pinned)
-    allowed = np.zeros(TYPE_CELLS, dtype=bool)
-    allowed[tuple(local_algebras(p).index(pinned[p]) if p in pinned else slice(None)
-                  for p in TRACKED_PRIMES)] = True
-    if allowed.all():
-        return np.broadcast_to(True, (len(table),))
-    return local_type_codes(table.sign, table.magnitude, lookup=allowed.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -183,38 +175,21 @@ def check_checkpoints(checkpoints: list[int], limit: int) -> list[int]:
 
 
 def convergence_report(
-    table: DiscriminantTable,
-    conds: Conditions,
-    checkpoints: list[int],
+    table: DiscriminantTable, conds: Conditions, checkpoints: list[int]
 ) -> list[ConvergenceRow]:
-    """Empirical versus predicted conditioned sums at increasing cutoffs."""
+    """Empirical versus predicted conditioned sums at increasing cutoffs: at
+    each checkpoint, the sum of the cell sums that the conditions allow.
+
+    Every list takes the same pass over the rows, whichever primes it pins:
+    at 10^6 on the imaginary side it took 1.3-1.4 ms, against 0.85-1.06 ms
+    for a pinned list and 0.19 ms for inf=C when each list masked and
+    indexed its own rows (raw, median of 60, numpy 2.4.6, 2-core Xeon)."""
     xs = check_checkpoints(checkpoints, table.limit)
-    mask = condition_mask(table, conds)
+    if conds.sign != table.sign:
+        raise ValueError("conditions pin the other discriminant sign")
+    sums = cell_sums(table, xs)[:, conds.cells()].sum(axis=1)
     const = predicted_constant(conds)
-    # |D| ascends, so the kept rows up to x are a prefix of the kept rows:
-    # the same terms in the same order as a mask of them, hence the same sum.
-    # Indices, not the mask, select them: at 10^6, for the 114,000 of
-    # 303,968 rows of inf=C,3=split, a boolean index of the int32 h column
-    # took 0.52 ms, and np.flatnonzero and a take of the same rows 0.09 and
-    # 0.06 ms (raw, median of 40, numpy 2.4.6, 2-core AMD EPYC).  A list
-    # that pins no tracked prime keeps every row and takes no index.
-    keep = np.flatnonzero(mask) if conds.pinned else None
-    h = table.h if keep is None else table.h[keep]
-    if table.sign < 0:
-        # R is 1, so h*R is h: its partial sums are integers below 2^53 (about
-        # 0.1 X^(3/2)), so the int64 sum is exactly the float64 one
-        hr, total_dtype = h, np.int64
-    else:
-        hr, total_dtype = h * (table.reg if keep is None else table.reg[keep]), np.float64
-    rows = []
-    for x in xs:
-        # an int32 key: a Python int converts the whole column to int64 first
-        cut = np.searchsorted(table.magnitude, np.int32(x), "right")
-        if keep is not None:
-            cut = np.searchsorted(keep, cut)
-        total = float(hr[:cut].sum(dtype=total_dtype))
-        rows.append(ConvergenceRow(int(x), total, const * float(x) ** 1.5))
-    return rows
+    return [ConvergenceRow(int(x), float(s), const * float(x) ** 1.5) for x, s in zip(xs, sums)]
 
 
 def default_checkpoints(limit: int) -> list[int]:

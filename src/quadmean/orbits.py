@@ -391,13 +391,11 @@ def orbit_size(x: StandardRep | BinaryQF, ring: ResidueRing) -> int:
     return _orbit_bitset(form, ring)[1]
 
 
-def stabilizer_order(ring: ResidueRing, orbit: int) -> int:
-    """|G| / |orbit| for an orbit of the given size, with exact divisibility
-    asserted."""
-    g = group_order(ring)
-    if g % orbit != 0:
-        raise ArithmeticError("orbit size does not divide the group order")
-    return g // orbit
+def stabilizer_order(ring: ResidueRing, orbit: int) -> int | Fraction:
+    """|G| / |orbit| for an orbit of the given size: an int when it divides,
+    else the exact Fraction, which no stabilizer order equals."""
+    q = Fraction(group_order(ring), orbit)
+    return q.numerator if q.denominator == 1 else q
 
 
 def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
@@ -434,7 +432,7 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
             head |= image[lead + (slice(i, i + 1),)]
         image = head
     projected = int(np.count_nonzero(image))
-    return LiftSaturation(idx.size, orbit_count, projected, missing)
+    return LiftSaturation(idx.size, orbit_count, projected, absent.size, missing)
 
 
 @dataclass(frozen=True)
@@ -442,7 +440,8 @@ class LiftSaturation:
     lifts: int
     orbit_size: int
     projected_size: int  # the orbit's image at the working level x.n
-    missing: tuple  # the first absent lifts; empty exactly when the orbit saturates
+    absent: int  # lifts outside the orbit; 0 exactly when the orbit saturates
+    missing: tuple  # the first 16 of them
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ from quadmean.densities import (
     ramified_density_sum,
     ramified_density_sum_closed,
 )
-from quadmean.fields import DiscriminantTable
+from quadmean.fields import DiscriminantTable, cell_sums
 from quadmean.meanvalue import (
-    condition_mask,
     convergence_report,
     euler_product,
     euler_tail_bound,
@@ -126,9 +125,10 @@ def test_criterion_7_conditioned_sums_track_density_ratios(neg_table):
     table, build_seconds = neg_table
     assert build_seconds < 600.0
 
+    cells = cell_sums(table, [table.limit])[0]
+
     def s(label):
-        m = condition_mask(table, parse_conditions(f"inf=C,2={label}"))
-        return float((table.h[m] * table.reg[m]).sum())
+        return float(cells[parse_conditions(f"inf=C,2={label}").cells()].sum())
 
     assert s("split") / s("unram") == pytest.approx(3.0, rel=0.02)
     assert s("ram:-1") / s("ram:-5") == pytest.approx(1.0, rel=0.02)
@@ -159,16 +159,17 @@ def test_criterion_9_sampled_oracles_and_euler_stability(neg_table, pos_table):
     pos, _ = pos_table
     rng = random.Random(2026)
 
-    small = neg.truncated(10**4)
-    for i in rng.sample(range(len(small)), 50):
-        exact = analytic_class_number_imaginary(-int(small.magnitude[i]))
+    # the rows with |D| <= 10^4 are a prefix: |D| ascends
+    small = int(neg.magnitude.searchsorted(10**4, "right"))
+    for i in rng.sample(range(small), 50):
+        exact = analytic_class_number_imaginary(-int(neg.magnitude[i]))
         assert exact.denominator == 1
-        assert int(exact) == int(small.h[i])
+        assert int(exact) == int(neg.h[i])
 
-    small = pos.truncated(10**4)
-    for i in rng.sample(range(len(small)), 50):
-        got = float(small.h[i] * small.reg[i])
-        want = analytic_hr_real(int(small.magnitude[i]))
+    small = int(pos.magnitude.searchsorted(10**4, "right"))
+    for i in rng.sample(range(small), 50):
+        got = float(pos.h[i] * pos.reg[i])
+        want = analytic_hr_real(int(pos.magnitude[i]))
         assert abs(got / want - 1) < 1e-6
 
     # from 10^4 up every cutoff gives the same float, so compare the cutoffs

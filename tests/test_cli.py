@@ -1,6 +1,7 @@
 """End-to-end command checks: output schema, exit codes, cache reuse."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -14,6 +15,7 @@ import quadmean.cli
 import quadmean.fields
 import quadmean.meanvalue
 import quadmean.orbits
+import quadmean.residue
 from quadmean.cli import build_parser, main
 from quadmean.orbits import BinaryQF, orbit_size
 from quadmean.residue import CapacityError, ResidueRing
@@ -608,6 +610,118 @@ def test_verify_local_computes_each_artifact_once(monkeypatch):
         "stabilizer_elements": 2,
         "congruence_solution_set": 2,
     }
+
+
+def _verify_local_3(monkeypatch, name, wrong):
+    """verify-local --primes 3 in json, with cli's name replaced by
+    wrong(raw): it exits 1 with every item of the clean run, in order."""
+    argv = ["--format", "json", "verify-local", "--primes", "3"]
+    clean = [i["anchor"] for i in json.loads(run_cli(argv)[1])["items"]]
+    monkeypatch.setattr(quadmean.cli, name, wrong(getattr(quadmean.cli, name)))
+    code, out = run_cli(argv)
+    # a wrong local number fails its items; it is not bad input, and the run goes on
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert [i["anchor"] for i in items] == clean
+    return items
+
+
+def _failing(items):
+    return {i["anchor"].split("[")[0] for i in items if not i["pass"]}
+
+
+def test_an_orbit_one_too_large_fails_stabilizer_order(monkeypatch):
+    def wrong(raw):
+        def larger(rep, level):
+            ls = raw(rep, level)
+            return dataclasses.replace(ls, projected_size=ls.projected_size + 1)
+        return larger
+
+    items = _verify_local_3(monkeypatch, "lift_saturation_check", wrong)
+    assert _failing(items) == {"orbit-size", "volume-match", "stabilizer-order"}
+    for i in items:
+        if i["anchor"].startswith("stabilizer-order"):
+            # the exact quotient |G| / (orbit + 1), not an integer
+            assert "/" in i["got"] and not i["pass"]
+
+
+def test_a_wrong_density_fails_orbit_size(monkeypatch):
+    def wrong(raw):
+        return lambda alg, p: raw(alg, p) / 7
+
+    items = _verify_local_3(monkeypatch, "local_density", wrong)
+    assert _failing(items) == {"orbit-size", "volume-match", "volume-stable"}
+    for i in items:
+        if i["anchor"].startswith("orbit-size"):
+            assert "/" in i["expected"] and not i["pass"]
+
+
+def test_a_corrupted_stabilizer_row_keeps_the_closed_forms_expected(monkeypatch):
+    def wrong(raw):
+        def corrupted(rep, ring):
+            rows = raw(rep, ring)
+            rows[0, 1] = (rows[0, 1] + 1) % ring.modulus
+            return rows
+        return corrupted
+
+    items = _verify_local_3(monkeypatch, "stabilizer_elements", wrong)
+    assert _failing(items) == {"coset-normal-form"}
+    by_anchor = {i["anchor"]: i for i in items}
+    for rep in quadmean.orbits.standard_representatives(3):
+        if rep.is_ramified:
+            ring = rep.natural_ring()
+            item = by_anchor[f"coset-normal-form[p=3,{rep.algebra},level={rep.n}]"]
+            assert item["expected"] == {
+                "fiber": quadmean.orbits.torus_order_closed(rep, ring),
+                "cosets": quadmean.orbits.congruence_count_closed(rep),
+            }
+            assert item["got"]["fiber"] == -1
+
+
+def test_lift_saturation_prints_the_count_of_every_missing_lift(monkeypatch):
+    # all 27 lifts of the ram:3 representative (1, 0, -3) mod 9 cleared at
+    # 27; the level-9 image, read off the same bitset, loses (1, 0, 6)
+    raw = quadmean.orbits._orbit_bitset
+
+    def leaky(form, ring):
+        visited, count = raw(form, ring)
+        if form.coeffs() == (1, 0, -3) and ring.modulus == 27:
+            for y0, y1, y2 in np.ndindex(3, 3, 3):
+                visited[((1 + 9 * y0) * 27 + 9 * y1) * 27 + 6 + 9 * y2] = False
+        return visited, count
+
+    monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)
+    code, out = run_cli(["--format", "json", "verify-local", "--primes", "3"])
+    assert code == 1
+    items = {i["anchor"]: i for i in json.loads(out)["items"]}
+    lifts = items["lift-saturation[p=3,ramified(3),level=3]"]
+    assert lifts["got"] == {"lifts": 27, "missing": 27} and not lifts["pass"]
+
+
+def test_primes_above_the_modulus_guard_exit_2_before_the_primality_test(capsys):
+    # 1073741789 is the largest prime below 2^30 = MAX_MODULUS
+    assert quadmean.residue.MAX_MODULUS == 2**30
+    code, out = run_cli(["--format", "json", "census", "--primes", "1073741789"])
+    assert code == 0 and json.loads(out)["config"]["primes"] == [1073741789]
+    for big in ("1073741827", "1000000000000000003"):
+        _refused(capsys, ["census", "--primes", big], f"prime {big} exceeds {2**30}")
+
+
+def test_mean_value_from_a_larger_cache_prints_what_no_cache_prints(tmp_path):
+    # the cache is read as it is, at 20000, and not rewritten
+    cache = str(tmp_path / "neg.npz")
+    argv = ["--format", "json", "mean-value", "--cond", "inf=C,3=split", "--X"]
+    assert run_cli(argv + ["20000", "--cache", cache])[0] == 0
+    stamp = os.path.getmtime(cache)
+    argv.append("10000")
+    code, cached = run_cli(argv + ["--cache", cache])
+    assert code == 0 and os.path.getmtime(cache) == stamp
+    cached = json.loads(cached)
+    assert cached["config"].pop("cache") == cache
+    code, fresh = run_cli(argv)
+    fresh = json.loads(fresh)
+    assert code == 0 and fresh["config"].pop("cache") is None
+    assert cached == fresh
 
 
 def test_parser_rejects_unknown_command():

@@ -33,6 +33,7 @@ from quadmean.fields import (
     TYPE_CELLS,
     TYPE_MODULUS,
     cached_table,
+    cell_sums,
     fundamental_magnitudes,
     imaginary_class_number_histogram,
     local_type_codes,
@@ -614,10 +615,47 @@ def test_blocked_passes_equal_a_one_shot_reference(sign):
         assert mags.dtype == np.int32
         assert np.array_equal(mags, _fundamental_reference(sign, limit)), limit
     codes = fields._TYPE_CODES[sign * mags.astype(np.int64) % TYPE_MODULUS]
-    lookup = np.random.default_rng(7).integers(0, 2, math.prod(TYPE_CELLS)).astype(bool)
     for rows in (*cuts, mags.size):
         assert np.array_equal(local_type_codes(sign, mags[:rows]), codes[:rows]), rows
-        assert np.array_equal(local_type_codes(sign, mags[:rows], lookup), lookup[codes[:rows]])
+
+
+@pytest.mark.parametrize("block", [fields._BLOCK, 777])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_cell_sums_match_the_scalar_types(monkeypatch, sign, block):
+    # each of the 128 cells against math.fsum over the rows up to the
+    # checkpoint whose scalar types at 2, 3 and 5 give that code: exact on
+    # the imaginary side, within n * 2^-53 of the exact sum of n positive
+    # terms on the real side; at 777 rows a block, the walk crosses block
+    # edges between the checkpoints
+    monkeypatch.setattr(fields, "_BLOCK", block)
+    t = DiscriminantTable.compute(sign, 2 * 10**4)
+    checkpoints = sorted([20000, 37, 5000, 1, 19999, 8])
+    ds = (sign * t.magnitude).tolist()
+    codes = np.ravel_multi_index(
+        [[local_algebras(p).index(local_type(d, p)) for d in ds] for p in TRACKED_PRIMES],
+        TYPE_CELLS,
+    )
+    hr = (t.h * t.reg).tolist()
+    got = cell_sums(t, checkpoints)
+    assert got.shape == (len(checkpoints), math.prod(TYPE_CELLS)) == (6, 128)
+    assert got.dtype == np.float64
+    for row, x in zip(got, checkpoints):
+        by_cell = [[] for _ in row]
+        for v, d, c in zip(hr, ds, codes.tolist()):
+            if abs(d) <= x:
+                by_cell[c].append(v)
+        for c, terms in enumerate(by_cell):
+            exact = math.fsum(terms)
+            if sign < 0:
+                assert row[c] == exact, (x, c)
+            else:
+                assert abs(row[c] - exact) <= len(terms) * 2**-53 * exact, (x, c)
+    # fewer checkpoints walk the same rows the same way, up to the last one
+    assert np.array_equal(cell_sums(t, checkpoints[:-1]), got[:-1])
+    assert cell_sums(t, []).shape == (0, 128)
+    for bad in ([5000, 37], [20001]):
+        with pytest.raises(ValueError, match="ascend up to the table bound"):
+            cell_sums(t, bad)
 
 
 def test_table_compute_columns():
@@ -734,44 +772,21 @@ def test_magnitudes_fit_int32_up_to_the_table_guard():
 
 
 def test_table_columns_carry_only_information(tmp_path):
-    # the imaginary R is one read-only 1.0 seen with stride 0, computed or
-    # loaded, and truncation takes views of every column
+    # the imaginary R is one read-only 1.0 seen with stride 0, computed or loaded
     path = str(tmp_path / "t.npz")
     for sign in (-1, 1):
         t = DiscriminantTable.compute(sign, 3000)
         t.save(path)
         u = DiscriminantTable.load(path)
-        for table in (t, u, t.truncated(1000)):
+        for table in (t, u):
             assert table.magnitude.dtype == table.h.dtype == np.int32
             assert table.reg.dtype == np.float64 and table.reg.size == len(table)
             if sign < 0:
                 assert table.reg.strides == (0,) and not table.reg.flags.writeable
                 assert np.all(table.reg == 1.0)
-        s = t.truncated(1000)
-        for col in ("magnitude", "h", "reg"):
-            assert np.shares_memory(getattr(s, col), getattr(t, col)), col
     neg = DiscriminantTable.compute(-1, 300)
     with pytest.raises(ValueError, match="read-only"):
         neg.reg[0] = 2.0
-
-
-def test_table_truncation():
-    t = DiscriminantTable.compute(-1, 1000)
-    s = t.truncated(400)
-    assert s.limit == 400
-    assert s.magnitude.max() <= 400
-    assert np.array_equal(s.h, t.h[t.magnitude <= 400])
-    with pytest.raises(ValueError):
-        s.truncated(500)
-    # at its own limit a table is returned as it is, not copied
-    assert t.truncated(t.limit) is t
-    assert s.truncated(400) is s
-    for limit in (0, 1, 3, 4, 399, 401, 999):
-        u = t.truncated(limit)
-        keep = t.magnitude <= limit
-        assert u.limit == limit
-        for col in ("magnitude", "h", "reg"):
-            assert np.array_equal(getattr(u, col), getattr(t, col)[keep])
 
 
 def test_cached_table(tmp_path):
@@ -779,9 +794,11 @@ def test_cached_table(tmp_path):
     t1 = cached_table(-1, 600, path)
     assert os.path.exists(path)
     stamp = os.path.getmtime(path)
+    # served from the cache as it is, at its own limit, and not rewritten
     t2 = cached_table(-1, 300, path)
-    assert t2.limit == 300 and t2.magnitude.max() <= 300
-    assert os.path.getmtime(path) == stamp  # served from cache, not rewritten
+    assert t2.limit == 600 and np.array_equal(t2.magnitude, t1.magnitude)
+    assert np.array_equal(t2.h, t1.h)
+    assert os.path.getmtime(path) == stamp
     t3 = cached_table(-1, 900, path)  # too small: recomputed and resaved
     assert t3.limit == 900
     assert DiscriminantTable.load(path).limit == 900

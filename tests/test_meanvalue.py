@@ -10,13 +10,12 @@ import pytest
 from oracles import algebra, local_type
 from quadmean import meanvalue
 from quadmean.densities import PiPower
-from quadmean.fields import TRACKED_PRIMES, DiscriminantTable
+from quadmean.fields import TRACKED_PRIMES, DiscriminantTable, local_type_codes
 from quadmean.meanvalue import (
     EULER_CUTOFF,
     ZETA3,
     Conditions,
     ConvergenceRow,
-    condition_mask,
     convergence_report,
     default_checkpoints,
     euler_factor,
@@ -185,18 +184,24 @@ def test_condition_sign():
         parse_conditions("2=split")
 
 
+def _rows_allowed(table, conds):
+    """Row mask of the rows whose joint type code the conditions allow."""
+    return conds.cells()[local_type_codes(table.sign, table.magnitude)]
+
+
 def test_condition_mask_and_empirical_sum():
     t = DiscriminantTable.compute(-1, 100)
-    m = condition_mask(t, parse_conditions("inf=C"))
+    m = _rows_allowed(t, parse_conditions("inf=C"))
+    assert m.all() and parse_conditions("inf=C").cells().shape == (128,)
     assert float((t.h[m] * t.reg[m]).sum()) == 89.0
-    m = condition_mask(t, parse_conditions("inf=C,2=ram:-1"))
+    m = _rows_allowed(t, parse_conditions("inf=C,2=ram:-1"))
     mags = t.magnitude[m]
     # needs D = 4k, k squarefree, k = 7 mod 8: only k = -1, -17 below 100/4
     assert [int(v) for v in mags] == [4, 68]
-    m5 = condition_mask(t, parse_conditions("inf=C,2=ram:-5"))
+    m5 = _rows_allowed(t, parse_conditions("inf=C,2=ram:-5"))
     assert [int(v) for v in t.magnitude[m5]] == [20, 52, 84]
-    with pytest.raises(ValueError):
-        condition_mask(t, parse_conditions("inf=RxR"))
+    with pytest.raises(ValueError, match="other discriminant sign"):
+        convergence_report(t, parse_conditions("inf=RxR"), [100])
     m = t.magnitude <= 50
     assert float((t.h[m] * t.reg[m]).sum()) == float(t.h[m].sum())
 
@@ -204,7 +209,8 @@ def test_condition_mask_and_empirical_sum():
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_condition_mask_is_the_and_of_scalar_types(sign):
     # all 9 * 5 * 5 = 225 lists that leave each tracked prime free or pin it
-    # to one of its types
+    # to one of its types: the cells a list allows, read at each row's joint
+    # code, are the rows whose scalar types match every pinned one
     t = DiscriminantTable.compute(sign, 2 * 10**4)
     ds = (sign * t.magnitude).tolist()
     labels = {p: np.array([local_type(d, p).label for d in ds]) for p in TRACKED_PRIMES}
@@ -216,7 +222,7 @@ def test_condition_mask_is_the_and_of_scalar_types(sign):
             if label is not None:
                 text += f",{p}={label}"
                 want &= labels[p] == label
-        assert np.array_equal(condition_mask(t, parse_conditions(text)), want), text
+        assert np.array_equal(_rows_allowed(t, parse_conditions(text)), want), text
 
 
 def test_predicted_prefactor_forms():
@@ -272,16 +278,23 @@ def test_convergence_report_shape():
      (1, ["inf=RxR", "inf=RxR,5=split", "inf=RxR,2=ram:-1,3=ram:3"])],
 )
 def test_convergence_report_sums_equal_the_mask_sums(sign, conds):
+    # imaginary sums are exact integers; a real one is within n * 2^-53 of the
+    # exact sum of its n positive terms, whatever order they are added in
     t = DiscriminantTable.compute(sign, 20000)
     checkpoints = [20000, 37, 5000, 1, 19999, 8]
     for text in conds:
         cs = parse_conditions(text)
         rows = convergence_report(t, cs, checkpoints)
         assert [r.upto for r in rows] == sorted(checkpoints)
-        mask = condition_mask(t, cs)
+        mask = _rows_allowed(t, cs)
         for r in rows:
             keep = mask & (t.magnitude <= r.upto)
-            assert r.empirical == float((t.h[keep] * t.reg[keep]).sum()), (text, r.upto)
+            terms = (t.h[keep] * t.reg[keep]).tolist()
+            exact = math.fsum(terms)
+            if sign < 0:
+                assert r.empirical == exact, (text, r.upto)
+            else:
+                assert abs(r.empirical - exact) <= len(terms) * 2**-53 * exact, (text, r.upto)
 
 
 def test_convergence_report_errors():

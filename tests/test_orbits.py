@@ -1,6 +1,7 @@
 """Group action, standard representatives, orbits, stabilizers."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,8 @@ def test_frozen_orbit_counts(p, idx, torus, orbit, stab, group):
     assert torus_order(rep, ring) == torus
     assert orbit_size(rep, ring) == orbit
     assert stabilizer_order(ring, orbit) == stab
+    # an orbit size that does not divide |G| gives the exact quotient
+    assert stabilizer_order(ring, orbit + 1) == Fraction(group, orbit + 1) != stab
     assert stab == 2 * p**rep.delta * torus
     assert orbit * stab == group
 
@@ -283,7 +286,7 @@ def test_lift_saturation():
         for rep in standard_representatives(p):
             res = lift_saturation_check(rep, rep.n + 1)
             assert res.lifts == p**3
-            assert res.missing == ()
+            assert res.missing == () and res.absent == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -509,7 +512,12 @@ def test_lift_saturation_reports_missing_lifts(monkeypatch):
     monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)
     res = lift_saturation_check(rep, 3)
     assert res.lifts == 27
-    assert res.missing == tuple(sorted(dropped))
+    assert res.missing == tuple(sorted(dropped)) and res.absent == 3
+    # with all 27 lifts dropped, the count is 27 and the examples are the first 16
+    dropped = [(1 + 9 * i, 9 * j, 6 + 9 * k) for i in range(3) for j in range(3) for k in range(3)]
+    res = lift_saturation_check(rep, 3)
+    assert res.absent == 27
+    assert res.missing == tuple(sorted(dropped)[:16])
 
 
 def test_lift_saturation_level_guard():
