@@ -161,6 +161,9 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
     # equal exactly when the branches are disjoint and their union is the set
     described = sorted(sol for branch in congruence_solution_check(rep, ring) for sol in branch)
     cn = coset_normal_form_check(rep, ring, stab, got_torus, solutions)
+    cn_got = {"fiber": got_torus if cn.passed else -1, "cosets": cn.coset_count}
+    if not cn.passed:  # say why; a passing item prints no detail
+        cn_got["detail"] = cn.detail
     return [
         IdentityCheck.compare(f"torus-order[{at}]", expected_torus, got_torus),
         IdentityCheck.compare(
@@ -172,7 +175,7 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
         IdentityCheck(
             f"coset-normal-form[{at}]",
             {"fiber": expected_torus, "cosets": expected_cong},
-            {"fiber": cn.torus_size if cn.passed else -1, "cosets": cn.coset_count},
+            cn_got,
             cn.passed,
         ),
     ]

@@ -49,9 +49,9 @@ def _squarefree_sieve(limit: int) -> np.ndarray:
     return sf
 
 
-# Entries a blocked pass (_flatnonzero_int32, local_type_codes, cell_sums,
-# the imaginary h in DiscriminantTable.compute) takes at once: its
-# temporaries hold at most this many entries, 512 KB of int64.
+# Entries a blocked pass (_flatnonzero_int32, cell_sums with its per-block
+# local_type_codes, the imaginary h in DiscriminantTable.compute) takes at
+# once: its temporaries hold at most this many entries, 512 KB of int64.
 _BLOCK = 1 << 16
 
 
@@ -127,20 +127,15 @@ def local_type_codes(sign: int, magnitude: np.ndarray) -> np.ndarray:
     np.unravel_index(code, TYPE_CELLS) gives, for each p in TRACKED_PRIMES,
     the index of the local type at p in local_algebras(p).
 
-    The residues of |D| are taken _BLOCK entries at a time, each block on a
-    copy in magnitude's own integer type, by floor division (orbits._rem), and
-    the codes by take from the table of the sign: no signed or full-length
-    integer copy is made, not even the int64 copy of its indices that a take
-    makes.  The codes of the 303,968 imaginary rows at 10^6 take 0.24 ms
-    from int32 |D|; one int32 copy of D, reduced and taken whole, took 1.08 ms
-    (raw, median of 40, numpy 2.4.6, 2-core AMD EPYC)."""
+    Callers pass one block (cell_sums passes at most _BLOCK rows): its
+    temporaries are as long as magnitude.  The residues of |D| are taken on a
+    copy in magnitude's own integer type, by floor division (orbits._rem),
+    and the codes by take from the table of the sign: no signed integer copy
+    is made, nor the int64 copy of its indices that a take makes."""
     table = _CODES_BY_MAGNITUDE[sign]
-    out = np.empty(magnitude.size, dtype=table.dtype)
-    for lo in range(0, magnitude.size, _BLOCK):
-        rem = _rem(np.array(magnitude[lo : lo + _BLOCK]), TYPE_MODULUS)
-        # rem is in range, so "clip" clips nothing; unlike "raise" it writes out unbuffered
-        table.take(rem, out=out[lo : lo + _BLOCK], mode="clip")
-    return out
+    rem = _rem(np.array(magnitude), TYPE_MODULUS)
+    # rem is in range, so "clip" clips nothing; unlike "raise" it writes out unbuffered
+    return table.take(rem, out=np.empty(rem.size, dtype=table.dtype), mode="clip")
 
 
 def cell_sums(table: DiscriminantTable, checkpoints: list[int]) -> np.ndarray:

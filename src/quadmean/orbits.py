@@ -285,46 +285,68 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
     return gens
 
 
-# orbit elements written at once when the classes are expanded, and class
-# representatives decoded at once; bounds the BFS's temporary arrays.  A
-# verify-local --primes 2,3,5 call peaks at 2.22 MB with 2^13, and its 16
-# closures take 5.4 ms; 2.14 MB and 6.2 ms with 2^12, 2.37 MB and 5.0 ms
-# with 2^14, 4.24 MB with every class expanded at once.
+# class representatives decoded at once; bounds the BFS's temporary arrays
+# to (3G, block) int32 images, 0.375 MB each with G <= 4 generators.  No
+# frontier of verify-local --primes 2,3,5 fills a block (its largest orbit
+# has 1,500 classes): a call peaks at 2.13 MB with 2^12, 2^13 or 2^14.
 _BFS_BLOCK = 1 << 13
 
 
-def _unpack(packed: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficients (x0, x1, x2) of packed triples (x0 * m + x1) * m + x2."""
+def _unpack(packed: np.ndarray, m: int) -> np.ndarray:
+    """Packed triples (x0 * m + x1) * m + x2 as the stacked rows x0, x1, x2."""
     x01 = packed // m
     x0 = x01 // m
-    return x0, x01 - x0 * m, packed - x01 * m
+    return np.stack((x0, x01 - x0 * m, packed - x01 * m))
 
 
-def _unit_scaling(ring: ResidueRing) -> tuple[np.ndarray, np.ndarray]:
-    """(val, scale) over the residues r mod p^N: val[r] = ord_p(r), N at
-    r = 0, and scale[r] the inverse mod p^N of the unit r / p^val[r], 0 at
-    r = 0."""
-    m, p = ring.modulus, ring.p
-    r = np.arange(m, dtype=np.int64)
-    val = sum(r % p**k == 0 for k in range(1, ring.n + 1))
-    return val, _unit_inverses(ring)[r // p**val]
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, sorted in place: a sort and a neighbour
+    compare (in a fresh process a first np.unique call raised maxrss by
+    1.67 MB, this by 0.52 MB)."""
+    a.sort()
+    return a[np.append(True, a[1:] != a[:-1])] if a.size else a
+
+
+def _classes(form: BinaryQF, ring: ResidueRing):
+    """(canonical, class size) for the forms mod p^N of the content
+    valuation v (least coefficient valuation, N at zero) of form.
+
+    A form y of content v has the unit-scaling class {u*y : u a unit} of
+    phi(p^(N-v)) forms, 1 at zero: u*y = y exactly when u = 1 mod p^(N-v).
+    canonical maps a (3, k) array of residues y to the packed triples of y
+    times the inverse of the unit part w of its first coefficient of
+    valuation v, y_j = p^v w.  Every coefficient lies in p^v, so only
+    w mod p^(N-v) matters: a class has one image, with coefficient j p^v.
+    A form of another content valuation keeps it, so it never meets one.
+    """
+    m, p, n = ring.modulus, ring.p, ring.n
+    v = min((valuation(c, p) for c in form.coeffs() if c % m), default=n)
+    w = np.arange(p ** (n - v), dtype=np.int32)
+    w = w[w % p != 0]  # the unit parts of the residues of valuation v
+    lead = np.zeros(m, dtype=np.int32)
+    lead[w * p**v] = _unit_inverses(ring)[w]
+
+    def canonical(y: np.ndarray) -> np.ndarray:
+        k = lead[y]
+        s = np.where(k[0] != 0, k[0], np.where(k[1] != 0, k[1], k[2]))
+        # s = 1 where no coefficient has valuation v: the zero orbit, or another v
+        y = _rem(y * np.maximum(s, 1), m)
+        return (y[0] * m + y[1]) * m + y[2]
+
+    return canonical, w.size or 1
 
 
 def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
-    """Dense level-synchronous closure of the G-orbit of a form.
+    """Dense level-synchronous closure of the G-orbit of a form, kept as its
+    unit-scaling class representatives (_classes).
 
-    The scalar t commutes with g2, so the orbit is a union of unit-scaling
-    classes {u*y : u a unit}, and the closure walks one representative per
-    class under the GL2 generators alone.  The representative of y divides
-    y by the unit part w of its first coefficient of least valuation
-    y_j = p^v w.  Every coefficient lies in p^v, so only w mod p^(N-v)
-    matters, and every member of the class has the same representative.
-    Each level applies every generator to a block of representatives in one
-    int32 (3G, 3) @ (3, k) product.  The class of y is {u*y : u a unit
-    below p^(N-v)}, without repeats (just {0} at the zero form), and the
-    content valuation v is constant on the orbit; the classes are expanded
-    into the bitset at the end, _BFS_BLOCK elements at a time.
-    Returns (bool array keyed by packed triples, orbit size).
+    The scalar t commutes with g2, so the orbit is a union of classes of
+    one content valuation: the closure walks the representatives under the
+    GL2 generators alone, a block of them per int32 (3G, 3) @ (3, k)
+    product whose images are mapped to their representatives.  Returns
+    (bool array keyed by packed representatives, orbit size): y lies in
+    the orbit exactly when visited[canonical(y)], and the size is the
+    number of classes times the class size.
     """
     m, p, n = ring.modulus, ring.p, ring.n
     space = m**3
@@ -338,51 +360,24 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
         if t == 1
     ]
     gens = (np.array(mats, dtype=np.int64).transpose(1, 0, 2).reshape(-1, 3) % m).astype(np.int32)
-    val, scale = _unit_scaling(ring)
-    x = tuple(c % m for c in form.coeffs())
-    v = int(val[list(x)].min())
-    # scale[r] where r has the orbit's least valuation v, 0 elsewhere
-    lead = np.where(val == v, scale, 0).astype(np.int32)
-    s = next((int(lead[c]) for c in x if lead[c]), 0)  # 0 only at the zero form
-    x0, x1, x2 = (c * s % m for c in x)
-    start = (x0 * m + x1) * m + x2
-    visited = np.zeros(space, dtype=bool)
-    visited[start] = True
+    canonical, class_size = _classes(form, ring)
     # packed triples (< m^3), the sums k0*x0 + k1*x1 + k2*x2 (< 3 m^2) and
     # scaled residues (< m^2) fit int32 for any space that passes the guard
-    frontier = np.array([start], dtype=np.int32)
-    reps = [frontier]
+    frontier = canonical(np.array([[c % m] for c in form.coeffs()], dtype=np.int32))
+    visited = np.zeros(space, dtype=bool)
+    visited[frontier] = True
+    classes = 1
     while frontier.size:
         found = []
         for lo in range(0, frontier.size, _BFS_BLOCK):
-            xs = np.stack(_unpack(frontier[lo : lo + _BFS_BLOCK], m))
-            y = _rem(gens @ xs, m).reshape(3, -1)
-            # the lead scale of each image: that of its first coefficient
-            # of least valuation
-            k = lead[y]
-            s = np.where(k[0] != 0, k[0], np.where(k[1] != 0, k[1], k[2]))
-            y = _rem(y * s, m)
-            idx = (y[0] * m + y[1]) * m + y[2]
+            y = _rem(gens @ _unpack(frontier[lo : lo + _BFS_BLOCK], m), m)
+            idx = canonical(y.reshape(3, -1))
             found.append(idx[~visited[idx]])
-        # two generators can reach one class: deduplicate by a sort (in a
-        # fresh process a first np.unique call raised maxrss by 1.67 MB, the
-        # sort and neighbour compare by 0.52 MB)
-        new = np.concatenate(found)
-        new.sort()
-        frontier = new[np.append(True, new[1:] != new[:-1])] if new.size else new
+        # two generators can reach one class
+        frontier = _distinct(np.concatenate(found))
         visited[frontier] = True
-        reps.append(frontier)
-    units = np.arange(1, p ** (n - v) + 1, dtype=np.int32)
-    units = units[units % p != 0]
-    reps = np.concatenate(reps)
-    step = max(1, _BFS_BLOCK // units.size)
-    for lo in range(0, reps.size, step):
-        x0, x1, x2 = _unpack(reps[lo : lo + step, None], m)
-        # (u*x0 mod m, u*x1 mod m, u*x2 mod m) packed, for every unit u
-        idx = _rem(x0 * units, m) * (m * m) + _rem(x1 * units, m) * m
-        idx += _rem(x2 * units, m)
-        visited[idx] = True
-    return visited, reps.size * units.size
+        classes += frontier.size
+    return visited, classes * class_size
 
 
 def orbit_size(x: StandardRep | BinaryQF, ring: ResidueRing) -> int:
@@ -402,10 +397,12 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
     """Check that every lift of x from level n to a deeper level N stays in
     the level-N orbit of x, i.e. the orbit saturates the residue ball.
 
-    The same BFS also gives the level-n orbit: reduction Z/p^N -> Z/p^n is
-    equivariant and G(Z/p^N) -> G(Z/p^n) is onto, so the level-n orbit of
-    x is exactly the image of its level-N orbit.  Its size is reported as
-    projected_size.
+    The orbit is a union of unit-scaling classes, so a lift lies in it
+    exactly when its class representative was visited.  The same BFS gives
+    the level-n orbit: reduction Z/p^N -> Z/p^n is equivariant and onto on
+    G and on the units, so that orbit is the union of the level-n classes
+    of the representatives reduced mod p^n; projected_size is their number
+    times their size.
     """
     n = x.n
     if level <= n:
@@ -417,21 +414,12 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
     y0, y1, y2 = (np.arange(v % step, m, step, dtype=np.int64) for v in x.form.coeffs())
     # packed lifts in lexicographic (y0, y1, y2) order
     idx = ((y0[:, None, None] * m + y1[:, None]) * m + y2).ravel()
-    absent = idx[~visited[idx]]
+    canonical = _classes(x.form, ring)[0]
+    absent = idx[~visited[canonical(_unpack(idx, m))]]
     missing = tuple((v // (m * m), v // m % m, v % m) for v in absent[:16].tolist())
-    # each coordinate y = i*step + r (i < m/step) splits into axes (i, r);
-    # OR-ing every i into i = 0, one coordinate at a time, leaves the image
-    # keyed by the residues r.  The fold overwrites the bitset in place, so
-    # it runs after the lift lookup and allocates nothing.
-    q = m // step
-    image = visited.reshape(q, step, q, step, q, step)
-    for axis in (0, 2, 4):
-        lead = (slice(None),) * axis
-        head = image[lead + (slice(0, 1),)]
-        for i in range(1, q):
-            head |= image[lead + (slice(i, i + 1),)]
-        image = head
-    projected = int(np.count_nonzero(image))
+    coarse, class_size = _classes(x.form, ResidueRing(x.p, n))
+    reps = coarse(_rem(_unpack(np.flatnonzero(visited), m), step))
+    projected = _distinct(reps).size * class_size
     return LiftSaturation(idx.size, orbit_count, projected, absent.size, missing)
 
 
@@ -511,7 +499,6 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CosetNormalForm:
-    torus_size: int
     coset_count: int
     passed: bool
     detail: str
@@ -578,7 +565,7 @@ def coset_normal_form_check(
                 detail = "normal form is not unipotent-diagonal"
             else:
                 detail = "left factor escaped the torus"
-            return CosetNormalForm(0, 0, False, detail)
+            return CosetNormalForm(0, False, detail)
         keys[lo : lo + len(t)] = u * m + v
     fibers, counts = np.unique(keys, return_counts=True)
     expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int32)
@@ -588,7 +575,7 @@ def coset_normal_form_check(
         and len(fibers) * tsize == len(stab)
     )
     detail = "" if ok else "fiber sizes or representative set mismatch"
-    return CosetNormalForm(tsize, len(fibers), ok, detail)
+    return CosetNormalForm(len(fibers), ok, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -383,12 +383,11 @@ def test_real_mean_value_call_keeps_its_memory():
 
 
 def test_verify_local_call_keeps_its_memory():
-    # the orbit closure expands its unit-scaling classes _BFS_BLOCK elements
-    # at a time; one call peaks at 2.22 MB, below the 2.56 MB that the closure
-    # over every generator took (expanding all classes at once took 4.24 MB)
+    # the orbit is kept as its unit-scaling class representatives; one call
+    # peaks at 2.13 MB, most of it the 2 MB bitset of a level-7 orbit at 2
     argv = ["--format", "json", "verify-local", "--primes", "2,3,5"]
     run_cli(argv)
-    assert _traced_peak(argv) <= 2.56
+    assert _traced_peak(argv) <= 2.25
 
 
 def test_mean_value_real_small(tmp_path):
@@ -675,19 +674,25 @@ def test_a_corrupted_stabilizer_row_keeps_the_closed_forms_expected(monkeypatch)
                 "fiber": quadmean.orbits.torus_order_closed(rep, ring),
                 "cosets": quadmean.orbits.congruence_count_closed(rep),
             }
-            assert item["got"]["fiber"] == -1
+            # the failing item says why
+            assert item["got"] == {
+                "fiber": -1, "cosets": 0, "detail": "normal form is not unipotent-diagonal"
+            }
 
 
 def test_lift_saturation_prints_the_count_of_every_missing_lift(monkeypatch):
-    # all 27 lifts of the ram:3 representative (1, 0, -3) mod 9 cleared at
-    # 27; the level-9 image, read off the same bitset, loses (1, 0, 6)
+    # the classes of all 27 lifts of the ram:3 representative (1, 0, -3)
+    # mod 9 dropped at 27, 9 classes of 3; the level-9 image, projected from
+    # the same representatives, loses the class of (1, 0, 6)
     raw = quadmean.orbits._orbit_bitset
 
     def leaky(form, ring):
         visited, count = raw(form, ring)
         if form.coeffs() == (1, 0, -3) and ring.modulus == 27:
-            for y0, y1, y2 in np.ndindex(3, 3, 3):
-                visited[((1 + 9 * y0) * 27 + 9 * y1) * 27 + 6 + 9 * y2] = False
+            lifts = np.array([(1 + 9 * i, 9 * j, 6 + 9 * k) for i, j, k in np.ndindex(3, 3, 3)])
+            classes = quadmean.orbits._classes(form, ring)[0](lifts.T)
+            assert np.unique(classes).size == 9 and visited[classes].all()
+            visited[classes] = False
         return visited, count
 
     monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)

@@ -606,8 +606,8 @@ def _fundamental_reference(sign, limit):
 
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_blocked_passes_equal_a_one_shot_reference(sign):
-    # the sieve is read block by block of fields._BLOCK entries, and the codes
-    # are taken block by block of as many rows: cut at and around the edges
+    # the sieve is read block by block of fields._BLOCK entries: cut at and
+    # around the edges; local_type_codes takes its rows whole, at each length
     block = fields._BLOCK
     cuts = (block - 1, block, block + 1, 3 * block + 7)
     for limit in (*cuts, 10**6):

@@ -15,11 +15,12 @@ from quadmean.orbits import (
     BinaryQF,
     CapacityError,
     StandardRep,
+    _classes,
     _generators,
     _orbit_bitset,
     _rem,
     _unit_inverses,
-    _unit_scaling,
+    _unpack,
     congruence_solution_check,
     congruence_solution_set,
     coset_normal_form_check,
@@ -33,7 +34,7 @@ from quadmean.orbits import (
     torus_order,
     torus_order_closed,
 )
-from quadmean.residue import ResidueRing, is_prime
+from quadmean.residue import ResidueRing, is_prime, valuation
 
 
 IDENTITY = (1, 1, 0, 0, 1)
@@ -236,7 +237,7 @@ def test_coset_normal_form():
         )
         assert res.passed, res.detail
         assert res.coset_count == 2 * p**rep.delta
-        assert len(stab) == res.coset_count * res.torus_size
+        assert len(stab) == res.coset_count * torus_order(rep, ring)
 
 
 def _move_c(stab, i, m):
@@ -402,16 +403,33 @@ def _scalar_orbit(form, ring):
     return seen
 
 
+def _members(form, ring):
+    """(visited[canonical(y)] for every packed triple y, orbit size) from
+    _orbit_bitset, after checking that it visited class representatives
+    only and that its size counts their classes."""
+    visited, count = _orbit_bitset(form, ring)
+    canonical, class_size = _classes(form, ring)
+    m = ring.modulus
+    assert visited.dtype == bool and visited.shape == (m**3,)
+    reps = np.flatnonzero(visited)
+    assert np.array_equal(canonical(_unpack(reps, m)), reps)
+    assert count == reps.size * class_size
+    block = 1 << 16
+    return np.concatenate([
+        visited[canonical(_unpack(np.arange(lo, min(lo + block, m**3)), m))]
+        for lo in range(0, m**3, block)
+    ]), count
+
+
 @pytest.mark.parametrize("p,level", [(2, 3), (3, 2), (5, 1)])
 def test_orbit_bitset_matches_scalar_closure(p, level):
     ring = ResidueRing(p, level)
     m = ring.modulus
     for rep in standard_representatives(p):
-        visited, count = _orbit_bitset(rep.form, ring)
-        assert visited.dtype == bool and visited.shape == (m**3,)
+        members, count = _members(rep.form, ring)
         got = {
             BinaryQF(v // (m * m), v // m % m, v % m)
-            for v in np.flatnonzero(visited).tolist()
+            for v in np.flatnonzero(members).tolist()
         }
         expected = _scalar_orbit(rep.form, ring)
         assert got == expected, rep.algebra
@@ -419,10 +437,9 @@ def test_orbit_bitset_matches_scalar_closure(p, level):
 
 
 def _assert_same_orbit(form, ring):
-    visited, count = _orbit_bitset(form, ring)
+    members, count = _members(form, ring)
     expected, expected_count = orbit_bitset_by_generators(form, ring)
-    assert visited.dtype == bool and visited.shape == expected.shape
-    assert np.array_equal(visited, expected), (form, ring.p, ring.n)
+    assert np.array_equal(members, expected), (form, ring.p, ring.n)
     assert count == expected_count == np.count_nonzero(expected)
 
 
@@ -445,15 +462,37 @@ def test_orbit_bitset_of_non_primitive_forms_matches_the_generator_closure(coeff
 
 
 @pytest.mark.parametrize("p,level", [(2, 4), (3, 3), (5, 2)])
-def test_unit_scaling_tables(p, level):
+def test_canonical_map_is_a_unit_scaling_invariant(p, level):
+    # the orbits of p^v times each standard representative, v = 0..level,
+    # against every form y mod p^level
     ring = ResidueRing(p, level)
     m = ring.modulus
-    val, scale = _unit_scaling(ring)
-    assert val[0] == level and scale[0] == 0
-    for r in range(1, m):
-        v = int(val[r])
-        assert r % p**v == 0 and (r // p**v) % p != 0
-        assert r * int(scale[r]) % m == p**v and int(scale[r]) % p != 0
+    y = _unpack(np.arange(m**3), m)
+    val = np.array([valuation(r, p) if r else level for r in range(m)])
+    content = val[y].min(axis=0)
+    units = [u for u in range(1, m) if u % p]
+    for v in range(level + 1):
+        for rep in standard_representatives(p):
+            form = BinaryQF(*(p**v * c for c in rep.form.coeffs()))
+            canonical, class_size = _classes(form, ring)
+            reps = canonical(y)
+            mine = content == v
+            # one image per class {u*y}, and every class has class_size forms
+            for u in units:
+                assert np.array_equal(canonical(_rem(u * y[:, mine], m)), reps[mine]), (form, u)
+            assert set(np.bincount(reps[mine]).tolist()) <= {0, class_size}
+            assert class_size == (1 if v == level else len(units) // p**v)
+            # idempotent on representatives, whose first coefficient of
+            # valuation v is p^v
+            r = _unpack(reps, m)
+            assert np.array_equal(canonical(r), reps)
+            lead = np.argmax(val[r[:, mine]] == v, axis=0)
+            assert (r[:, mine][lead, np.arange(lead.size)] == p**v % m).all()
+            # every form keeps its content valuation, so one of another
+            # valuation never reaches a visited representative
+            assert np.array_equal(val[r].min(axis=0), content)
+            visited, _ = _orbit_bitset(form, ring)
+            assert not visited[reps[~mine]].any(), form
 
 
 @pytest.mark.parametrize("p,level", [(3, 2), (2, 3)])
@@ -497,27 +536,38 @@ def test_lift_saturation_reports_missing_lifts(monkeypatch):
     rep = standard_representatives(3)[2]
     assert (rep.form.coeffs(), rep.n) == ((1, 0, -3), 2)
     m = 27
-    # three lifts of (1, 0, 6) mod 9 to Z/27, out of lexicographic order
-    dropped = [(19, 0, 6), (1, 9, 24), (10, 18, 15)]
+    ring = ResidueRing(3, 3)
+    canonical, class_size = _classes(rep.form, ring)
+    # the 27 lifts of (1, 0, 6) mod 9 to Z/27 fill 9 classes {u*y} of 3: the
+    # units u = 1 mod 9 move y0 alone
+    lifts = [(1 + 9 * i, 9 * j, 6 + 9 * k) for i in range(3) for j in range(3) for k in range(3)]
+    classes = canonical(np.array(lifts).T)
+    assert class_size == 18 and np.unique(classes).size == 9
+    for i in range(0, 27, 9):
+        assert np.unique(classes[i : i + 9]).size == 9
     raw = quadmean.orbits._orbit_bitset
 
     def leaky(form, ring):
         visited, count = raw(form, ring)
-        for y0, y1, y2 in dropped:
-            i = (y0 * m + y1) * m + y2
-            assert visited[i]
+        for y in dropped:
+            i = canonical(np.array(y)[:, None])
+            assert visited[i].all()
             visited[i] = False
         return visited, count
 
     monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)
+    # three classes dropped, named by lifts out of lexicographic order: each
+    # takes the 3 lifts that differ from its lift in y0
+    dropped = [(19, 0, 6), (1, 9, 24), (10, 18, 15)]
     res = lift_saturation_check(rep, 3)
     assert res.lifts == 27
-    assert res.missing == tuple(sorted(dropped)) and res.absent == 3
-    # with all 27 lifts dropped, the count is 27 and the examples are the first 16
-    dropped = [(1 + 9 * i, 9 * j, 6 + 9 * k) for i in range(3) for j in range(3) for k in range(3)]
+    expected = sorted((y0, y1, y2) for y0 in (1, 10, 19) for _, y1, y2 in dropped)
+    assert res.missing == tuple(expected) and res.absent == 9
+    # with every class dropped, the count is 27 and the examples are the first 16
+    dropped = lifts[:9]
     res = lift_saturation_check(rep, 3)
     assert res.absent == 27
-    assert res.missing == tuple(sorted(dropped)[:16])
+    assert res.missing == tuple(sorted(lifts)[:16])
 
 
 def test_lift_saturation_level_guard():
