@@ -31,11 +31,12 @@ from .residue import (
     valuation,
 )
 
-# Guard for dense orbit enumeration: the visited set is a bool array indexed
-# by packed coefficient triples, one byte per form of the ambient space
-# p^(3n), so it takes 64 MB at the guard.  The BFS works in int32: packed
-# triples stay below m^3 <= 2^26 and coefficient sums below 3 m^2 with
-# m <= 406, so the guard must keep both below 2^31.
+# Guard for orbit enumeration over the ambient space of p^(3n) forms.  The
+# visited set is the sorted int32 array of the orbit's class
+# representatives, so nothing is allocated per form of the space; the guard
+# bounds the BFS's work and its int32 arithmetic: packed triples stay below
+# m^3 <= 2^26 and coefficient sums below 3 m^2 with m <= 406, so it must
+# keep both below 2^31.
 MAX_ORBIT_SPACE = 1 << 26
 
 
@@ -288,7 +289,7 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
 # class representatives decoded at once; bounds the BFS's temporary arrays
 # to (3G, block) int32 images, 0.375 MB each with G <= 4 generators.  No
 # frontier of verify-local --primes 2,3,5 fills a block (its largest orbit
-# has 1,500 classes): a call peaks at 2.13 MB with 2^12, 2^13 or 2^14.
+# has 1,500 classes).
 _BFS_BLOCK = 1 << 13
 
 
@@ -299,12 +300,19 @@ def _unpack(packed: np.ndarray, m: int) -> np.ndarray:
     return np.stack((x0, x01 - x0 * m, packed - x01 * m))
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
+def _distinct(a: np.ndarray, counts: bool = False):
     """The distinct values of a, sorted in place: a sort and a neighbour
     compare (in a fresh process a first np.unique call raised maxrss by
-    1.67 MB, this by 0.52 MB)."""
+    1.67 MB, this by 0.52 MB).  With counts, also how often each occurs."""
     a.sort()
-    return a[np.append(True, a[1:] != a[:-1])] if a.size else a
+    first = np.flatnonzero(np.append(a.size > 0, a[1:] != a[:-1]))
+    return (a[first], np.diff(first, append=a.size)) if counts else a[first]
+
+
+def _contains(members: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each entry of v lies in the sorted, nonempty array members."""
+    i = np.searchsorted(members, v)
+    return members[np.minimum(i, members.size - 1)] == v
 
 
 def _classes(form: BinaryQF, ring: ResidueRing):
@@ -344,13 +352,12 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
     one content valuation: the closure walks the representatives under the
     GL2 generators alone, a block of them per int32 (3G, 3) @ (3, k)
     product whose images are mapped to their representatives.  Returns
-    (bool array keyed by packed representatives, orbit size): y lies in
-    the orbit exactly when visited[canonical(y)], and the size is the
-    number of classes times the class size.
+    (visited, orbit size): visited is the sorted int32 array of packed
+    representatives, so y lies in the orbit exactly when canonical(y) is
+    in it, and the size is the number of classes times the class size.
     """
     m, p, n = ring.modulus, ring.p, ring.n
-    space = m**3
-    if space > MAX_ORBIT_SPACE:
+    if m**3 > MAX_ORBIT_SPACE:
         raise CapacityError(f"orbit space {p}^(3*{n}) exceeds {MAX_ORBIT_SPACE}")
     # the GL2 generators' matrices on (x0, x1, x2), stacked row 0 of each,
     # then row 1, then row 2, so the product splits into the three images
@@ -363,21 +370,18 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
     canonical, class_size = _classes(form, ring)
     # packed triples (< m^3), the sums k0*x0 + k1*x1 + k2*x2 (< 3 m^2) and
     # scaled residues (< m^2) fit int32 for any space that passes the guard
-    frontier = canonical(np.array([[c % m] for c in form.coeffs()], dtype=np.int32))
-    visited = np.zeros(space, dtype=bool)
-    visited[frontier] = True
-    classes = 1
+    visited = frontier = canonical(np.array([[c % m] for c in form.coeffs()], dtype=np.int32))
     while frontier.size:
         found = []
         for lo in range(0, frontier.size, _BFS_BLOCK):
             y = _rem(gens @ _unpack(frontier[lo : lo + _BFS_BLOCK], m), m)
-            idx = canonical(y.reshape(3, -1))
-            found.append(idx[~visited[idx]])
-        # two generators can reach one class
+            found.append(canonical(y.reshape(3, -1)))
+        # two generators can reach one class; sorted, the lookups run in order
         frontier = _distinct(np.concatenate(found))
-        visited[frontier] = True
-        classes += frontier.size
-    return visited, classes * class_size
+        frontier = frontier[~_contains(visited, frontier)]
+        visited = np.concatenate((visited, frontier))
+        visited.sort(kind="stable")  # a merge of two sorted runs
+    return visited, visited.size * class_size
 
 
 def orbit_size(x: StandardRep | BinaryQF, ring: ResidueRing) -> int:
@@ -415,10 +419,10 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
     # packed lifts in lexicographic (y0, y1, y2) order
     idx = ((y0[:, None, None] * m + y1[:, None]) * m + y2).ravel()
     canonical = _classes(x.form, ring)[0]
-    absent = idx[~visited[canonical(_unpack(idx, m))]]
+    absent = idx[~_contains(visited, canonical(_unpack(idx, m)))]
     missing = tuple((v // (m * m), v // m % m, v % m) for v in absent[:16].tolist())
     coarse, class_size = _classes(x.form, ResidueRing(x.p, n))
-    reps = coarse(_rem(_unpack(np.flatnonzero(visited), m), step))
+    reps = coarse(_rem(_unpack(visited, m), step))
     projected = _distinct(reps).size * class_size
     return LiftSaturation(idx.size, orbit_count, projected, absent.size, missing)
 
@@ -449,13 +453,18 @@ def _unit_inverses(ring: ResidueRing) -> np.ndarray:
 
 
 def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
-    """All (t, g2) in G(Z/p^N) fixing the form of x, as an int64 array of
+    """All (t, g2) in G(Z/p^N) fixing the form of x, as an int16 array of
     rows (t, a, b, c, d) in increasing (a, b, c, d).
 
     g fixes x exactly when x(a, b) = t^-1, x(c, d) = a2 t^-1, the cross
-    term matches a1, and g2 is invertible.  Rows (a, b) and (c, d) are
-    bucketed by their form value, so each unit r = t^-1 pairs the bucket
-    of r (top rows) with the bucket of a2 r (bottom rows).
+    term matches a1, and g2 is invertible.  x is Eisenstein, so
+    x(a, b) = a^2 mod p and a is a unit, and x(u v) = u^2 x(v) makes
+    (t, g2) -> (u^-2 t, u g2) a bijection of the stabilizer for every unit
+    u.  So the scan searches the slice a = 1 alone: for all b at once, the
+    bottom rows (c, d) of the form-value bucket a2 x(1, b) are tested in
+    one ragged pass of 2 m^2 pairs.  Each hit (t, 1, b, c, d) is then
+    scaled by one unit u at a time to (t u^-2, u, u b, u c, u d), sorted
+    on (u b, u c, u d); the units increase, so the rows come out in order.
     """
     m = ring.modulus
     if m**4 > MAX_ORBIT_SPACE * 4:
@@ -466,35 +475,39 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     a2 = x.a2 % m
     p = ring.p
     inv = _unit_inverses(ring)
-    # int32 throughout: with m <= 128 form values stay below 3 m^3, cross
-    # terms below 2 m^2 and packed keys below m^4 <= 2^28
-    # packed rows a*m + b, sorted by form value, increasing within a bucket
-    a = np.repeat(np.arange(m, dtype=np.int32), m)
-    b = np.tile(np.arange(m, dtype=np.int32), m)
-    value = _rem(a * a + a1 * a * b + a2 * b * b, m)
+    # int32 throughout: with m <= 128 form values stay below 3 m^3 and
+    # packed triples below m^3; the rows are residues, so they fit int16
+    # packed rows c*m + d, sorted by form value, increasing within a bucket
+    c, d = np.divmod(np.arange(m * m, dtype=np.int32), m)
+    value = _rem(c * c + a1 * c * d + a2 * d * d, m)
     order = np.argsort(value, kind="stable").astype(np.int32)
     bounds = np.searchsorted(value[order], np.arange(m + 1))
-    keys = []
-    for r in np.flatnonzero(inv).tolist():
-        s = a2 * r % m
-        top = order[bounds[r] : bounds[r + 1]]
-        bot = order[bounds[s] : bounds[s + 1]]
-        ta, tb = a[top][:, None], b[top][:, None]
-        c, d = a[bot], b[bot]
-        cross = _rem(_rem(2 * ta + a1 * tb, m) * c + _rem(a1 * ta + 2 * a2 * tb, m) * d, m)
-        # t^-1 = r is a unit, so t * cross == a1 exactly when cross == a1 r
-        hit = (cross == a1 * r % m) & (_rem(ta * d - tb * c, p) != 0)
-        i, j = np.nonzero(hit)
-        keys.append(top[i] * (m * m) + bot[j])
-    keys = np.concatenate(keys)
-    keys.sort()
-    rows = np.empty((keys.size, 5), dtype=np.int64)
-    rows[:, 0] = inv[value[keys // (m * m)]]  # t = x(a, b)^-1, by packed top row
-    for j in (4, 3, 2, 1):  # peel d, c, b, a off the packed keys
-        rest = keys // m
-        rows[:, j] = keys - rest * m
-        keys = rest
-    return rows
+    b = np.arange(m, dtype=np.int32)
+    r = value[m + b]  # x(1, b) = t^-1, a unit
+    s = _rem(a2 * r, m)
+    lo = bounds[s]
+    size = bounds[s + 1] - lo
+    # the bucket of b is its run in the ragged pass: b repeated, and the
+    # bucket's slice of order, increasing in (b, c, d)
+    b = np.repeat(b, size)
+    bot = order[np.arange(b.size) + np.repeat(lo - np.cumsum(size) + size, size)]
+    c, d = c[bot], d[bot]
+    cross = _rem(_rem(2 + a1 * b, m) * c + _rem(a1 + 2 * a2 * b, m) * d, m)
+    # t^-1 = r is a unit, so t * cross == a1 exactly when cross == a1 r
+    hit = (cross == _rem(a1 * r[b], m)) & (_rem(d - b * c, p) != 0)
+    t = inv[r[b[hit]]]
+    bcd = np.stack((b[hit], c[hit], d[hit]))
+    units = np.flatnonzero(inv)
+    rows = np.empty((units.size, t.size, 5), dtype=np.int16)
+    for block, u in zip(rows, units.tolist()):
+        scaled = _rem(u * bcd, m)
+        # multiplying by u permutes the triples, so the keys are distinct
+        ranked = np.argsort((scaled[0] * m + scaled[1]) * m + scaled[2])
+        block[:, 0] = _rem(t[ranked] * (inv[u] ** 2 % m), m)
+        block[:, 1] = u
+        for j in range(3):  # one column at a time: a strided gather is slower
+            block[:, 2 + j] = scaled[j][ranked]
+    return rows.reshape(-1, 5)
 
 
 @dataclass(frozen=True)
@@ -567,7 +580,7 @@ def coset_normal_form_check(
                 detail = "left factor escaped the torus"
             return CosetNormalForm(0, False, detail)
         keys[lo : lo + len(t)] = u * m + v
-    fibers, counts = np.unique(keys, return_counts=True)
+    fibers, counts = _distinct(keys, counts=True)
     expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int32)
     ok = (
         bool((counts == tsize).all())

@@ -10,12 +10,15 @@ and torus kernels.  imaginary_combs_per_a adds the imaginary comb rows one
 leading coefficient at a time, the reference for the chained passes of
 quadmean.fields.  orbit_bitset_by_generators closes an orbit under every
 generator of GL1 x GL2, the reference for the class-quotient closure of
-quadmean.orbits.  algebra(p, label) looks up the local type of a square
-class, and local_type(d, p) that of any nonzero d, the scalar
-specification of the joint type codes of quadmean.fields.  kronecker is
-the general Kronecker symbol: the character of the analytic class
-numbers, and the reference for the Euler-criterion classifier of
-quadmean.residue.  Nothing in the package calls them.
+quadmean.orbits.  stabilizer_elements_by_buckets pairs every unit
+form-value bucket of top rows with its bucket of bottom rows, the
+reference for the unit-normalized stabilizer scan.  algebra(p, label)
+looks up the local type of a square class, and local_type(d, p) that of
+any nonzero d, the scalar specification of the joint type codes of
+quadmean.fields.  kronecker is the general Kronecker symbol: the
+character of the analytic class numbers, and the reference for the
+Euler-criterion classifier of quadmean.residue.  Nothing in the package
+calls them.
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ from math import isqrt
 import numpy as np
 
 from quadmean.orbits import (
+    MAX_ORBIT_SPACE,
     BinaryQF,
     QuadraticAlgebraDescriptor,
     StandardRep,
     _generators,
+    _rem,
+    _unit_inverses,
     local_algebras,
     orbit_size,
 )
-from quadmean.residue import ResidueRing, square_class, square_class_labels
+from quadmean.residue import CapacityError, ResidueRing, square_class, square_class_labels
 
 
 def algebra(p: int, label: int) -> QuadraticAlgebraDescriptor:
@@ -324,3 +330,53 @@ def orbit_bitset_by_generators(form: BinaryQF, ring: ResidueRing) -> tuple[np.nd
         frontier = np.concatenate(found)
         count += frontier.size
     return visited, count
+
+
+def stabilizer_elements_by_buckets(x: StandardRep, ring: ResidueRing) -> np.ndarray:
+    """All (t, g2) in G(Z/p^N) fixing the form of x, as an int64 array of
+    rows (t, a, b, c, d) in increasing (a, b, c, d): the reference for the
+    unit-normalized slice scan of quadmean.orbits.stabilizer_elements.
+
+    g fixes x exactly when x(a, b) = t^-1, x(c, d) = a2 t^-1, the cross
+    term matches a1, and g2 is invertible.  Rows (a, b) and (c, d) are
+    bucketed by their form value, so each unit r = t^-1 pairs the bucket
+    of r (top rows) with the bucket of a2 r (bottom rows).
+    """
+    m = ring.modulus
+    if m**4 > MAX_ORBIT_SPACE * 4:
+        raise CapacityError(f"stabilizer scan at modulus {m} too large")
+    if not x.is_ramified:
+        raise ValueError("stabilizer scan implemented for ramified representatives")
+    a1 = x.a1 % m
+    a2 = x.a2 % m
+    p = ring.p
+    inv = _unit_inverses(ring)
+    # int32 throughout: with m <= 128 form values stay below 3 m^3, cross
+    # terms below 2 m^2 and packed keys below m^4 <= 2^28
+    # packed rows a*m + b, sorted by form value, increasing within a bucket
+    a = np.repeat(np.arange(m, dtype=np.int32), m)
+    b = np.tile(np.arange(m, dtype=np.int32), m)
+    value = _rem(a * a + a1 * a * b + a2 * b * b, m)
+    order = np.argsort(value, kind="stable").astype(np.int32)
+    bounds = np.searchsorted(value[order], np.arange(m + 1))
+    keys = []
+    for r in np.flatnonzero(inv).tolist():
+        s = a2 * r % m
+        top = order[bounds[r] : bounds[r + 1]]
+        bot = order[bounds[s] : bounds[s + 1]]
+        ta, tb = a[top][:, None], b[top][:, None]
+        c, d = a[bot], b[bot]
+        cross = _rem(_rem(2 * ta + a1 * tb, m) * c + _rem(a1 * ta + 2 * a2 * tb, m) * d, m)
+        # t^-1 = r is a unit, so t * cross == a1 exactly when cross == a1 r
+        hit = (cross == a1 * r % m) & (_rem(ta * d - tb * c, p) != 0)
+        i, j = np.nonzero(hit)
+        keys.append(top[i] * (m * m) + bot[j])
+    keys = np.concatenate(keys)
+    keys.sort()
+    rows = np.empty((keys.size, 5), dtype=np.int64)
+    rows[:, 0] = inv[value[keys // (m * m)]]  # t = x(a, b)^-1, by packed top row
+    for j in (4, 3, 2, 1):  # peel d, c, b, a off the packed keys
+        rest = keys // m
+        rows[:, j] = keys - rest * m
+        keys = rest
+    return rows

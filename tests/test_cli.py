@@ -383,11 +383,19 @@ def test_real_mean_value_call_keeps_its_memory():
 
 
 def test_verify_local_call_keeps_its_memory():
-    # the orbit is kept as its unit-scaling class representatives; one call
-    # peaks at 2.13 MB, most of it the 2 MB bitset of a level-7 orbit at 2
+    # an orbit is a sorted array of its unit-scaling class representatives
+    # and a stabilizer int16 rows; one call peaks at 0.93 MB
     argv = ["--format", "json", "verify-local", "--primes", "2,3,5"]
     run_cli(argv)
-    assert _traced_peak(argv) <= 2.25
+    assert _traced_peak(argv) <= 1.02
+
+
+def test_verify_local_at_7_keeps_its_memory():
+    # the lift check at 7^3 keeps 8,232 representatives of a ramified orbit
+    # in a space of 343^3 forms; one call peaks at 0.86 MB
+    argv = ["--format", "json", "verify-local", "--primes", "7"]
+    run_cli(argv)
+    assert _traced_peak(argv) <= 0.94
 
 
 def test_mean_value_real_small(tmp_path):
@@ -691,8 +699,8 @@ def test_lift_saturation_prints_the_count_of_every_missing_lift(monkeypatch):
         if form.coeffs() == (1, 0, -3) and ring.modulus == 27:
             lifts = np.array([(1 + 9 * i, 9 * j, 6 + 9 * k) for i, j, k in np.ndindex(3, 3, 3)])
             classes = quadmean.orbits._classes(form, ring)[0](lifts.T)
-            assert np.unique(classes).size == 9 and visited[classes].all()
-            visited[classes] = False
+            assert np.unique(classes).size == 9 and np.isin(classes, visited).all()
+            visited = visited[~np.isin(visited, classes)]
         return visited, count
 
     monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import quadmean.orbits
-from oracles import act, algebra, kronecker, orbit_bitset_by_generators
+from oracles import (
+    act,
+    algebra,
+    kronecker,
+    orbit_bitset_by_generators,
+    stabilizer_elements_by_buckets,
+)
 from quadmean.cli import _group_order_direct
 from quadmean.orbits import (
     ALG_SPLIT,
@@ -274,7 +280,7 @@ def test_stabilizer_scan_matches_quotient():
         rep = standard_representatives(p)[idx]
         ring = rep.natural_ring()
         elems = stabilizer_elements(rep, ring)
-        assert elems.dtype == np.int64 and elems.shape == (len(elems), 5)
+        assert elems.dtype == np.int16 and elems.shape == (len(elems), 5)
         assert len(elems) == stabilizer_order(ring, orbit_size(rep, ring))
         m = ring.modulus
         for g in elems[:: max(1, len(elems) // 40)]:
@@ -334,7 +340,7 @@ def _largest(power, bound):
 
 def test_int32_headroom_at_the_size_guards():
     # worst intermediates at the largest modulus each guard admits, counted
-    # analytically (a BFS at the guard would take 64 MB)
+    # analytically (a BFS at the guard would walk a space of 2^26 forms)
     limit = 2**31
     m = _largest(3, MAX_ORBIT_SPACE)  # BFS: m^3 <= MAX_ORBIT_SPACE
     assert m == 406
@@ -345,6 +351,8 @@ def test_int32_headroom_at_the_size_guards():
     # form values a^2 + a1 a b + a2 b^2 below 3 s^3, packed keys below s^4;
     # the coset check adds at most two products of residues below s
     assert 3 * s**3 < limit and s**4 < limit and 2 * s * s < limit
+    # the stabilizer rows are residues below s, kept as int16
+    assert s <= np.iinfo(np.int16).max
 
 
 def test_coset_normal_form_check_leaves_the_stabilizer_unchanged():
@@ -356,7 +364,7 @@ def test_coset_normal_form_check_leaves_the_stabilizer_unchanged():
         rep, ring, stab, torus_order(rep, ring), congruence_solution_set(rep, ring)
     )
     assert res.passed
-    assert stab.dtype == np.int64 and np.array_equal(stab, before)
+    assert stab.dtype == np.int16 and np.array_equal(stab, before)
 
 
 def test_torus_matrix_on_arrays_matches_ints_and_keeps_its_arguments():
@@ -404,19 +412,20 @@ def _scalar_orbit(form, ring):
 
 
 def _members(form, ring):
-    """(visited[canonical(y)] for every packed triple y, orbit size) from
-    _orbit_bitset, after checking that it visited class representatives
-    only and that its size counts their classes."""
-    visited, count = _orbit_bitset(form, ring)
+    """(whether canonical(y) was visited, for every packed triple y; orbit
+    size) from _orbit_bitset, after checking that it visited class
+    representatives only, sorted and each once, and that its size counts
+    their classes."""
+    reps, count = _orbit_bitset(form, ring)
     canonical, class_size = _classes(form, ring)
     m = ring.modulus
-    assert visited.dtype == bool and visited.shape == (m**3,)
-    reps = np.flatnonzero(visited)
+    assert reps.dtype == np.int32 and reps.ndim == 1
+    assert (np.diff(reps) > 0).all()
     assert np.array_equal(canonical(_unpack(reps, m)), reps)
     assert count == reps.size * class_size
     block = 1 << 16
     return np.concatenate([
-        visited[canonical(_unpack(np.arange(lo, min(lo + block, m**3)), m))]
+        np.isin(canonical(_unpack(np.arange(lo, min(lo + block, m**3)), m)), reps)
         for lo in range(0, m**3, block)
     ]), count
 
@@ -492,7 +501,7 @@ def test_canonical_map_is_a_unit_scaling_invariant(p, level):
             # valuation never reaches a visited representative
             assert np.array_equal(val[r].min(axis=0), content)
             visited, _ = _orbit_bitset(form, ring)
-            assert not visited[reps[~mine]].any(), form
+            assert not np.isin(reps[~mine], visited).any(), form
 
 
 @pytest.mark.parametrize("p,level", [(3, 2), (2, 3)])
@@ -515,6 +524,26 @@ def test_stabilizer_elements_matches_brute_force(p, level):
             if act((t, a, b, c, d), x, m) == x
         ]
         assert stabilizer_elements(rep, ring).tolist() == brute, rep.algebra
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_stabilizer_elements_match_the_bucket_scan(p):
+    # every unit top row, against the slice a = 1 expanded by the units:
+    # the same rows in the same order, at the working level and, where the
+    # scan's guard admits it (m <= 128), one level deeper.  At level 1 the
+    # bucket a2 x(1, b) = 0 holds the singular bottom row (0, 0), which only
+    # the determinant test rejects; from level 2 on it has valuation 1, and
+    # that forces d to be a unit.
+    for rep in standard_representatives(p):
+        if not rep.is_ramified:
+            continue
+        for level in (1, rep.n, rep.n + 1):
+            ring = ResidueRing(p, level)
+            if ring.modulus > 128:
+                continue
+            got = stabilizer_elements(rep, ring)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, stabilizer_elements_by_buckets(rep, ring)), (rep, level)
 
 
 def test_unit_inverses_table():
@@ -551,8 +580,8 @@ def test_lift_saturation_reports_missing_lifts(monkeypatch):
         visited, count = raw(form, ring)
         for y in dropped:
             i = canonical(np.array(y)[:, None])
-            assert visited[i].all()
-            visited[i] = False
+            assert np.isin(i, visited).all()
+            visited = visited[~np.isin(visited, i)]
         return visited, count
 
     monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)
