@@ -302,7 +302,7 @@ def _run_mean_value(args) -> tuple[dict, list[IdentityCheck]]:
         if args.checkpoints
         else default_checkpoints(limit)
     )
-    check_checkpoints(checkpoints, limit)  # before the table is built
+    checkpoints = check_checkpoints(checkpoints, limit)  # before the table is built
     table = cached_table(conds.sign, limit, args.cache)
     rows = convergence_report(table, conds, checkpoints)
     items = []

@@ -415,8 +415,8 @@ def lift_saturation_check(x: StandardRep, level: int) -> "LiftSaturation":
     m = ring.modulus
     step = x.p**n
     visited, orbit_count = _orbit_bitset(x.form, ring)
-    y0, y1, y2 = (np.arange(v % step, m, step, dtype=np.int64) for v in x.form.coeffs())
-    # packed lifts in lexicographic (y0, y1, y2) order
+    y0, y1, y2 = (np.arange(v % step, m, step, dtype=np.int32) for v in x.form.coeffs())
+    # packed lifts, below m^3 and so int32, in lexicographic (y0, y1, y2) order
     idx = ((y0[:, None, None] * m + y1[:, None]) * m + y2).ravel()
     canonical = _classes(x.form, ring)[0]
     absent = idx[~_contains(visited, canonical(_unpack(idx, m)))]
@@ -442,10 +442,10 @@ class LiftSaturation:
 
 @functools.cache
 def _unit_inverses(ring: ResidueRing) -> np.ndarray:
-    """Inverse of every residue mod p^N as an int64 table, 0 at non-units.
+    """Inverse of every residue mod p^N as an int32 table, 0 at non-units.
     Built once per ring and returned read-only, since every call shares it."""
     m, p = ring.modulus, ring.p
-    inv = np.zeros(m, dtype=np.int64)
+    inv = np.zeros(m, dtype=np.int32)
     units = [v for v in range(m) if v % p]
     inv[units] = [pow(v, -1, m) for v in units]
     inv.flags.writeable = False
@@ -454,7 +454,9 @@ def _unit_inverses(ring: ResidueRing) -> np.ndarray:
 
 def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     """All (t, g2) in G(Z/p^N) fixing the form of x, as an int16 array of
-    rows (t, a, b, c, d) in increasing (a, b, c, d).
+    rows (t, a, b, c, d): one block per unit u, in increasing u from u = 1,
+    each holding the hits of the slice a = 1 in increasing (b, c, d),
+    written as (t u^-2, u, u b, u c, u d).
 
     g fixes x exactly when x(a, b) = t^-1, x(c, d) = a2 t^-1, the cross
     term matches a1, and g2 is invertible.  x is Eisenstein, so
@@ -462,9 +464,7 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     (t, g2) -> (u^-2 t, u g2) a bijection of the stabilizer for every unit
     u.  So the scan searches the slice a = 1 alone: for all b at once, the
     bottom rows (c, d) of the form-value bucket a2 x(1, b) are tested in
-    one ragged pass of 2 m^2 pairs.  Each hit (t, 1, b, c, d) is then
-    scaled by one unit u at a time to (t u^-2, u, u b, u c, u d), sorted
-    on (u b, u c, u d); the units increase, so the rows come out in order.
+    one ragged pass of 2 m^2 pairs, and the hits are scaled by each unit.
     """
     m = ring.modulus
     if m**4 > MAX_ORBIT_SPACE * 4:
@@ -476,7 +476,7 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     p = ring.p
     inv = _unit_inverses(ring)
     # int32 throughout: with m <= 128 form values stay below 3 m^3 and
-    # packed triples below m^3; the rows are residues, so they fit int16
+    # packed rows below m^2; the rows are residues, so they fit int16
     # packed rows c*m + d, sorted by form value, increasing within a bucket
     c, d = np.divmod(np.arange(m * m, dtype=np.int32), m)
     value = _rem(c * c + a1 * c * d + a2 * d * d, m)
@@ -496,17 +496,13 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     # t^-1 = r is a unit, so t * cross == a1 exactly when cross == a1 r
     hit = (cross == _rem(a1 * r[b], m)) & (_rem(d - b * c, p) != 0)
     t = inv[r[b[hit]]]
-    bcd = np.stack((b[hit], c[hit], d[hit]))
+    bcd = np.stack((b[hit], c[hit], d[hit]), axis=1)
     units = np.flatnonzero(inv)
     rows = np.empty((units.size, t.size, 5), dtype=np.int16)
     for block, u in zip(rows, units.tolist()):
-        scaled = _rem(u * bcd, m)
-        # multiplying by u permutes the triples, so the keys are distinct
-        ranked = np.argsort((scaled[0] * m + scaled[1]) * m + scaled[2])
-        block[:, 0] = _rem(t[ranked] * (inv[u] ** 2 % m), m)
+        block[:, 0] = _rem(t * (inv[u] ** 2 % m), m)
         block[:, 1] = u
-        for j in range(3):  # one column at a time: a strided gather is slower
-            block[:, 2 + j] = scaled[j][ranked]
+        block[:, 2:] = _rem(u * bcd, m)
     return rows.reshape(-1, 5)
 
 
@@ -540,7 +536,7 @@ def coset_normal_form_check(
     a1, a2 = x.a1, x.a2
     # every operand is a residue below m <= 128 (the scan's guard), so each
     # product of two stays below 2^14 and the check runs in int32
-    inv = _unit_inverses(ring).astype(np.int32)  # 0 stands in for a non-unit's inverse
+    inv = _unit_inverses(ring)  # 0 stands in for a non-unit's inverse
     keys = np.empty(len(stab), dtype=np.int32)
     for lo in range(0, len(stab), _COSET_BLOCK):
         t, a, b, c, d = stab[lo : lo + _COSET_BLOCK].T.astype(np.int32, order="C")

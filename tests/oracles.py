@@ -12,7 +12,9 @@ quadmean.fields.  orbit_bitset_by_generators closes an orbit under every
 generator of GL1 x GL2, the reference for the class-quotient closure of
 quadmean.orbits.  stabilizer_elements_by_buckets pairs every unit
 form-value bucket of top rows with its bucket of bottom rows, the
-reference for the unit-normalized stabilizer scan.  algebra(p, label)
+reference for the unit-normalized stabilizer scan: the same rows as a
+multiset, listed in increasing (a, b, c, d) where the scan lists them
+by unit block.  algebra(p, label)
 looks up the local type of a square class, and local_type(d, p) that of
 any nonzero d, the scalar specification of the joint type codes of
 quadmean.fields.  kronecker is the general Kronecker symbol: the

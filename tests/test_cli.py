@@ -124,6 +124,13 @@ def test_mean_value_imaginary_small(tmp_path):
     assert os.path.getmtime(cache) == stamp
     assert json.loads(out2)["items"] == doc["items"]
 
+    # checkpoints given out of order run, and are reported, in ascending order
+    code, out3 = run_cli([*argv, "--checkpoints", "10000,100,1000"])
+    assert code == 0
+    doc3 = json.loads(out3)
+    assert doc3["config"]["checkpoints"] == [100, 1000, 10000]
+    assert doc3["items"] == doc["items"]
+
 
 def _cut_to_two_thirds(path):
     data = path.read_bytes()

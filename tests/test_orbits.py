@@ -504,6 +504,13 @@ def test_canonical_map_is_a_unit_scaling_invariant(p, level):
             assert not np.isin(reps[~mine], visited).any(), form
 
 
+def _by_entries(rows):
+    """The rows (t, a, b, c, d) in increasing (a, b, c, d): the scan lists
+    them by unit block, so a comparison of its rows is one of multisets."""
+    rows = np.asarray(rows)
+    return rows[np.lexsort(rows[:, :0:-1].T)]
+
+
 @pytest.mark.parametrize("p,level", [(3, 2), (2, 3)])
 def test_stabilizer_elements_matches_brute_force(p, level):
     ring = ResidueRing(p, level)
@@ -523,13 +530,15 @@ def test_stabilizer_elements_matches_brute_force(p, level):
             for t in units
             if act((t, a, b, c, d), x, m) == x
         ]
-        assert stabilizer_elements(rep, ring).tolist() == brute, rep.algebra
+        got = stabilizer_elements(rep, ring)
+        assert got.dtype == np.int16 and len(got) == len(brute), rep.algebra
+        assert np.array_equal(_by_entries(got), _by_entries(brute)), rep.algebra
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_stabilizer_elements_match_the_bucket_scan(p):
     # every unit top row, against the slice a = 1 expanded by the units:
-    # the same rows in the same order, at the working level and, where the
+    # the same rows as a multiset, at the working level and, where the
     # scan's guard admits it (m <= 128), one level deeper.  At level 1 the
     # bucket a2 x(1, b) = 0 holds the singular bottom row (0, 0), which only
     # the determinant test rejects; from level 2 on it has valuation 1, and
@@ -542,8 +551,30 @@ def test_stabilizer_elements_match_the_bucket_scan(p):
             if ring.modulus > 128:
                 continue
             got = stabilizer_elements(rep, ring)
-            assert got.dtype == np.int16
-            assert np.array_equal(got, stabilizer_elements_by_buckets(rep, ring)), (rep, level)
+            want = stabilizer_elements_by_buckets(rep, ring)
+            assert got.dtype == np.int16 and len(got) == len(want), (rep, level)
+            assert np.array_equal(_by_entries(got), _by_entries(want)), (rep, level)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stabilizer_elements_come_in_unit_blocks(p):
+    # block k scales block 0, the slice a = 1 in increasing (b, c, d), by
+    # the k-th unit u in increasing order: t u^-2 and u (1, b, c, d) mod m
+    for rep in standard_representatives(p):
+        if not rep.is_ramified:
+            continue
+        ring = rep.natural_ring()
+        m = ring.modulus
+        units = [u for u in range(m) if u % p]
+        blocks = stabilizer_elements(rep, ring).astype(np.int64).reshape(len(units), -1, 5)
+        t, a, bcd = blocks[0, :, 0], blocks[0, :, 1], blocks[0, :, 2:]
+        assert (a == 1).all()
+        keys = (bcd[:, 0] * m + bcd[:, 1]) * m + bcd[:, 2]
+        assert (np.diff(keys) > 0).all(), rep
+        for block, u in zip(blocks, units):
+            assert np.array_equal(block[:, 0], t * pow(u, -2, m) % m), (rep, u)
+            assert (block[:, 1] == u).all(), (rep, u)
+            assert np.array_equal(block[:, 2:], u * bcd % m), (rep, u)
 
 
 def test_unit_inverses_table():
@@ -551,7 +582,7 @@ def test_unit_inverses_table():
         ring = ResidueRing(p, n)
         m = ring.modulus
         inv = _unit_inverses(ring)
-        assert inv.dtype == np.int64 and inv.shape == (m,)
+        assert inv.dtype == np.int32 and inv.shape == (m,)
         for v in range(m):
             assert int(inv[v]) == (pow(v, -1, m) if v % p else 0)
         # built once per ring and shared, so no caller may write into it
