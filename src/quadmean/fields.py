@@ -15,8 +15,9 @@ per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
 so not fundamental; the regulators walk half of the palindromic
 continued fraction cycle of the maximal order's generator with the same
 kernel, in lockstep over all D, in float64 lanes that stay exact integers
-below 2^53 and are compacted once a tenth of them have stopped; h is the
-(checked) integer ratio.
+below 2^53 and are compacted in place once a tenth of them have stopped;
+h is the (checked) integer ratio.  Both real passes compute in the rows
+of one workspace made once per call.
 The scalar per-field oracles that cross-check these kernels live in
 tests/oracles.py.
 """
@@ -325,12 +326,12 @@ def _log_squared_over(w: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 # Forms built at once in real_hr_histogram: a block holds whole progressions
-# of b of at most this many forms, or a single longer one; bounds its five
-# temporary float64 arrays.  2^16 took 4% less time at 10^5, but its peak
-# was 1.2 MB higher there, above that of the regulators.
+# of b of at most this many forms, or a single longer one; sizes the rows
+# of the workspace (1 MB).  With arrays made per block, 2^16 took 4% less
+# time at 10^5, but its peak was 1.2 MB higher there.
 _PAIR_BLOCK = 1 << 15
 # (a, c) rows real_hr_histogram sets up at once: a group of whole a grows
-# until it holds this many.
+# until it holds this many (128 KB of int64 per set-up array).
 _ROW_GROUP = 1 << 12
 # [ac mod 4, b mod 4] -> 1 when D = b^2 + 4ac is not 0 or 4 mod 16: odd b
 # always; b = 2 mod 4 (D = 4(1 + ac) mod 16) when ac = 1, 2 mod 4; b = 0 mod 4
@@ -349,27 +350,34 @@ def real_hr_histogram(limit: int) -> np.ndarray:
     cancels, out of the kernel.  No form with D = 0 or 4 mod 16 is built: such
     a D is not fundamental (D/4 would be 0 or 1 mod 4), and its entry stays 0.
     The kept b of a row (a, c) are up to four progressions of step 4, one per
-    residue mod 4 that _KEPT_B keeps for ac mod 4.  The rows are set up for
-    groups of whole a of about _ROW_GROUP rows, and their progressions go in,
-    in (a, c) order, in blocks of about _PAIR_BLOCK forms, one np.add.at
-    each.  Within a row every b gives another D, so every D receives its terms
-    in (a, c) order, whatever the blocks.  The kernel runs in float64:
-    b^2 + 4ac <= MAX_TABLE_LIMIT is an exact float."""
+    residue mod 4 that _KEPT_B keeps for ac mod 4, each of at most
+    isqrt(limit) // 4 + 1 terms.  The rows are set up for groups of whole a
+    of about _ROW_GROUP rows, and their progressions go in, in (a, c) order,
+    in blocks of about _PAIR_BLOCK forms, one np.add.at each, computed with
+    out= in the rows of one workspace.  Within a row every b gives another D,
+    so every D receives its terms in (a, c) order, whatever the blocks.  The
+    kernel runs in float64: b^2 + 4ac <= MAX_TABLE_LIMIT is an exact float."""
     hist = np.zeros(limit + 1, dtype=np.float64)
     a = np.arange(1, isqrt(max(limit - 1, 0)) // 2 + 1)  # 4a^2 < limit
     width = np.minimum(isqrt(limit) - a, (limit - 1) // (4 * a)) - a + 1  # rows c = a..
     ends = np.cumsum(width)
+    size = max(_PAIR_BLOCK, isqrt(limit) // 4 + 1)
+    # rows b, 4ac, D and the log term of a block, and the int32 steps 4j of b
+    work, steps = np.empty((4, size)), np.arange(0, 4 * size, 4, dtype=np.int32)
     lo = 0
     while lo < a.size:
         hi = int(np.searchsorted(ends, ends[lo] - width[lo] + _ROW_GROUP)) + 1
-        _add_real_rows(hist, a[lo:hi], width[lo:hi], limit)
+        _add_real_rows(hist, a[lo:hi], width[lo:hi], limit, work, steps)
         lo = hi
     return hist
 
 
-def _add_real_rows(hist: np.ndarray, a: np.ndarray, width: np.ndarray, limit: int) -> None:
+def _add_real_rows(
+    hist: np.ndarray, a: np.ndarray, width: np.ndarray, limit: int, work: np.ndarray,
+    steps: np.ndarray,
+) -> None:
     """hist[D] += the paired term of every kept form (a, b, -c) of the rows
-    c = a..a + width - 1 of each a, in (a, c) order."""
+    c = a..a + width - 1 of each a, in (a, c) order, in the rows of work."""
     ends = np.cumsum(width)
     diag = ends - width  # the rows c = a
     ra = np.repeat(a, width)
@@ -379,7 +387,9 @@ def _add_real_rows(hist: np.ndarray, a: np.ndarray, width: np.ndarray, limit: in
     first = lo + (np.arange(4) - lo) % 4  # the first b >= c - a + 1 of each residue
     count = np.maximum((_isqrt_array(limit - 4 * ac)[:, None] - first) // 4 + 1, 0)
     count *= _KEPT_B[ac % 4]
-    first, count, ac4 = first.ravel(), count.ravel(), np.repeat(4.0 * ac, 4)
+    # b and 4ac are below 2^31 up to MAX_TABLE_LIMIT: the repeats below make int32
+    first, count = first.ravel().astype(np.int32), count.ravel()
+    ac4 = np.repeat((4 * ac).astype(np.int32), 4)
     stop = np.cumsum(count)
     # the forms of the rows c = a, which take half the log: [half_lo, half_hi)
     half_lo, half_hi = stop[4 * diag] - count[4 * diag], stop[4 * diag + 3]
@@ -388,18 +398,23 @@ def _add_real_rows(hist: np.ndarray, a: np.ndarray, width: np.ndarray, limit: in
         f0 = int(stop[lo] - count[lo])
         hi = max(lo + 1, int(np.searchsorted(stop, f0 + _PAIR_BLOCK, "right")))
         n = count[lo:hi]
-        b = np.repeat((first[lo:hi] - 4 * (stop[lo:hi] - n - f0)).astype(np.float64), n)
-        b += np.arange(0, 4 * b.size, 4, dtype=np.float64)
-        q = np.repeat(ac4[lo:hi], n)
-        ds = b * b
+        b, q, ds, w = work[:, : int(stop[hi - 1]) - f0]
+        # b = the first b of its progression, less 4 per form before it, plus 4j
+        b0 = first[lo:hi] - 4 * (stop[lo:hi] - n - f0).astype(np.int32)
+        np.add(np.repeat(b0, n), steps[: b.size], out=b)
+        np.copyto(q, np.repeat(ac4[lo:hi], n))
+        np.multiply(b, b, out=ds)
         ds += q
-        w = np.sqrt(ds)
+        np.sqrt(ds, out=w)
         w += b
         _log_squared_over(w, q)
         i, j = np.searchsorted(half_hi, f0, "right"), np.searchsorted(half_lo, f0 + w.size)
         for start, end in zip(half_lo[i:j].tolist(), half_hi[i:j].tolist()):
             w[max(start - f0, 0) : end - f0] *= 0.5
-        np.add.at(hist, ds.astype(np.intp), w)
+        # q is spent: its bytes take the int index of D
+        index = q.view(np.intp)
+        np.copyto(index, ds, casting="unsafe")
+        np.add.at(hist, index, w)
         lo = hi
 
 
@@ -448,6 +463,22 @@ def _regulator_step_bound(d: int) -> int:
     of chi are at most d/2, so the tail is below 1).  So
     l < sqrt(d) (log d + 2)/log 2 + 1."""
     return math.ceil(math.sqrt(d) * (math.log(d) + 2) / math.log(2)) + 1
+
+
+def _regulator_out_of_bounds(mags: np.ndarray, reg: np.ndarray) -> int | None:
+    """The first D in mags whose R (NaN included) is not in
+    [log((1 + sqrt(D))/2), sqrt(D)(log D + 2)/2), else None: the least unit
+    above 1, reached at D = 5 (so the bound is taken 1e-12 lower for
+    rounding), and the bound on hR of _regulator_step_bound."""
+    for lo in range(0, mags.size, _BLOCK):
+        d = mags[lo : lo + _BLOCK].astype(np.float64)
+        r = reg[lo : lo + _BLOCK]
+        root = np.sqrt(d)
+        low = np.log((1.0 + root) / 2.0) * (1.0 - 1e-12)
+        ok = (r >= low) & (r < root * (np.log(d) + 2.0) / 2.0)
+        if not ok.all():
+            return int(mags[lo + int(np.argmin(ok))])
+    return None
 
 
 @dataclass
@@ -508,61 +539,89 @@ class DiscriminantTable:
         Q_{k+1} = Q_k (odd period): R is that sum plus t(P_{k+1})/2;
         both (period 1): R is t(P_0)/2.
 
-        The lanes hold d, s = isqrt(d), P, Q and n = d - P^2 = Q_{k-1} Q_k as
-        float64.  Every state is reduced, 0 < P < sqrt(d) and 0 < Q < 2 sqrt(d),
+        A step takes a = floor((P_k + s)/Q_k), s = isqrt(d), P_{k+1} = a Q_k - P_k
+        and Q_{k+1} = Q_{k-1} + a (P_k - P_{k+1}) = (d - P_{k+1}^2)/Q_k.  The lanes
+        are float64 rows of one workspace per call: s, sqrt(d), P, Q_k, Q_{k-1},
+        the running sum, the index in mags, and two spare rows that each step
+        writes into.  Every state is reduced, 0 < P < sqrt(d) and 0 < Q < 2 sqrt(d),
         so up to MAX_TABLE_LIMIT each of them and each product below is an
         integer under 2^53.  The quotient (P + s)/Q is at most 2 sqrt(d) + 1
         and is rounded by at most that times 2^-53, while a quotient that is
-        not an integer lies at least 1/Q from one: its floor is exact.
-        d - P_{k+1}^2 is a multiple of Q, so the division for Q_{k+1} is exact
-        too.  A lane that stops leaves the alive mask but stays in the arrays,
-        walking on along its cycle, until more than a tenth of them have
-        stopped since the last compaction moves the live lanes to the front of
-        the arrays; each lane's terms are summed in the same order, so the
-        result does not depend on when the arrays are compacted.  A lane still
-        walking after _regulator_step_bound steps has left its cycle: the walk
-        raises ArithmeticError naming its D."""
-        d, s = mags, _isqrt_array(mags)
-        if np.any(s * s == d):
+        not an integer lies at least 1/Q from one: its floor is exact.  A lane
+        that stops leaves the alive mask but stays in the rows, walking on
+        along its cycle, until more than a tenth of them have stopped since
+        the last compaction; then the live lanes past the live count fill the
+        stopped lanes' places before it.  Each lane's terms are summed in the
+        same order, so the result does not depend on where or when the lanes
+        are compacted.  A lane still walking after _regulator_step_bound steps
+        has left its cycle: the walk raises ArithmeticError naming its D."""
+        size = mags.size
+        spare, scratch, s, sd, P, Q, Qp, acc, lane = np.empty((9, size))
+        alive, hit, flat = np.empty((3, size), dtype=bool)
+        alive.fill(True)
+        # set-up in the rows, d in the spare one; up to MAX_TABLE_LIMIT,
+        # (isqrt(d) + 1)^2 < 2^52 keeps the rounded root below isqrt(d) + 1
+        d = spare
+        np.copyto(d, mags)
+        np.floor(np.sqrt(d, out=sd), out=s)
+        if np.equal(np.multiply(s, s, out=scratch), d, out=hit).any():
             raise ValueError("discriminant must not be a square")
-        P = (d % 2 + s) // 2 * 2 - d % 2
-        Q = (d - P * P) // 2
-        d, s, P, Q = (v.astype(np.float64) for v in (d, s, P, Q))
-        sd, n = np.sqrt(d), d - P * P
-        lane, acc, reg = np.arange(d.size), np.zeros(d.size), np.zeros(d.size)
-        alive, stopped = np.ones(d.size, dtype=bool), 0
-        steps, most = 0, _regulator_step_bound(int(mags.max(initial=2)))
+        # P = (d mod 2 + s) // 2 * 2 - d mod 2 = s - (d mod 2 + s) mod 2, Q = (d - P^2)/2
+        np.fmod(d, 2.0, out=scratch)
+        scratch += s
+        np.subtract(s, np.fmod(scratch, 2.0, out=scratch), out=P)
+        np.subtract(d, np.multiply(P, P, out=scratch), out=Q)
+        Q *= 0.5
+        Qp.fill(2.0)
+        acc.fill(0.0)
+        np.cumsum(alive, out=lane)  # 1, 2, ..., size
+        lane -= 1.0
+        reg = np.zeros(size)
+        stopped, steps, most = 0, 0, _regulator_step_bound(int(mags.max(initial=2)))
         while lane.size:
             if steps == most:
-                raise ArithmeticError(
-                    f"regulator walk at D={int(d[np.argmax(alive)])} passed {most} steps"
-                )
+                D = mags[int(lane[np.argmax(alive)])]
+                raise ArithmeticError(f"regulator walk at D={int(D)} passed {most} steps")
             steps += 1
-            acc += _log_squared_over(sd + P, n)
-            Pn = P + s  # then Pn = (P + s) // Q * Q - P and n = d - Pn^2, in place
-            Pn /= Q
-            np.floor(Pn, out=Pn)
-            Pn *= Q
+            # t(P) with d - P^2 = Q_{k-1} Q_k
+            acc += _log_squared_over(np.add(sd, P, out=spare), np.multiply(Qp, Q, out=scratch))
+            a = np.add(P, s, out=scratch)
+            a /= Q
+            np.floor(a, out=a)
+            Pn = np.multiply(a, Q, out=spare)
             Pn -= P
-            n = Pn * Pn
-            np.subtract(d, n, out=n)
-            Qn = n / Q
-            done = np.flatnonzero(((Pn == P) | (Qn == Q)) & alive)
+            P -= Pn  # P_k - P_{k+1}: 0 exactly on an even stop
+            a *= P
+            Qn = np.add(Qp, a, out=Qp)
+            stop = np.equal(Qn, Q, out=hit)
+            stop |= np.equal(P, 0.0, out=flat)
+            stop &= alive
+            done = np.flatnonzero(stop)
             # a stop has P_{k+1} = P_k or Q_{k+1} = Q_k, so ~even is the odd-only case
-            r, even, odd = acc[done], Pn[done] == P[done], Qn[done] == Q[done]
+            r, even, odd = acc[done], flat[done], Qn[done] == Q[done]
             mid = done[~even]
-            r[~even] += 0.5 * _log_squared_over(sd[mid] + Pn[mid], n[mid])
+            r[~even] += 0.5 * _log_squared_over(sd[mid] + Pn[mid], Q[mid] * Qn[mid])
             r[even & odd] *= 0.5
-            reg[lane[done]] = r
+            reg[lane[done].astype(np.intp)] = r
             alive[done] = False
-            P, Q, stopped = Pn, Qn, stopped + done.size
+            # P_{k+1}, Q_{k+1} and Q_k move up; P's buffer is the new spare row
+            spare, P, Q, Qp = P, Pn, Qn, Q
+            stopped += done.size
             if 10 * stopped > lane.size:
-                # in place: each buffered take holds one array's live lanes at a time
-                keep = np.flatnonzero(alive)
-                lane, acc, P, Q, n, d, s, sd = (
-                    np.take(v, keep, out=v[: keep.size]) for v in (lane, acc, P, Q, n, d, s, sd)
+                # the live lanes past the first live places fill the stopped
+                # lanes' places among them: arrays of the stopped lanes' size
+                live = lane.size - stopped
+                holes = np.flatnonzero(np.logical_not(alive[:live], out=hit[:live]))
+                fill = np.flatnonzero(alive[live:])
+                fill += live
+                for row in (P, Q, Qp, s, sd, acc, lane):
+                    row[holes] = row[fill]
+                P, Q, Qp, s, sd, acc, lane, spare, scratch, alive, hit, flat = (
+                    v[:live]
+                    for v in (P, Q, Qp, s, sd, acc, lane, spare, scratch, alive, hit, flat)
                 )
-                alive, stopped = np.ones(lane.size, dtype=bool), 0
+                alive[:] = True
+                stopped = 0
         return reg
 
     # -- persistence --------------------------------------------------------
@@ -593,8 +652,9 @@ class DiscriminantTable:
         """Read a cache written by save; |D| is fundamental_magnitudes(sign, limit) and R is 1 on
         the imaginary side.  A damaged cache raises ValueError: a cut or unreadable archive or a
         member failing its CRC, entries other than exactly those save writes for the sign (so a
-        file of an older format), a mistyped entry, a value out of range, or an h column whose
-        length is not the number of fundamental discriminants up to the stored limit."""
+        file of an older format), a mistyped entry, a value out of range (an h below 1, an R
+        outside the bounds of _regulator_out_of_bounds), or an h column whose length is not the
+        number of fundamental discriminants up to the stored limit."""
 
         def damaged(what: str) -> ValueError:
             return ValueError(f"{path}: {what}{_DAMAGED}")
@@ -632,8 +692,10 @@ class DiscriminantTable:
             raise damaged(f"columns of other lengths than the {n} fundamental discriminants")
         if np.any(table.h < 1):
             raise damaged("a class number below 1")
-        if not np.all(table.reg > 0):
-            raise damaged("a regulator out of range")
+        if sign > 0:
+            bad = _regulator_out_of_bounds(mags, table.reg)
+            if bad is not None:
+                raise damaged(f"a regulator out of range at D={bad}")
         return table
 
 

@@ -368,6 +368,12 @@ def test_regulator_lanes_are_exact_in_float64_at_the_table_guard():
     # the quotient (P + s)/Q <= 2 sqrt(d) + 1 is rounded by at most that times
     # 2^-53, less than the distance 1/Q from a non-integral quotient to an integer
     assert Fraction(2 * (s + 1) + 1, 2**53) < Fraction(1, q)
+    # sqrt(d) <= sqrt(k^2 + 2k) < k + 1 - 1/(2(k + 1)) for k = isqrt(d), and with
+    # (k + 1)^2 < 2^52 its rounding (at most (k + 1) 2^-53) cannot reach k + 1:
+    # the walk takes s as the floor of the float root
+    assert (s + 1) ** 2 < 2**52
+    ds = np.array([k * k + e for k in (s - 1, s) for e in (-1, 0, 1, 2 * k)], dtype=np.float64)
+    assert np.floor(np.sqrt(ds)).tolist() == [math.isqrt(int(x)) for x in ds]
 
 
 def test_regulator_walk_raises_past_its_step_bound(monkeypatch):
@@ -469,25 +475,44 @@ def _unpaired_per_ac_loop(limit):
     return ref
 
 
+def _counted(calls, name, f):
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return f(*args)
+
+    return counted
+
+
 def test_real_histogram_equals_the_per_ac_loop(monkeypatch):
     # no form with D = 0 or 4 mod 16 is built, as no such D is fundamental:
     # the histogram is 0 there.  Elsewhere the paired per-(a, c) loop adds
     # each D's logs in the same order, so the histogram is equal to it, not
     # just close, whatever the block and row-group sizes
+    # (every block is computed in the rows of one workspace: a block of 1
+    # makes them as long as the longest progression, and a block of 2 * limit
+    # forms, past the form count of every group of one or three rows, takes
+    # each group in one block)
     assert not np.isin(fundamental_magnitudes(1, 10**5) % 16, (0, 4)).any()
-    for limit in (5000, 4097, 100, 8, 5):
+    sizes, calls = (fields._PAIR_BLOCK, fields._ROW_GROUP), {}
+    for name in ("_add_real_rows", "_log_squared_over"):  # once a group, once a block
+        monkeypatch.setattr(fields, name, _counted(calls, name, getattr(fields, name)))
+    for limit in (20000, 5000, 4097, 100, 8, 5):
         d = np.arange(limit + 1)
         skipped = (d % 16 == 0) | (d % 16 == 4)
         ref = _paired_per_ac_loop(limit)
         if limit >= 100:
             assert ref[skipped].any(), limit
         hists = [real_hr_histogram(limit)]
-        for block in (1, 7, 100):
+        for block in (1, 7, 100, 2 * limit) if limit <= 5000 else (100, 2 * limit):
             for group in (1, 3):
                 monkeypatch.setattr(fields, "_PAIR_BLOCK", block)
                 monkeypatch.setattr(fields, "_ROW_GROUP", group)
+                calls.clear()
                 hists.append(real_hr_histogram(limit))
-        monkeypatch.undo()
+                if block == 2 * limit:
+                    assert calls["_log_squared_over"] == calls["_add_real_rows"], limit
+        monkeypatch.setattr(fields, "_PAIR_BLOCK", sizes[0])
+        monkeypatch.setattr(fields, "_ROW_GROUP", sizes[1])
         for hist in hists:
             assert np.array_equal(hist[~skipped], ref[~skipped]), limit
             assert not hist[skipped].any(), limit
@@ -870,6 +895,39 @@ def test_load_rejects_a_non_positive_real_regulator(tmp_path):
     t.save(path)
     with pytest.raises(ValueError, match="regulator out of range"):
         DiscriminantTable.load(path)
+
+
+@pytest.mark.parametrize(
+    "at, value, loads",
+    [
+        (0, math.log((1 + math.sqrt(5)) / 2), True),  # D = 5: R is the lower bound itself
+        (0, math.log((1 + math.sqrt(5)) / 2) * (1 - 1e-9), False),
+        (3, math.inf, False),
+        (3, math.nan, False),
+        (3, 1e300, False),
+        (3, -1.0, False),
+        (-1, "upper", False),  # just past sqrt(D)(log D + 2)/2
+        (3, "1%", True),  # off by 1%, inside both bounds: not caught
+    ],
+    ids=["D5-at-the-bound", "D5-below", "inf", "nan", "1e300", "negative", "past-the-upper-bound",
+         "off-by-1pc"],
+)
+def test_load_checks_each_regulator_against_its_bounds(tmp_path, at, value, loads):
+    path = str(tmp_path / "pos.npz")
+    t = DiscriminantTable.compute(1, 300)
+    assert t.magnitude[0] == 5
+    d = int(t.magnitude[at])
+    if value == "upper":
+        value = math.sqrt(d) * (math.log(d) + 2) / 2 * (1 + 1e-12)
+    elif value == "1%":
+        value = float(t.reg[at]) * 1.01
+    t.reg[at] = value
+    t.save(path)
+    if loads:
+        assert DiscriminantTable.load(path).reg[at] == value
+    else:
+        with pytest.raises(ValueError, match=rf"regulator out of range at D={d}\b"):
+            DiscriminantTable.load(path)
 
 
 def test_oracle_input_validation():
