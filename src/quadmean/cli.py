@@ -9,7 +9,8 @@ Four subcommands:
   mean-value     empirical conditioned sums against the prediction
 
 Every command emits a list of checked items; the process exits 0 only
-if every item passes.  Formats: text (default), json, csv.  The library
+if every item passes.  Formats: text (default), json, csv; json and csv
+encode with json.dumps and one hook, _json_default.  The library
 modules return values; this module alone decides which values an item
 compares, under which anchor, and what counts as a pass.
 """
@@ -87,18 +88,12 @@ class IdentityCheck:
         return cls(name, expected, got, expected == got)
 
 
-def _jsonable(v):
+def _json_default(v):
+    """json.dumps's hook for the exact values json has no type for: a
+    Fraction or PiPower is written as its string; anything else is refused."""
     if isinstance(v, (Fraction, PiPower)):
         return str(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +192,15 @@ def _rep_items(rep: StandardRep) -> list[IdentityCheck]:
     ]
     if rep.is_ramified:
         items += _ramified_items(rep, ring, got_orbit)
+    ls_got = {"lifts": ls.lifts, "missing": ls.absent}
+    if ls.absent:  # name the first absent lifts; a passing item names none
+        ls_got["first_missing"] = ls.missing
     return items + [
         IdentityCheck.compare(
             f"volume-match[{tag},level={n}]", vol, Fraction(got_orbit, p ** (3 * n))
         ),
         IdentityCheck.compare(
-            f"lift-saturation[{tag},level={n + 1}]",
-            {"lifts": p**3, "missing": 0},
-            {"lifts": ls.lifts, "missing": ls.absent},
+            f"lift-saturation[{tag},level={n + 1}]", {"lifts": p**3, "missing": 0}, ls_got
         ),
         IdentityCheck.compare(
             f"volume-stable[{tag},level={n + 1}]",
@@ -348,27 +344,22 @@ def _emit(command: str, config: dict, items: list[IdentityCheck], fmt: str, out)
     if fmt == "json":
         doc = {
             "command": command,
-            "config": _jsonable(config),
+            "config": config,
             "items": [
-                {
-                    "anchor": i.name,
-                    "expected": _jsonable(i.expected),
-                    "got": _jsonable(i.got),
-                    "pass": i.passed,
-                }
+                {"anchor": i.name, "expected": i.expected, "got": i.got, "pass": i.passed}
                 for i in items
             ],
             "summary": summary,
         }
         # one compact line: without indent, json takes its C encoder
-        out.write(json.dumps(doc) + "\n")
+        out.write(json.dumps(doc, default=_json_default) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["anchor", "expected", "got", "pass"])
         for i in items:
             writer.writerow(
-                [i.name, json.dumps(_jsonable(i.expected)),
-                 json.dumps(_jsonable(i.got)), json.dumps(i.passed)]
+                [i.name, json.dumps(i.expected, default=_json_default),
+                 json.dumps(i.got, default=_json_default), json.dumps(i.passed)]
             )
     else:
         width = max((len(i.name) for i in items), default=0)

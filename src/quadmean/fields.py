@@ -17,7 +17,8 @@ continued fraction cycle of the maximal order's generator with the same
 kernel, in lockstep over all D, in float64 lanes that stay exact integers
 below 2^53 and are compacted in place once a tenth of them have stopped;
 h is the (checked) integer ratio.  Both real passes compute in the rows
-of one workspace made once per call.
+of one workspace made once per call, and both take isqrt as the floor of
+the float root, exact below MAX_TABLE_LIMIT.
 The scalar per-field oracles that cross-check these kernels live in
 tests/oracles.py.
 """
@@ -311,12 +312,6 @@ def _add_imag_head(live: np.ndarray, a: np.ndarray, limit: int) -> None:
 # real fields: regulators and h*R
 # ---------------------------------------------------------------------------
 
-def _isqrt_array(n: np.ndarray) -> np.ndarray:
-    """Exact floor(sqrt(n)) for int64 n < 2^53, where the float root is off by at most one."""
-    s = np.sqrt(n).astype(np.int64)
-    return s - (s * s > n) + ((s + 1) * (s + 1) <= n)
-
-
 def _log_squared_over(w: np.ndarray, n: np.ndarray) -> np.ndarray:
     """log(w^2/n) in place, for w = sqrt(D) + x and the exact integer n = D - x^2 > 0:
     log((sqrt(D) + x)/(sqrt(D) - x)) without the cancellation in sqrt(D) - x."""
@@ -385,7 +380,10 @@ def _add_real_rows(
     ac = ra * c
     lo = (c - ra + 1)[:, None]
     first = lo + (np.arange(4) - lo) % 4  # the first b >= c - a + 1 of each residue
-    count = np.maximum((_isqrt_array(limit - 4 * ac)[:, None] - first) // 4 + 1, 0)
+    # the largest b is isqrt(limit - 4ac), the float root's floor: exact, as
+    # in _regulators, since (isqrt(n) + 1)^2 < 2^52 up to MAX_TABLE_LIMIT
+    bmax = np.floor(np.sqrt(limit - 4 * ac)).astype(np.int64)
+    count = np.maximum((bmax[:, None] - first) // 4 + 1, 0)
     count *= _KEPT_B[ac % 4]
     # b and 4ac are below 2^31 up to MAX_TABLE_LIMIT: the repeats below make int32
     first, count = first.ravel().astype(np.int32), count.ravel()
@@ -627,16 +625,14 @@ class DiscriminantTable:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the header entries (version, sign, limit) and h, all int32, and on the real
-        side R, as one uncompressed .npz at exactly path, via a temporary file: a failed save
-        never leaves a partial cache.  |D| is not stored: load recomputes it from the sign and
-        the limit, and R is 1 on the imaginary side."""
-        entries = {
-            "version": np.int32(_CACHE_VERSION), "sign": np.int32(self.sign),
-            "limit": np.int32(self.limit), "h": self.h.astype(np.int32, copy=False),
-        }
+        """Write the header entries (version, sign, limit) and h, and on the real side R, each
+        in the dtype _CACHE_ENTRIES names, as one uncompressed .npz at exactly path, via a
+        temporary file: a failed save never leaves a partial cache.  |D| is not stored: load
+        recomputes it from the sign and the limit, and R is 1 on the imaginary side."""
+        entries = {"version": _CACHE_VERSION, "sign": self.sign, "limit": self.limit, "h": self.h}
         if self.sign > 0:
             entries["reg"] = self.reg
+        entries = {key: np.asarray(v, _CACHE_ENTRIES[key][0]) for key, v in entries.items()}
         tmp = f"{path}.{os.getpid()}.tmp"
         f = open(tmp, "wb")
         try:

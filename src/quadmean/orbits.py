@@ -10,7 +10,10 @@ congruence systems that account for the stabilizer's torus cosets.
 
 The array kernels (orbit closure, stabilizer scan, coset normal form)
 reduce with _rem, floor division in place, and work in int32 wherever the
-size guards bound every intermediate value below 2^31.
+size guards bound every intermediate value below 2^31.  The form of a
+ramified representative is evaluated over (Z/p^N)^2 once per ring, into
+the read-only table _form_values that the torus count, the stabilizer scan
+and the congruence set read.
 """
 
 from __future__ import annotations
@@ -246,11 +249,7 @@ def torus_order(x: StandardRep, ring: ResidueRing) -> int:
     """
     if not x.is_ramified:
         raise ValueError("torus counting implemented for ramified representatives")
-    m = ring.modulus
-    a1, a2 = x.a1 % m, x.a2 % m
-    c = np.arange(m, dtype=np.int64)[:, None]
-    d = np.arange(m, dtype=np.int64)
-    return int(np.count_nonzero(_rem(c * c + a1 * c * d + a2 * d * d, ring.p)))
+    return int(np.count_nonzero(_form_values(x, ring) % ring.p))
 
 
 def torus_order_closed(x: StandardRep, ring: ResidueRing) -> int:
@@ -452,6 +451,25 @@ def _unit_inverses(ring: ResidueRing) -> np.ndarray:
     return inv
 
 
+@functools.cache
+def _form_values(x: StandardRep, ring: ResidueRing) -> np.ndarray:
+    """x(c, d) mod p^N at c*m + d for every pair of residues, as an int32
+    table: the one evaluation of the form over (Z/p^N)^2 that the torus
+    count, the stabilizer scan and the congruence set read.  Built once per
+    (representative, ring) and returned read-only, since every call shares
+    it.  Coefficients, c and d are residues, so a value is below 3 m^3
+    before reduction, under 2^31 for every modulus m <= 128 the guard admits.
+    """
+    m = ring.modulus
+    if m**4 > MAX_ORBIT_SPACE * 4:
+        raise CapacityError(f"form-value table at modulus {m} too large")
+    x0, x1, x2 = (v % m for v in x.form.coeffs())
+    c, d = np.divmod(np.arange(m * m, dtype=np.int32), m)
+    value = _rem(x0 * c * c + x1 * c * d + x2 * d * d, m)
+    value.flags.writeable = False
+    return value
+
+
 def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     """All (t, g2) in G(Z/p^N) fixing the form of x, as an int16 array of
     rows (t, a, b, c, d): one block per unit u, in increasing u from u = 1,
@@ -466,20 +484,18 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     bottom rows (c, d) of the form-value bucket a2 x(1, b) are tested in
     one ragged pass of 2 m^2 pairs, and the hits are scaled by each unit.
     """
-    m = ring.modulus
-    if m**4 > MAX_ORBIT_SPACE * 4:
-        raise CapacityError(f"stabilizer scan at modulus {m} too large")
     if not x.is_ramified:
         raise ValueError("stabilizer scan implemented for ramified representatives")
+    m = ring.modulus
     a1 = x.a1 % m
     a2 = x.a2 % m
     p = ring.p
     inv = _unit_inverses(ring)
-    # int32 throughout: with m <= 128 form values stay below 3 m^3 and
-    # packed rows below m^2; the rows are residues, so they fit int16
+    # int32 throughout: the table's guard keeps m <= 128, so cross terms stay
+    # below 2 m^2 and packed rows below m^2; the rows are residues, so they
+    # fit int16
+    value = _form_values(x, ring)
     # packed rows c*m + d, sorted by form value, increasing within a bucket
-    c, d = np.divmod(np.arange(m * m, dtype=np.int32), m)
-    value = _rem(c * c + a1 * c * d + a2 * d * d, m)
     order = np.argsort(value, kind="stable").astype(np.int32)
     bounds = np.searchsorted(value[order], np.arange(m + 1))
     b = np.arange(m, dtype=np.int32)
@@ -491,7 +507,7 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     # bucket's slice of order, increasing in (b, c, d)
     b = np.repeat(b, size)
     bot = order[np.arange(b.size) + np.repeat(lo - np.cumsum(size) + size, size)]
-    c, d = c[bot], d[bot]
+    c, d = np.divmod(bot, m)
     cross = _rem(_rem(2 + a1 * b, m) * c + _rem(a1 + 2 * a2 * b, m) * d, m)
     # t^-1 = r is a unit, so t * cross == a1 exactly when cross == a1 r
     hit = (cross == _rem(a1 * r[b], m)) & (_rem(d - b * c, p) != 0)
@@ -578,11 +594,9 @@ def coset_normal_form_check(
         keys[lo : lo + len(t)] = u * m + v
     fibers, counts = _distinct(keys, counts=True)
     expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int32)
-    ok = (
-        bool((counts == tsize).all())
-        and np.array_equal(fibers, expected)
-        and len(fibers) * tsize == len(stab)
-    )
+    # the counts sum to len(stab), so with every count tsize there are
+    # len(stab) / tsize fibers
+    ok = bool((counts == tsize).all()) and np.array_equal(fibers, expected)
     detail = "" if ok else "fiber sizes or representative set mismatch"
     return CosetNormalForm(len(fibers), ok, detail)
 
@@ -593,22 +607,13 @@ def coset_normal_form_check(
 
 def congruence_solution_set(x: StandardRep, ring: ResidueRing) -> set[tuple[int, int]]:
     """Solutions (u, s), s a unit, of  a1 s + 2u = a1  and
-    u^2 + a1 u s + a2 s^2 = a2  in Z/p^N."""
+    u^2 + a1 u s + a2 s^2 = a2  in Z/p^N: the pairs whose form value x(u, s)
+    is a2, filtered by the linear congruence."""
     m = ring.modulus
-    p = ring.p
     a1 = x.a1 % m
-    a2 = x.a2 % m
-    out = set()
-    for s in range(m):
-        if s % p == 0:
-            continue
-        for u in range(m):
-            if (a1 * s + 2 * u - a1) % m:
-                continue
-            if (u * u + a1 * u * s + a2 * s * s - a2) % m:
-                continue
-            out.add((u, s))
-    return out
+    u, s = np.divmod(np.flatnonzero(_form_values(x, ring) == x.a2 % m), m)
+    keep = (s % ring.p != 0) & (_rem(2 * u + a1 * s - a1, m) == 0)
+    return set(zip(u[keep].tolist(), s[keep].tolist()))
 
 
 def congruence_count_closed(x: StandardRep) -> int:

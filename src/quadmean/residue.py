@@ -21,8 +21,8 @@ class CapacityError(Exception):
     """Raised when an enumeration would exceed a configured size guard."""
 
 
-# Largest modulus accepted by ResidueRing.  Keeps three-term quadratic
-# expressions in residues below 2^63 so int64 batch scans stay exact.
+# Largest modulus accepted by ResidueRing, and the largest value --primes
+# hands to is_prime, whose trial division would run for hours near 10^18.
 MAX_MODULUS = 1 << 30
 
 

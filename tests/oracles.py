@@ -14,7 +14,9 @@ quadmean.orbits.  stabilizer_elements_by_buckets pairs every unit
 form-value bucket of top rows with its bucket of bottom rows, the
 reference for the unit-normalized stabilizer scan: the same rows as a
 multiset, listed in increasing (a, b, c, d) where the scan lists them
-by unit block.  algebra(p, label)
+by unit block.  congruence_solution_set_by_loops tries every pair (u, s)
+in turn, the reference for the table read of
+quadmean.orbits.congruence_solution_set.  algebra(p, label)
 looks up the local type of a square class, and local_type(d, p) that of
 any nonzero d, the scalar specification of the joint type codes of
 quadmean.fields.  kronecker is the general Kronecker symbol: the
@@ -382,3 +384,24 @@ def stabilizer_elements_by_buckets(x: StandardRep, ring: ResidueRing) -> np.ndar
         rows[:, j] = keys - rest * m
         keys = rest
     return rows
+
+
+def congruence_solution_set_by_loops(x: StandardRep, ring: ResidueRing) -> set[tuple[int, int]]:
+    """Solutions (u, s), s a unit, of  a1 s + 2u = a1  and
+    u^2 + a1 u s + a2 s^2 = a2  in Z/p^N, one pair at a time: the reference
+    for quadmean.orbits.congruence_solution_set."""
+    m = ring.modulus
+    p = ring.p
+    a1 = x.a1 % m
+    a2 = x.a2 % m
+    out = set()
+    for s in range(m):
+        if s % p == 0:
+            continue
+        for u in range(m):
+            if (a1 * s + 2 * u - a1) % m:
+                continue
+            if (u * u + a1 * u * s + a2 * s * s - a2) % m:
+                continue
+            out.add((u, s))
+    return out

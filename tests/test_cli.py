@@ -732,7 +732,74 @@ def test_lift_saturation_prints_the_count_of_every_missing_lift(monkeypatch):
     assert code == 1
     items = {i["anchor"]: i for i in json.loads(out)["items"]}
     lifts = items["lift-saturation[p=3,ramified(3),level=3]"]
-    assert lifts["got"] == {"lifts": 27, "missing": 27} and not lifts["pass"]
+    # the count is all 27; the lifts named are the first 16, in lexicographic order
+    first = sorted([1 + 9 * i, 9 * j, 6 + 9 * k] for i, j, k in np.ndindex(3, 3, 3))[:16]
+    assert lifts["got"] == {"lifts": 27, "missing": 27, "first_missing": first}
+    assert not lifts["pass"]
+
+
+def test_a_failing_lift_saturation_names_its_missing_lifts(monkeypatch):
+    # three classes of the ram:3 representative (1, 0, -3) dropped at 27,
+    # named by lifts of (1, 0, 6) mod 9 out of lexicographic order: each
+    # takes the 3 lifts that differ from its lift in y0
+    dropped = [(19, 0, 6), (1, 9, 24), (10, 18, 15)]
+    raw = quadmean.orbits._orbit_bitset
+
+    def leaky(form, ring):
+        visited, count = raw(form, ring)
+        if form.coeffs() == (1, 0, -3) and ring.modulus == 27:
+            classes = quadmean.orbits._classes(form, ring)[0](np.array(dropped).T)
+            assert np.isin(classes, visited).all()
+            visited = visited[~np.isin(visited, classes)]
+        return visited, count
+
+    monkeypatch.setattr(quadmean.orbits, "_orbit_bitset", leaky)
+    code, out = run_cli(["--format", "json", "verify-local", "--primes", "3"])
+    assert code == 1
+    lifts = [i for i in json.loads(out)["items"] if i["anchor"].startswith("lift-saturation")]
+    failed = [i for i in lifts if not i["pass"]]
+    assert [i["anchor"] for i in failed] == ["lift-saturation[p=3,ramified(3),level=3]"]
+    expected = sorted([y0, y1, y2] for y0 in (1, 10, 19) for _, y1, y2 in dropped)
+    assert failed[0]["got"] == {"lifts": 27, "missing": 9, "first_missing": expected}
+    # a passing item names no lift
+    for i in lifts:
+        if i["pass"]:
+            assert i["got"] == {"lifts": 27, "missing": 0}
+    # text and csv print the same lifts
+    code, text = run_cli(["verify-local", "--primes", "3"])
+    assert code == 1 and "'first_missing': ((1, 0, 6), (1, 9, 24), (1, 18, 15), (10, 0, 6)" in text
+    code, out = run_cli(["--format", "csv", "verify-local", "--primes", "3"])
+    rows = {r["anchor"]: r for r in csv.DictReader(io.StringIO(out))}
+    got = json.loads(rows["lift-saturation[p=3,ramified(3),level=3]"]["got"])
+    assert got == failed[0]["got"]
+
+
+def test_verify_local_builds_each_form_value_table_once(monkeypatch):
+    builds = []
+    raw = quadmean.orbits._form_values.__wrapped__
+
+    @functools.cache
+    def counted(x, ring):
+        builds.append((x, ring))
+        return raw(x, ring)
+
+    monkeypatch.setattr(quadmean.orbits, "_form_values", counted)
+    assert run_cli(["verify-local", "--primes", "2,3,5"])[0] == 0
+    ramified = [
+        (rep, rep.natural_ring())
+        for p in (2, 3, 5)
+        for rep in quadmean.orbits.standard_representatives(p)
+        if rep.is_ramified
+    ]
+    # one table per ramified representative at its working ring, built by
+    # the torus count and read again by the stabilizer scan and the
+    # congruence set
+    assert builds == ramified
+    info = counted.cache_info()
+    assert (info.misses, info.hits) == (len(ramified), 2 * len(ramified))
+    for x, ring in ramified:
+        table = counted(x, ring)
+        assert table.dtype == np.int32 and not table.flags.writeable
 
 
 def test_primes_above_the_modulus_guard_exit_2_before_the_primality_test(capsys):

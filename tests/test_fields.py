@@ -38,10 +38,14 @@ from quadmean.fields import (
     imaginary_class_number_histogram,
     local_type_codes,
     real_hr_histogram,
-    _isqrt_array,
 )
 from quadmean.orbits import ALG_SPLIT, local_algebras, standard_representatives
 from quadmean.residue import disc_valuation, square_class_labels
+
+
+def _isqrt_array(n):
+    """math.isqrt of every entry of an integer array, as int64."""
+    return np.array([math.isqrt(v) for v in n.tolist()], dtype=np.int64)
 
 
 def test_is_fundamental_matches_definition():
@@ -282,11 +286,22 @@ def test_regulator_frozen_values():
     assert regulator_real(12) == pytest.approx(1.3169578969248166, rel=1e-12)
 
 
-def test_isqrt_array_is_exact_below_2_53():
-    # near 2^53 the float root of k^2 - 1 rounds up to k
-    ks = [1, 2, 3, 1000, 2**26 - 1, 2**26, 94906265]
-    ns = np.array([k * k + e for k in ks for e in (-1, 0, 1) if 0 <= k * k + e < 2**53])
-    assert _isqrt_array(ns).tolist() == [math.isqrt(n) for n in ns.tolist()]
+def test_float_root_floor_is_exact_up_to_the_table_guard():
+    # the real histogram takes isqrt(n) as the floor of the float root of
+    # int64 n.  Both roots are monotone and isqrt steps only at squares, so
+    # agreement at every k^2 - 1, k^2 and k^2 + 1 up to MAX_TABLE_LIMIT makes
+    # them agree on every n up to it
+    top = fields.MAX_TABLE_LIMIT
+    k = np.arange(1, math.isqrt(top) + 2, dtype=np.int64)
+    ns = (k * k)[:, None] + np.arange(-1, 2)
+    ns = ns[ns <= top]
+    assert ns.max() == top and ns.size == 3 * math.isqrt(top) - 1
+    assert np.array_equal(np.floor(np.sqrt(ns)).astype(np.int64), _isqrt_array(ns))
+    # the bound the argument needs: (isqrt(n) + 1)^2 < 2^52
+    assert (math.isqrt(top) + 1) ** 2 < 2**52
+    # it is not slack: near 2^53 the float root of k^2 - 1 rounds up to k
+    big = np.array([94906265**2 - 1], dtype=np.int64)
+    assert np.floor(np.sqrt(big))[0] == 94906265 != math.isqrt(int(big[0]))
 
 
 def test_lockstep_regulators_match_scalar_oracle():
@@ -742,6 +757,22 @@ def test_cache_stores_the_header_and_h_and_only_a_real_r(tmp_path):
             assert all(z[k].dtype == np.int32 for k in ("version", "sign", "limit", "h"))
         stored = t.h.nbytes + (t.reg.nbytes if sign > 0 else 0)
         assert stored < os.path.getsize(path) < stored + 2000
+
+
+def test_saved_entries_take_the_dtypes_and_shapes_of_the_cache_format(tmp_path):
+    # save writes from _CACHE_ENTRIES, the table load checks against
+    path = str(tmp_path / "t.npz")
+    for sign in (-1, 1):
+        t = DiscriminantTable.compute(sign, 10**4)
+        t.save(path)
+        with np.load(path) as z:
+            stored = {key: (z[key].dtype, z[key].shape) for key in z.files}
+        want = {
+            key: (np.dtype(dtype), () if ndim == 0 else (len(t),))
+            for key, (dtype, ndim) in fields._CACHE_ENTRIES.items()
+            if sign > 0 or key != "reg"
+        }
+        assert stored == want, sign
 
 
 def _resave(path, edit):

@@ -10,6 +10,7 @@ import quadmean.orbits
 from oracles import (
     act,
     algebra,
+    congruence_solution_set_by_loops,
     kronecker,
     orbit_bitset_by_generators,
     stabilizer_elements_by_buckets,
@@ -22,6 +23,7 @@ from quadmean.orbits import (
     CapacityError,
     StandardRep,
     _classes,
+    _form_values,
     _generators,
     _orbit_bitset,
     _rem,
@@ -213,6 +215,51 @@ def test_congruence_solution_set_frozen_dyadic():
         (0, 1), (0, 17), (16, 1), (16, 17),
         (2, 15), (2, 31), (18, 15), (18, 31),
     }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_congruence_solution_set_equals_the_pairwise_loops(p):
+    # at the working level and one level either side, up to the table's guard
+    for rep in standard_representatives(p):
+        if not rep.is_ramified:
+            continue
+        for level in (rep.n - 1, rep.n, rep.n + 1):
+            ring = ResidueRing(p, level)
+            if ring.modulus > 128:
+                continue
+            got = congruence_solution_set(rep, ring)
+            assert got == congruence_solution_set_by_loops(rep, ring), (rep, level)
+            assert all(type(u) is int and type(s) is int for u, s in got)
+
+
+def test_form_values_table():
+    for p in (2, 3, 5, 7):
+        for rep in standard_representatives(p):
+            ring = rep.natural_ring()
+            m = ring.modulus
+            table = _form_values(rep, ring)
+            assert table.dtype == np.int32 and table.shape == (m * m,)
+            want = [rep.form(c, d) % m for c in range(m) for d in range(m)]
+            assert table.tolist() == want, rep
+            # built once per (representative, ring) and shared, so no caller
+            # may write into it
+            assert _form_values(rep, ResidueRing(p, rep.n)) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+def test_form_values_guard_boundary():
+    # the largest modulus the guard admits, 2^7 = 128, where every value
+    # before reduction is below 3 * 128^3 < 2^31; the next level is refused,
+    # and so is every count that reads the table there
+    rep = standard_representatives(2)[4]
+    assert rep.is_ramified
+    assert torus_order(rep, ResidueRing(2, 7)) == torus_order_closed(rep, ResidueRing(2, 7))
+    assert 3 * 128**3 < 2**31
+    for read in (torus_order, stabilizer_elements, congruence_solution_set):
+        with pytest.raises(CapacityError):
+            read(rep, ResidueRing(2, 8))
 
 
 def test_congruence_characterization():
