@@ -7,8 +7,9 @@ leading coefficient a; 4ac - b^2 is 0 or 3 mod 4, so the count at n is
 stored at n // 2 and the histogram holds no entry that is always zero.
 The combs of a chain a = m, 2m, 4m, ... (m odd) are summed in one pass,
 into an int16 buffer that is added into the histogram before it could
-overflow, and the few forms below the comb are listed hit by hit, one
-ragged list per block of a.
+overflow, and the few forms below the comb are added hit by hit, for each
+block of a one pass per hit count j over the rows (a, b) with more than j
+hits.
 For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
 per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
 (half of it when a = c), skipping every form whose D is 0 or 4 mod 16 and
@@ -184,9 +185,11 @@ _COMB_ROW = 1024
 # over the chain, below 4 * amax + 30 = 23,122 < 2^15 at
 # amax = isqrt(MAX_TABLE_LIMIT // 3): one chain row always fits.
 _COMB_ACC = np.int16
-# Head hits _add_imag_head lists at once: a block of a grows until it holds
-# this many; from 2^16 to 2^17 took the same time, 2^18 longer.
-_HEAD_BLOCK = 1 << 17
+# Head rows (a, b) _add_head_by_hit_count takes at once: a block of a grows
+# until it holds this many, so its row columns stay a few hundred KB.  At
+# 10^6 a histogram took 19.4 ms with 2^15, 19.8 ms with 2^14 and 21.6 ms
+# with 2^16; at 10^7, 0.53 s with 2^15 and 0.54 s with 2^14 or 2^16.
+_HEAD_BLOCK = 1 << 15
 
 
 def imaginary_class_number_histogram(limit: int) -> np.ndarray:
@@ -202,19 +205,20 @@ def imaginary_class_number_histogram(limit: int) -> np.ndarray:
     period 4a in n, whose residues 0 and 3 mod 4 make a comb of period 2a
     in n // 2 from index 2a^2 on; _add_imag_combs adds them, one pass per
     chain a = m, 2m, 4m, ... with m odd.
-    The head window [3a^2, 4a^2) is added hit by hit by _add_imag_head, for
-    blocks of consecutive a of about _HEAD_BLOCK hits each."""
+    The head window [3a^2, 4a^2) is added hit by hit by
+    _add_head_by_hit_count, for blocks of consecutive a of about _HEAD_BLOCK
+    rows (a, b) each."""
     hist = np.zeros(limit // 2 + 1, dtype=np.int32)
     live = hist[: limit // 4 + (limit + 1) // 4 + 1]  # n <= limit
     amax = isqrt(limit // 3)
-    _add_imag_combs(live, amax)  # its buffer is freed before the head hits are listed
+    _add_imag_combs(live, amax)  # its buffer is freed before the head rows are set up
     a = 1
     while a <= amax:
-        lo, hits = a, 0
-        while a <= amax and hits < _HEAD_BLOCK:
-            hits += a * a // 12 + 1  # about the head of a
+        lo, rows = a, 0
+        while a <= amax and rows < _HEAD_BLOCK:
+            rows += a
             a += 1
-        _add_imag_head(live, np.arange(lo, a, dtype=np.int32), limit)
+        _add_head_by_hit_count(live, np.arange(lo, a, dtype=np.int32), limit)
     return hist
 
 
@@ -243,13 +247,14 @@ def _add_imag_combs(live: np.ndarray, amax: int) -> None:
     buffer is charged once per chain, with the sum of its members' row tops;
     it goes into the histogram whenever that charge since it was last emptied
     could pass its maximum, and once at the end.  The rows are non-negative,
-    so no entry of the buffer can overflow."""
+    so no entry of the buffer can overflow.  Each comb is cast to _COMB_ACC
+    once, and every row is made in it by broadcast adds: no row is tiled."""
     acc = np.zeros(live.size, dtype=_COMB_ACC)
     room = cap = int(np.iinfo(_COMB_ACC).max)
     amax = min(amax, isqrt((acc.size - 1) // 2))  # 2a^2 inside the buffer
     for m in range(1, amax + 1, 2):
         chain = [m << k for k in range((amax // m).bit_length())]
-        combs = [_imag_comb(a) for a in chain]
+        combs = [_imag_comb(a).astype(_COMB_ACC) for a in chain]
         top = sum(int(comb.max()) for comb in combs)
         if top > room:
             live += acc
@@ -258,54 +263,59 @@ def _add_imag_combs(live: np.ndarray, amax: int) -> None:
         room -= top
         row = combs[0]
         for k, a in enumerate(chain):
-            if k:
-                row = np.tile(row, 2) + combs[k]
+            if k:  # the row of period a, twice, plus the comb of a
+                row = (combs[k].reshape(2, -1) + row).reshape(-1)
             end = 8 * a * a if k + 1 < len(chain) else acc.size
-            _add_tiled(acc[2 * a * a : end], row.astype(_COMB_ACC))
+            _add_tiled(acc[2 * a * a : end], row)
     live += acc
 
 
 def _add_tiled(segment: np.ndarray, period: np.ndarray) -> None:
     """segment += period repeated over it, from its first entry on."""
-    row = np.tile(period, max(1, _COMB_ROW // period.size))
+    # ndarray.repeat: np.tile and np.broadcast_to took 2.3 and 2.6 us a call, this 0.6
+    row = period[None].repeat(max(1, _COMB_ROW // period.size), 0).reshape(-1)
     rows = segment.size // row.size
     body = segment[: rows * row.size].reshape(rows, row.size)
     body += row
     segment[rows * row.size :] += row[: segment.size - rows * row.size]
 
 
-def _add_imag_head(live: np.ndarray, a: np.ndarray, limit: int) -> None:
+def _add_head_by_hit_count(live: np.ndarray, a: np.ndarray, limit: int) -> None:
     """live[n // 2] += the weight of every form (a, b, c), 1 <= b <= a, with
-    n = 4ac - b^2 below 4a^2 and at most limit, for the int32 array a.
+    n = 4ac - b^2 below 4a^2 and at most limit, for the int32 array a of one
+    block, one pass per hit count.
 
     Row (a, b) has k = min(ceil(b^2 / 4a), the number of n <= limit) hits, at
-    n = 4a^2 - b^2 + 4aj for j = 0..k-1.  ceil(b^2 / 4a) is
+    n // 2 = (4a^2 - b^2) // 2 + 2aj for j = 0..k-1.  ceil(b^2 / 4a) is
     (b^2 - 1) // 4a + 1 and the count below the limit is
     (limit - 4a^2 + b^2) // 4a + 1, so k is one floor division of
-    b^2 + min(-1, limit - 4a^2), clipped at 0.  The hit at j = 0 (c = a) and
-    every hit of b = a have weight 1, the others weight 2: the rows are listed
-    twice, once with their weight-1 hits and once with the rest, as one ragged
-    list of n // 2, and each part goes in with one np.add.at.  Every value
-    stays below 2a^2 + 2a < 2^31 up to MAX_TABLE_LIMIT."""
+    b^2 + min(-1, limit - 4a^2), clipped at 0.  The rows are ordered by k,
+    descending, by a stable argsort of the int16 keys -k, so for every j the
+    rows with k > j are a prefix; one searchsorted finds all their lengths.
+    Pass j moves the prefix's indices one step 2a on and adds them with one
+    np.add.at: weight 1 at j = 0 (c = a), and after it weight 2, or 1 on the
+    rows b = a, from a weight column ordered with the rows.  No array as long
+    as the block's hit list is made."""
     ends = np.cumsum(a, dtype=np.int32)
     b = np.arange(1, int(ends[-1]) + 1, dtype=np.int32) - np.repeat(ends - a, a)
     bb = b * b
     step = np.repeat(2 * a, a)  # 4a in n
     k = (bb + np.repeat(np.minimum(limit - 4 * a * a, -1), a)) // (2 * step) + 1
-    np.maximum(k, 0, out=k)
-    once = np.minimum(k, 1)  # c = a
-    once[ends - 1] = k[ends - 1]  # b = a
-    first = (np.repeat(4 * a * a, a) - bb) >> 1
-    counts = np.concatenate((once, k - once))
-    ends = np.cumsum(counts, dtype=np.int32)
-    # j, counted from each row's first hit in its part of the list
-    n = np.arange(int(ends[-1]), dtype=np.int32) - np.repeat(ends - counts, counts)
-    n *= np.repeat(np.concatenate((step, step)), counts)
-    n += np.repeat(np.concatenate((first, first + step)), counts)
-    split = int(ends[once.size - 1])
+    key = np.minimum(-k, 0).astype(np.int16)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    weight = np.full(b.size, 2, dtype=np.int32)
+    weight[ends - 1] = 1  # b = a
+    weight = weight[order]
+    # intp indices: np.add.at casts int32 ones first, about 15% slower
+    cur = ((np.repeat(4 * a * a, a) - bb) >> 1)[order].astype(np.intp)
+    step = step[order].astype(np.intp)
     # an np.int32 weight: a Python int one took about 20 times longer
-    np.add.at(live, n[:split], np.int32(1))
-    np.add.at(live, n[split:], np.int32(2))
+    one = np.int32(1)
+    for j, c in enumerate(np.searchsorted(key, -np.arange(-int(key[0]), dtype=np.int16)).tolist()):
+        if j:
+            cur[:c] += step[:c]
+        np.add.at(live, cur[:c], weight[:c] if j else one)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +433,10 @@ def _add_real_rows(
 # Largest table bound: the sieve allocates limit + 1 entries and the
 # imaginary histogram limit // 2 + 1, 200 MB of int32 at this bound, plus a
 # 100 MB int16 buffer for its comb rows.  The form count at n is at most
-# (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and the head hits it lists in
-# int32, below 4a^2 <= 4 * limit / 3, stay so with one step 4a added: both
-# far below 2^31.  An entry of one chain row of combs is below
+# (isqrt(n/3) + 1)^2 - 1, about 3.3e7 here, and the int32 set-up values of
+# a head row, 4a^2 <= 4 * limit / 3 and b^2 <= a^2, are far below 2^31; a
+# row's hit count, at most ceil(a / 4) = 1,444, is an int16 key.  An entry
+# of one chain row of combs is below
 # 4 * isqrt(limit / 3) + 30 < 2^15.  The real forms' D = b^2 + 4ac <= limit,
 # the regulator lanes and their products stay below 4 * limit, exact
 # integers in float64.  |D|, -|D|, |D| >> 1 and every sieve index are

@@ -314,9 +314,12 @@ def _contains(members: np.ndarray, v: np.ndarray) -> np.ndarray:
     return members[np.minimum(i, members.size - 1)] == v
 
 
+@functools.cache
 def _classes(form: BinaryQF, ring: ResidueRing):
     """(canonical, class size) for the forms mod p^N of the content
-    valuation v (least coefficient valuation, N at zero) of form.
+    valuation v (least coefficient valuation, N at zero) of form.  Built
+    once per (form, ring), with a read-only lead table, since the orbit BFS
+    and the lift check share it.
 
     A form y of content v has the unit-scaling class {u*y : u a unit} of
     phi(p^(N-v)) forms, 1 at zero: u*y = y exactly when u = 1 mod p^(N-v).
@@ -332,6 +335,7 @@ def _classes(form: BinaryQF, ring: ResidueRing):
     w = w[w % p != 0]  # the unit parts of the residues of valuation v
     lead = np.zeros(m, dtype=np.int32)
     lead[w * p**v] = _unit_inverses(ring)[w]
+    lead.flags.writeable = False
 
     def canonical(y: np.ndarray) -> np.ndarray:
         k = lead[y]

@@ -802,6 +802,29 @@ def test_verify_local_builds_each_form_value_table_once(monkeypatch):
         assert table.dtype == np.int32 and not table.flags.writeable
 
 
+def test_verify_local_builds_each_class_map_once(monkeypatch):
+    # the lift check reads the canonical map of its lift ring that the orbit
+    # BFS there built: 48 reads of 32 maps, each built once, from an empty cache
+    builds = []
+    raw = quadmean.orbits._classes.__wrapped__
+
+    @functools.cache
+    def counted(form, ring):
+        builds.append((form, ring))
+        return raw(form, ring)
+
+    monkeypatch.setattr(quadmean.orbits, "_classes", counted)
+    assert run_cli(["verify-local", "--primes", "2,3,5"])[0] == 0
+    assert len(builds) == len(set(builds)) == 32
+    info = counted.cache_info()
+    assert (info.misses, info.hits) == (32, 16)
+    for form, ring in builds:
+        canonical = counted(form, ring)[0]
+        (lead,) = [c.cell_contents for c in canonical.__closure__
+                   if isinstance(c.cell_contents, np.ndarray)]
+        assert lead.dtype == np.int32 and lead.size == ring.modulus and not lead.flags.writeable
+
+
 def test_primes_above_the_modulus_guard_exit_2_before_the_primality_test(capsys):
     # 1073741789 is the largest prime below 2^30 = MAX_MODULUS
     assert quadmean.residue.MAX_MODULUS == 2**30

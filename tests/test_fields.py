@@ -5,6 +5,7 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,25 +161,97 @@ def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
 
 
 def test_imaginary_head_grid_fits_int32_at_the_table_guard():
-    # _add_imag_head lists the head hits of a block of a in int32: every hit
-    # n = 4a^2 - b^2 + 4aj is below 4a^2, and the second part of the list
-    # starts rows one step 4a past their first hit, so 4a^2 + 4a bounds every
-    # value, here at the largest a the guard admits.  A block's running hit
-    # count stays below _HEAD_BLOCK plus the at most a * ceil(a / 4) hits of
-    # its last a
-    a = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
-    assert 4 * a * a + 4 * a < 2**31
-    assert fields._HEAD_BLOCK + a * ((a + 3) // 4) < 2**31
+    # _add_head_by_hit_count sets up the rows (a, b) of a block of a in
+    # int32: b^2 <= a^2, 4a^2, limit - 4a^2 and b^2 + limit - 4a^2 stay below
+    # 2^31, and so does the first index (4a^2 - b^2) // 2 and every later
+    # current index, a hit of the row's a, below 2a^2 in n // 2, here at the
+    # largest a the guard admits.  A block's running row count, the cumsum
+    # of its a, stays below _HEAD_BLOCK plus its last a.  A row's hit count
+    # k <= ceil(b^2 / 4a) <= ceil(a / 4) and its key -k are int16
+    limit = fields.MAX_TABLE_LIMIT
+    a = math.isqrt(limit // 3)
+    assert 4 * a * a < 2**31 and a * a + limit < 2**31
+    assert fields._HEAD_BLOCK + a < 2**31
+    assert -(-a // 4) == 1444 <= np.iinfo(np.int16).max
+    # at 20000 every a meets the bound at b = a, unless the limit cuts its head
+    for a in range(1, math.isqrt(20000 // 3) + 1):
+        k = max(min(-(-b * b // (4 * a)), (20000 - 4 * a * a + b * b) // (4 * a) + 1)
+                for b in range(1, a + 1))
+        assert k <= -(-a // 4) and (k == -(-a // 4) or 4 * a * a > 20000), a
 
 
 @pytest.mark.parametrize("block", [1, 2**30])
 def test_imaginary_head_does_not_depend_on_the_block(monkeypatch, block):
-    # one a per block (each a adds at least one hit to the block's estimate),
+    # one a per block (each a adds at least one row to the block's count),
     # or a single block
     monkeypatch.setattr(fields, "_HEAD_BLOCK", block)
     for limit in _PER_AB_LIMITS:
         hist = imaginary_class_number_histogram(limit)
         assert np.array_equal(hist, _halved(_per_ab_loop(limit))), limit
+
+
+class _AddAtRecorder:
+    """numpy as a module sees it, with the indices and weight of every
+    np.add.at call recorded in calls; np.add itself is not callable."""
+
+    def __init__(self):
+        self.calls = []
+        self.add = SimpleNamespace(at=self._at)
+
+    def _at(self, target, index, weight):
+        self.calls.append((index.copy(), np.array(weight, copy=True)))
+        np.add.at(target, index, weight)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_imaginary_head_adds_one_np_add_at_per_hit_count(monkeypatch):
+    # a head block makes one np.add.at per hit count j < max k, over the rows
+    # (a, b) with more than j hits, never one per row: weight 1 at j = 0,
+    # then 2, or 1 on the rows b = a.  Every index is a hit of its row, below
+    # 2a^2 for the block's last a
+    recorder, blocks = _AddAtRecorder(), []
+    head = fields._add_head_by_hit_count
+
+    def block(live, a, limit):
+        before = len(recorder.calls)
+        head(live, a, limit)
+        blocks.append((a.tolist(), recorder.calls[before:]))
+
+    monkeypatch.setattr(fields, "np", recorder)
+    monkeypatch.setattr(fields, "_add_head_by_hit_count", block)
+    monkeypatch.setattr(fields, "_HEAD_BLOCK", 1000)
+    limit = 20000
+    assert np.array_equal(imaginary_class_number_histogram(limit), _halved(_per_ab_loop(limit)))
+    assert len(blocks) > 1 and [a for a, _ in blocks][-1][-1] == math.isqrt(limit // 3)
+    for a_block, calls in blocks:
+        rows = [
+            (a, b, max(0, min(-(-b * b // (4 * a)), (limit - 4 * a * a + b * b) // (4 * a) + 1)))
+            for a in a_block for b in range(1, a + 1)
+        ]
+        kmax = max(k for _, _, k in rows)
+        assert len(calls) == kmax < len(rows), a_block
+        for j, (index, weight) in enumerate(calls):
+            hits = sorted(
+                ((4 * a * a - b * b + 4 * a * j) >> 1, 1 if j == 0 or b == a else 2)
+                for a, b, k in rows if k > j
+            )
+            weight = np.broadcast_to(weight, index.shape)
+            assert sorted(zip(index.tolist(), weight.tolist())) == hits, (a_block, j)
+            assert index.max() < 2 * a_block[-1] ** 2
+
+
+def test_chained_combs_tile_no_row(monkeypatch):
+    # the chain rows are made by broadcast adds in the buffer's dtype; the
+    # reference (which tiles) is computed before np.tile is counted
+    limits = (20000, 10**5)
+    refs = [_comb_counts(limit, imaginary_combs_per_a) for limit in limits]
+    tiles = []
+    monkeypatch.setattr(np, "tile", lambda *args, **kwargs: tiles.append(args))
+    for limit, ref in zip(limits, refs):
+        assert np.array_equal(_comb_counts(limit, fields._add_imag_combs), ref), limit
+    assert tiles == []
 
 
 def test_imaginary_comb_row_fits_the_buffer_at_the_table_guard():
@@ -248,7 +321,7 @@ def test_kronecker_hurwitz_class_number_relation():
     # min(d, n/d), for every n <= N, with the Hurwitz class number
     # 12 H(m) = 12 count(m) - 6 [m = 4k^2] - 8 [m = 3k^2] and 12 H(0) = -1:
     # it checks the form count at every m <= 4N, fundamental or not
-    N = 300_000  # about 0.8 s on 2 cores; the sum over s costs N^1.5
+    N = 300_000  # about 0.3 s on 2 cores; the sum over s costs N^1.5
     h12 = 12 * imaginary_class_number_histogram(4 * N).astype(np.int64)
     k = np.arange(1, math.isqrt(4 * N // 3) + 1)
     h12[2 * k[k * k <= N] ** 2] -= 6  # m = 4k^2 sits at 2k^2
@@ -715,8 +788,9 @@ def test_table_compute_columns():
 
 def test_imaginary_table_gathers_h_in_blocks():
     # h is taken from the histogram _BLOCK rows at a time into one int32
-    # column, with no full-length index |D| >> 1: the build at 10^6 peaks at
-    # 5.02 MB by tracemalloc, against 5.45 MB with hist[mags >> 1]
+    # column, with no full-length index |D| >> 1, and the head rows are set
+    # up a block of about _HEAD_BLOCK rows at a time: the build at 10^6 peaks
+    # at 4.98 MB by tracemalloc, against 5.45 MB with hist[mags >> 1]
     limit = 10**6
     DiscriminantTable.compute(-1, limit)  # the first call allocates more, once
     tracemalloc.start()
@@ -725,7 +799,7 @@ def test_imaginary_table_gathers_h_in_blocks():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 5.3
+    assert peak <= 5.26
     assert len(table) > 4 * fields._BLOCK and table.h.dtype == np.int32
     hist = imaginary_class_number_histogram(limit)
     assert np.array_equal(table.h, hist[table.magnitude >> 1])
