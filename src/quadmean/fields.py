@@ -34,7 +34,7 @@ from math import isqrt
 
 import numpy as np
 
-from .orbits import _rem, local_algebras
+from .orbits import _rem, local_algebras, standard_representatives
 from .residue import CapacityError, primes_upto, square_class, square_class_labels
 
 TRACKED_PRIMES = (2, 3, 5)
@@ -93,18 +93,19 @@ def fundamental_magnitudes(sign: int, limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # The type at p of a fundamental discriminant D is fixed by D mod
-# _TYPE_MODULI[p].  At odd p, v_p(D) <= 1 and the square class of the unit
-# part is fixed mod p, so D mod p^2 decides.  At p = 2, v_2(D) is 0, 2 or 3
-# and the square class of the unit part is fixed mod 8, so D mod 2^6
-# decides.  So D mod TYPE_MODULUS = 64 * 9 * 25 = 14,400 decides the types
-# at every tracked prime at once.  The joint code of D is its index c_p in
-# local_algebras(p), which is that of its class in square_class_labels(p),
-# at each tracked prime, raveled over TYPE_CELLS = (8, 4, 4): 16 c_2 +
-# 4 c_3 + c_5, one of 128.  Its table gives each nonzero residue r the
-# index of the class of r itself, which is that of every fundamental D with
-# residue r (v_p(D) and the deciding unit part are read off r); the residue
-# 0, which no fundamental D has, reads index 0.
-_TYPE_MODULI = {p: 2**6 if p == 2 else p * p for p in TRACKED_PRIMES}
+# _TYPE_MODULI[p], p to the deepest working level delta + 2 ord_p(2) + 1 of
+# standard_representatives(p).  At odd p, v_p(D) <= 1 and the square class of
+# the unit part is fixed mod p, so D mod p^2 decides.  At p = 2, v_2(D) is 0, 2
+# or 3 and the square class of the unit part is fixed mod 8, so D mod 2^6
+# decides.  So D mod TYPE_MODULUS = 64 * 9 * 25 = 14,400 decides the types at
+# every tracked prime at once.  The joint code of D is its index c_p in
+# local_algebras(p), which is that of its class in square_class_labels(p), at
+# each tracked prime, raveled over TYPE_CELLS = (8, 4, 4): 16 c_2 + 4 c_3 +
+# c_5, one of 128.  Its table gives each nonzero residue r the index of the
+# class of r itself, which is that of every fundamental D with residue r
+# (v_p(D) and the deciding unit part are read off r); the residue 0, which no
+# fundamental D has, reads index 0.
+_TYPE_MODULI = {p: p ** max(x.n for x in standard_representatives(p)) for p in TRACKED_PRIMES}
 TYPE_MODULUS = math.prod(_TYPE_MODULI.values())
 TYPE_CELLS = tuple(len(local_algebras(p)) for p in TRACKED_PRIMES)
 
@@ -338,10 +339,10 @@ _PAIR_BLOCK = 1 << 15
 # (a, c) rows real_hr_histogram sets up at once: a group of whole a grows
 # until it holds this many (128 KB of int64 per set-up array).
 _ROW_GROUP = 1 << 12
-# [ac mod 4, b mod 4] -> 1 when D = b^2 + 4ac is not 0 or 4 mod 16: odd b
-# always; b = 2 mod 4 (D = 4(1 + ac) mod 16) when ac = 1, 2 mod 4; b = 0 mod 4
-# (D = 4ac mod 16) when ac = 2, 3 mod 4.
-_KEPT_B = np.array([[0, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 0, 1]])
+# [ac mod 4, b mod 4] -> True when D = b^2 + 4ac is not 0 or 4 mod 16, which
+# b mod 4 and ac mod 4 decide: an odd D is neither, and an even b has b^2
+# mod 16 fixed by b mod 4.
+_KEPT_B = ~np.isin((np.arange(4) ** 2 + 4 * np.arange(4)[:, None]) % 16, (0, 4))
 
 
 def real_hr_histogram(limit: int) -> np.ndarray:
@@ -461,30 +462,35 @@ def _unit_regulators(n: int) -> np.ndarray:
     return np.broadcast_to(np.float64(1.0), (n,))
 
 
+def _hr_bound(d):
+    """sqrt(d)(log d + 2)/2, above hR = sqrt(d) L(1, chi)/2 (the class number
+    formula) for a real field of discriminant d: L(1, chi) is below log d + 2,
+    since the terms up to d sum to at most log d + 1 and the partial sums of
+    chi are at most d/2, so the tail is below 1.  d is a number or an array."""
+    return np.sqrt(d) * (np.log(d) + 2.0) / 2.0
+
+
 def _regulator_step_bound(d: int) -> int:
     """Steps the lockstep regulator walk takes at most for discriminants up to d.
 
     A lane stops within one period of its cycle, of length l say.  Its complete
     quotients x_k = a_k + 1/x_{k+1} have a_k >= 1, so x_k x_{k+1} > 2 and
-    R = sum log x_k > (l - 1) log(2) / 2 over the period.  With h >= 1 and the
-    class number formula, R <= hR = sqrt(d) L(1, chi)/2, and L(1, chi) is below
-    log d + 2 (the terms up to d sum to at most log d + 1 and the partial sums
-    of chi are at most d/2, so the tail is below 1).  So
-    l < sqrt(d) (log d + 2)/log 2 + 1."""
-    return math.ceil(math.sqrt(d) * (math.log(d) + 2) / math.log(2)) + 1
+    R = sum log x_k > (l - 1) log(2) / 2 over the period.  With h >= 1,
+    R <= hR < _hr_bound(d).  So l < 2 _hr_bound(d)/log 2 + 1."""
+    return math.ceil(2 * _hr_bound(d) / math.log(2)) + 1
 
 
 def _regulator_out_of_bounds(mags: np.ndarray, reg: np.ndarray) -> int | None:
     """The first D in mags whose R (NaN included) is not in
-    [log((1 + sqrt(D))/2), sqrt(D)(log D + 2)/2), else None: the least unit
-    above 1, reached at D = 5 (so the bound is taken 1e-12 lower for
-    rounding), and the bound on hR of _regulator_step_bound."""
+    [log((1 + sqrt(D))/2), _hr_bound(D)), else None: the least unit above 1,
+    reached at D = 5 (so the bound is taken 1e-12 lower for rounding), and
+    the bound on hR, which R does not exceed since h >= 1."""
     for lo in range(0, mags.size, _BLOCK):
         d = mags[lo : lo + _BLOCK].astype(np.float64)
         r = reg[lo : lo + _BLOCK]
         root = np.sqrt(d)
         low = np.log((1.0 + root) / 2.0) * (1.0 - 1e-12)
-        ok = (r >= low) & (r < root * (np.log(d) + 2.0) / 2.0)
+        ok = (r >= low) & (r < _hr_bound(d))
         if not ok.all():
             return int(mags[lo + int(np.argmin(ok))])
     return None

@@ -5,8 +5,10 @@ A form x = x0*v1^2 + x1*v1*v2 + x2*v2^2 is acted on by g = (t, g2) via
 the separable quadratic algebras of Q_p, one per label of
 residue.square_class_labels(p).  The module gives the standard orbital
 representative of each, the stabilizer torus attached to a monic
-representative, orbit enumeration by breadth-first closure, and the unit
-congruence systems that account for the stabilizer's torus cosets.
+representative, orbit enumeration by breadth-first closure of the
+unit-scaling classes under the transvections and diag(u, 1) for u over the
+unit square classes, and the unit congruence systems that account for the
+stabilizer's torus cosets, whose second coset is the conjugation.
 
 The array kernels (orbit closure, stabilizer scan, coset normal form)
 reduce with _rem, floor division in place, and work in int32 wherever the
@@ -28,9 +30,9 @@ from .residue import (
     CapacityError,
     ResidueRing,
     disc_valuation,
+    smallest_nonresidue,
     square_class,
     square_class_labels,
-    unit_group_generators,
     valuation,
 )
 
@@ -272,17 +274,22 @@ def group_order(ring: ResidueRing) -> int:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
-    """(t, a, b, c, d) tuples generating GL1 x GL2 over Z/p^N: the two
-    elementary transvections, diag(u, 1) and the scalar u for each unit
-    group generator u."""
-    gens = [(1, 1, 1, 0, 1), (1, 1, 0, 1, 1)]
-    for u in unit_group_generators(ring):
-        if u == 1:
-            continue
-        gens.append((1, u, 0, 0, 1))
-        gens.append((u, 1, 0, 0, 1))
-    return gens
+def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int]]:
+    """GL2 matrices (a, b, c, d) whose closure reaches every unit-scaling
+    class of a G(Z/p^N)-orbit: the two elementary transvections, and
+    diag(u, 1) for u generating the units mod squares, which is the least
+    non-residue at odd p and -1 and 5 at p = 2 (a u = 1 mod p^N, whose
+    diag(u, 1) is the identity, is left out).
+
+    Z/p^N is local, so SL2 over it is generated by the transvections.  Any
+    g in GL2 has det g = w s^2, w a product of the u above and s a unit, so
+    g = diag(w, 1) diag(s, s^-1) (s I) h with h in SL2; s I acts on forms as
+    the scalar s^2, which keeps every form in its unit-scaling class, as the
+    GL1 scalars do.
+    """
+    m, p = ring.modulus, ring.p
+    units = (-1, 5) if p == 2 else (smallest_nonresidue(p),)
+    return [(1, 1, 0, 1), (1, 0, 1, 1)] + [(u % m, 0, 0, 1) for u in units if u % m != 1]
 
 
 # class representatives decoded at once; bounds the BFS's temporary arrays
@@ -366,8 +373,7 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
     # then row 1, then row 2, so the product splits into the three images
     mats = [
         ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
-        for t, a, b, c, d in _generators(ring)
-        if t == 1
+        for a, b, c, d in _generators(ring)
     ]
     gens = (np.array(mats, dtype=np.int64).transpose(1, 0, 2).reshape(-1, 3) % m).astype(np.int32)
     canonical, class_size = _classes(form, ring)
@@ -628,11 +634,6 @@ def congruence_count_closed(x: StandardRep) -> int:
     return 2 * x.p**x.delta
 
 
-def _mod_inverse_fraction(q: Fraction, m: int) -> int:
-    """Reduce a p-integral rational mod m (denominator a unit mod m)."""
-    return q.numerator * pow(q.denominator, -1, m) % m
-
-
 def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> tuple[frozenset, ...]:
     """The closed description of the congruence solution set of x at ring,
     as its branches: the brute-force set congruence_solution_set is their
@@ -640,8 +641,12 @@ def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> tuple[frozen
 
     Odd trace valuation (delta = 2m+1, trace 0 here): one branch,
     u = 0 mod p^(3m+2) and s^2 = 1 mod p^(4m+1).  Even delta = 2l <= 2m:
-    two coset branches u in p^(l+2m+1) and u in -b*pi + p^(l+2m+1), each
-    with s = 1 - (2/a1) u mod p^(l+2m+1).
+    two coset branches u in p^(l+2m+1) and u in a1 + p^(l+2m+1), each
+    with s = 1 - (2/a1) u mod p^(l+2m+1).  The second is the coset of the
+    conjugation (u, s) = (a1, -1); the paper writes its u as -b pi with
+    pi = a2 and b = b2/b1, b1 = 4 pi^2/a1^2 - pi and b2 = a1 - 4 pi/a1, and
+    b = -a1/pi identically.  An even delta occurs at p = 2 only, where
+    v(a1) = l = 1, so 2/a1 is the inverse of the unit a1/2.
     """
     if not x.is_ramified:
         raise ValueError("characterization applies to ramified representatives")
@@ -659,19 +664,11 @@ def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> tuple[frozen
                 if s % p and (s * s - 1) % ps == 0
             ),
         )
-    ell = x.delta // 2
-    a1, a2 = x.a1, x.a2
-    pi = Fraction(a2)
-    b1 = 4 * pi * pi / (a1 * a1) - pi
-    b2 = Fraction(a1) - 4 * pi / a1
-    b = b2 / b1
-    # valuations claimed by the closed description
-    assert valuation(b1, p) == 1 and valuation(b2, p) == ell
-    step = p ** (ell + 2 * m_ord + 1)
-    two_over_a1 = _mod_inverse_fraction(Fraction(2, a1), mod)
-    u0_b = (-_mod_inverse_fraction(b, mod) * a2) % step
+    a1 = x.a1
+    step = p ** (x.delta // 2 + 2 * m_ord + 1)
+    two_over_a1 = pow(a1 // 2, -1, mod)
     branches = []
-    for u0 in (0, u0_b):
+    for u0 in (0, a1):
         branch = set()
         for u in range(u0 % step, mod, step):
             s0 = (1 - two_over_a1 * u) % step

@@ -4,8 +4,10 @@ Residues are canonical integers in [0, p^n) and valuations are plain ints.
 A square class of Q_p^x is an int label from the one list
 square_class_labels(p), with the one rule disc_valuation(label, p), and
 square_class(a, p) is the one classifier: Euler's criterion at odd p, the
-unit part mod 8 at p = 2.  The module also has the one prime sieve, for
-the Euler product and the squarefree sieve.
+unit part mod 8 at p = 2.  The units mod squares are generated by
+smallest_nonresidue(p) at odd p and by -1 and 5 at p = 2, the only unit
+generators the orbit closure needs.  The module also has the one prime
+sieve, for the Euler product and the squarefree sieve.
 """
 
 from __future__ import annotations
@@ -66,14 +68,15 @@ class ResidueRing:
     modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
         if self.n < 1:
             raise ValueError(f"level must be >= 1, got {self.n}")
-        m = self.p**self.n
-        if m > MAX_MODULUS:
+        # the size guard comes before p^n and the trial division it spares:
+        # a level of MAX_MODULUS.bit_length() exceeds it at every p >= 2
+        if self.p >= 2 and (self.n >= MAX_MODULUS.bit_length() or self.p**self.n > MAX_MODULUS):
             raise CapacityError(f"modulus {self.p}^{self.n} exceeds {MAX_MODULUS}")
-        object.__setattr__(self, "modulus", m)
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
+        object.__setattr__(self, "modulus", self.p**self.n)
 
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.n}"
@@ -93,46 +96,6 @@ def valuation(q: int | Fraction, p: int) -> int:
         den //= p
         v -= 1
     return v
-
-
-def _primitive_root_mod_p(p: int) -> int:
-    # factor p-1, then test candidates against every maximal proper divisor
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-        g += 1
-
-
-def unit_group_generators(ring: ResidueRing) -> list[int]:
-    """Generators of (Z/p^n)^x.
-
-    Odd p: one generator, the smallest primitive root mod p promoted to
-    p^n.  p = 2: trivial at n = 1, {-1} at n = 2, {-1, 5} for n >= 3.
-    """
-    p, n = ring.p, ring.n
-    if p == 2:
-        if n == 1:
-            return [1]
-        if n == 2:
-            return [3]
-        return [ring.modulus - 1, 5]
-    g = _primitive_root_mod_p(p)
-    # g stays primitive mod p^n unless g^(p-1) = 1 mod p^2
-    if n >= 2 and pow(g, p - 1, p * p) == 1:
-        g += p
-    return [g]
 
 
 def smallest_nonresidue(p: int) -> int:

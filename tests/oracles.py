@@ -9,8 +9,10 @@ GL1 x GL2 to one form, the scalar reference for the orbit, stabilizer
 and torus kernels.  imaginary_combs_per_a adds the imaginary comb rows one
 leading coefficient at a time, the reference for the chained passes of
 quadmean.fields.  orbit_bitset_by_generators closes an orbit under every
-generator of GL1 x GL2, the reference for the class-quotient closure of
-quadmean.orbits.  stabilizer_elements_by_buckets pairs every unit
+element of group_generators, a generating set of GL1 x GL2 that takes the
+whole unit group as scalars and as diag(u, 1) and shares nothing with the
+generators of quadmean.orbits: the reference for its class-quotient
+closure.  stabilizer_elements_by_buckets pairs every unit
 form-value bucket of top rows with its bucket of bottom rows, the
 reference for the unit-normalized stabilizer scan: the same rows as a
 multiset, listed in increasing (a, b, c, d) where the scan lists them
@@ -38,7 +40,6 @@ from quadmean.orbits import (
     BinaryQF,
     QuadraticAlgebraDescriptor,
     StandardRep,
-    _generators,
     _rem,
     _unit_inverses,
     local_algebras,
@@ -300,10 +301,24 @@ def orbital_volume_bruteforce(rep: StandardRep, level: int) -> Fraction:
     return Fraction(orbit_size(rep, ring), rep.p ** (3 * level))
 
 
+def group_generators(ring: ResidueRing) -> list[tuple[int, int, int, int, int]]:
+    """(t, a, b, c, d) generators of GL1 x GL2 over Z/p^N, found by no search:
+    the two elementary transvections, and the scalar u and diag(u, 1) for
+    every u of a generating set of the whole unit group, 2..p-1 and 1 + p at
+    odd p (onto the units mod p, and 1 + p generates 1 + pZ/p^N), 3 and 5 at
+    p = 2 (3 = -5^k for some k).  The reference closures read it, and not
+    quadmean.orbits._generators, so they can catch a fault there."""
+    units = (3, 5) if ring.p == 2 else (*range(2, ring.p), 1 + ring.p)
+    gens = [(1, 1, 1, 0, 1), (1, 1, 0, 1, 1)]
+    for u in units:
+        gens += [(u, 1, 0, 0, 1), (1, u, 0, 0, 1)]
+    return gens
+
+
 def orbit_bitset_by_generators(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
     """Dense level-synchronous closure of the G-orbit of a form under every
-    generator of _generators, the unit scalars included: the reference for
-    the class-quotient closure of quadmean.orbits._orbit_bitset.
+    element of group_generators, the unit scalars included: the reference
+    for the class-quotient closure of quadmean.orbits._orbit_bitset.
 
     Each generator acts on (x0, x1, x2) by a 3x3 matrix mod m, applied to
     the whole frontier of packed int64 triples per level.  Returns (bool
@@ -311,7 +326,7 @@ def orbit_bitset_by_generators(form: BinaryQF, ring: ResidueRing) -> tuple[np.nd
     """
     m = ring.modulus
     gens = []
-    for t, a, b, c, d in _generators(ring):
+    for t, a, b, c, d in group_generators(ring):
         rows = ((a * a, a * b, b * b), (2 * a * c, a * d + b * c, 2 * b * d), (c * c, c * d, d * d))
         gens.append([[t * k % m for k in row] for row in rows])
     x0, x1, x2 = (v % m for v in form.coeffs())

@@ -11,6 +11,7 @@ from oracles import (
     act,
     algebra,
     congruence_solution_set_by_loops,
+    group_generators,
     kronecker,
     orbit_bitset_by_generators,
     stabilizer_elements_by_buckets,
@@ -24,7 +25,6 @@ from quadmean.orbits import (
     StandardRep,
     _classes,
     _form_values,
-    _generators,
     _orbit_bitset,
     _rem,
     _unit_inverses,
@@ -276,6 +276,22 @@ def test_congruence_characterization():
             if rep.delta % 2 == 0:
                 assert len(branches) == 2
                 assert len(branches[0]) == len(branches[1])
+                # the second coset is that of the conjugation (u, s) = (a1, -1)
+                assert (rep.a1, ring.modulus - 1) in branches[1]
+    # the paper's claims on its second coset u = -b pi at each dyadic
+    # delta = 2 representative, with pi = a2 and b = b2/b1
+    dyadic = {
+        rep.algebra.square_class: rep
+        for rep in standard_representatives(2)
+        if rep.is_ramified and rep.delta == 2
+    }
+    assert {label: (rep.a1, rep.a2) for label, rep in dyadic.items()} == {-1: (2, 2), -5: (2, 6)}
+    for rep in dyadic.values():
+        a1, pi = rep.a1, Fraction(rep.a2)
+        b1 = 4 * pi * pi / (a1 * a1) - pi
+        b2 = a1 - 4 * pi / a1
+        assert valuation(b1, 2) == 1 and valuation(b2, 2) == rep.delta // 2
+        assert -(b2 / b1) * pi == a1
 
 
 def test_coset_normal_form():
@@ -443,14 +459,15 @@ def test_torus_order_direct_count_at_p_up_to_7():
 
 
 def _scalar_orbit(form, ring):
-    """Depth-first closure of a form under _generators, one act at a time."""
+    """Depth-first closure of a form under group_generators, one act at a
+    time."""
     m = ring.modulus
     start = BinaryQF(*(v % m for v in form.coeffs()))
     seen = {start}
     stack = [start]
     while stack:
         y = stack.pop()
-        for g in _generators(ring):
+        for g in group_generators(ring):
             z = act(g, y, m)
             if z not in seen:
                 seen.add(z)

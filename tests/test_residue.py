@@ -1,11 +1,13 @@
 """Residue ring arithmetic and square-class bookkeeping."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from oracles import kronecker
+from quadmean.orbits import _generators
 from quadmean.residue import (
     MAX_MODULUS,
     CapacityError,
@@ -15,7 +17,6 @@ from quadmean.residue import (
     smallest_nonresidue,
     square_class,
     square_class_labels,
-    unit_group_generators,
     valuation,
 )
 
@@ -41,6 +42,20 @@ def test_max_modulus_boundary():
             ResidueRing(p, n)
 
 
+def test_size_guard_comes_before_the_power_and_the_primality_test():
+    # the guard refuses before p^n is computed or p trial-divided: 2^61 - 1
+    # would be trial-divided for minutes, and 3^(10^7) takes seconds to
+    # compute; a non-prime p past the guard is refused by the guard too, one
+    # below it by the primality test
+    for p, n in ((2**61 - 1, 1), (3, 10**7), (3, 10**8), (4, 16)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            ResidueRing(p, n)
+        assert time.perf_counter() - start < 0.1, (p, n)
+    with pytest.raises(ValueError):
+        ResidueRing(4, 1)
+
+
 def test_valuation():
     assert valuation(1, 3) == 0
     assert valuation(6, 3) == 1
@@ -57,15 +72,22 @@ def test_valuation():
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 1), (2, 1), (2, 2), (2, 3), (2, 5)])
 def test_unit_generators_span_unit_group(p, n):
+    # the transvections generate SL2, and s I acts on forms as the scalar
+    # s^2: so the GL2 generators reach every unit-scaling class of an orbit
+    # exactly when their determinants and the unit squares generate the units
     ring = ResidueRing(p, n)
     m = ring.modulus
     units = {v for v in range(m) if v % p}
-    gens = [int(g) for g in unit_group_generators(ring)]
+    gens = _generators(ring)
+    assert gens[:2] == [(1, 1, 0, 1), (1, 0, 1, 1)]
+    dets = {(a * d - b * c) % m for a, b, c, d in gens}
+    assert dets <= units
+    steps = dets | {s * s % m for s in units}
     reached = {1}
     frontier = [1]
     while frontier:
         v = frontier.pop()
-        for g in gens:
+        for g in steps:
             w = v * g % m
             if w not in reached:
                 reached.add(w)
