@@ -20,6 +20,7 @@ below 2^53 and are compacted in place once a tenth of them have stopped;
 h is the (checked) integer ratio.  Both real passes compute in the rows
 of one workspace made once per call, and both take isqrt as the floor of
 the float root, exact below MAX_TABLE_LIMIT.
+Every large pass walks its array _BLOCK entries, rows or forms at a time.
 The scalar per-field oracles that cross-check these kernels live in
 tests/oracles.py.
 """
@@ -52,10 +53,17 @@ def _squarefree_sieve(limit: int) -> np.ndarray:
     return sf
 
 
-# Entries a blocked pass (_flatnonzero_int32, cell_sums with its per-block
-# local_type_codes, the imaginary h in DiscriminantTable.compute) takes at
-# once: its temporaries hold at most this many entries, 512 KB of int64.
-_BLOCK = 1 << 16
+# Entries, rows or forms a blocked pass takes at once, so that each of its
+# temporary arrays holds about 256 KB of int64 or less: the sieve read
+# (_flatnonzero_int32), cell_sums with its per-block local_type_codes, the
+# imaginary h in DiscriminantTable.compute, the regulator bounds check, the
+# imaginary head (a block of a grows until it holds this many rows (a, b))
+# and the real h*R forms (a block holds whole progressions of b of at most
+# this many forms, or a single longer one; four workspace rows, 1 MB).  At
+# 10^6 the imaginary histogram took 19.4 ms with 2^15 head rows, 19.8 ms
+# with 2^14 and 21.6 ms with 2^16; at 10^5 real forms in blocks of 2^16
+# peaked 1.2 MB higher.
+_BLOCK = 1 << 15
 
 
 def _flatnonzero_int32(mask: np.ndarray) -> np.ndarray:
@@ -186,11 +194,6 @@ _COMB_ROW = 1024
 # over the chain, below 4 * amax + 30 = 23,122 < 2^15 at
 # amax = isqrt(MAX_TABLE_LIMIT // 3): one chain row always fits.
 _COMB_ACC = np.int16
-# Head rows (a, b) _add_head_by_hit_count takes at once: a block of a grows
-# until it holds this many, so its row columns stay a few hundred KB.  At
-# 10^6 a histogram took 19.4 ms with 2^15, 19.8 ms with 2^14 and 21.6 ms
-# with 2^16; at 10^7, 0.53 s with 2^15 and 0.54 s with 2^14 or 2^16.
-_HEAD_BLOCK = 1 << 15
 
 
 def imaginary_class_number_histogram(limit: int) -> np.ndarray:
@@ -207,7 +210,7 @@ def imaginary_class_number_histogram(limit: int) -> np.ndarray:
     in n // 2 from index 2a^2 on; _add_imag_combs adds them, one pass per
     chain a = m, 2m, 4m, ... with m odd.
     The head window [3a^2, 4a^2) is added hit by hit by
-    _add_head_by_hit_count, for blocks of consecutive a of about _HEAD_BLOCK
+    _add_head_by_hit_count, for blocks of consecutive a of about _BLOCK
     rows (a, b) each."""
     hist = np.zeros(limit // 2 + 1, dtype=np.int32)
     live = hist[: limit // 4 + (limit + 1) // 4 + 1]  # n <= limit
@@ -216,7 +219,7 @@ def imaginary_class_number_histogram(limit: int) -> np.ndarray:
     a = 1
     while a <= amax:
         lo, rows = a, 0
-        while a <= amax and rows < _HEAD_BLOCK:
+        while a <= amax and rows < _BLOCK:
             rows += a
             a += 1
         _add_head_by_hit_count(live, np.arange(lo, a, dtype=np.int32), limit)
@@ -331,11 +334,6 @@ def _log_squared_over(w: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.log(w, out=w)
 
 
-# Forms built at once in real_hr_histogram: a block holds whole progressions
-# of b of at most this many forms, or a single longer one; sizes the rows
-# of the workspace (1 MB).  With arrays made per block, 2^16 took 4% less
-# time at 10^5, but its peak was 1.2 MB higher there.
-_PAIR_BLOCK = 1 << 15
 # (a, c) rows real_hr_histogram sets up at once: a group of whole a grows
 # until it holds this many (128 KB of int64 per set-up array).
 _ROW_GROUP = 1 << 12
@@ -359,7 +357,7 @@ def real_hr_histogram(limit: int) -> np.ndarray:
     residue mod 4 that _KEPT_B keeps for ac mod 4, each of at most
     isqrt(limit) // 4 + 1 terms.  The rows are set up for groups of whole a
     of about _ROW_GROUP rows, and their progressions go in, in (a, c) order,
-    in blocks of about _PAIR_BLOCK forms, one np.add.at each, computed with
+    in blocks of about _BLOCK forms, one np.add.at each, computed with
     out= in the rows of one workspace.  Within a row every b gives another D,
     so every D receives its terms in (a, c) order, whatever the blocks.  The
     kernel runs in float64: b^2 + 4ac <= MAX_TABLE_LIMIT is an exact float."""
@@ -367,7 +365,7 @@ def real_hr_histogram(limit: int) -> np.ndarray:
     a = np.arange(1, isqrt(max(limit - 1, 0)) // 2 + 1)  # 4a^2 < limit
     width = np.minimum(isqrt(limit) - a, (limit - 1) // (4 * a)) - a + 1  # rows c = a..
     ends = np.cumsum(width)
-    size = max(_PAIR_BLOCK, isqrt(limit) // 4 + 1)
+    size = max(_BLOCK, isqrt(limit) // 4 + 1)
     # rows b, 4ac, D and the log term of a block, and the int32 steps 4j of b
     work, steps = np.empty((4, size)), np.arange(0, 4 * size, 4, dtype=np.int32)
     lo = 0
@@ -405,7 +403,7 @@ def _add_real_rows(
     lo = 0
     while lo < count.size:
         f0 = int(stop[lo] - count[lo])
-        hi = max(lo + 1, int(np.searchsorted(stop, f0 + _PAIR_BLOCK, "right")))
+        hi = max(lo + 1, int(np.searchsorted(stop, f0 + _BLOCK, "right")))
         n = count[lo:hi]
         b, q, ds, w = work[:, : int(stop[hi - 1]) - f0]
         # b = the first b of its progression, less 4 per form before it, plus 4j

@@ -12,7 +12,8 @@ stabilizer's torus cosets, whose second coset is the conjugation.
 
 The array kernels (orbit closure, stabilizer scan, coset normal form)
 reduce with _rem, floor division in place, and work in int32 wherever the
-size guards bound every intermediate value below 2^31.  The form of a
+size guards bound every intermediate value below 2^31; the closure and the
+coset check take _BLOCK rows at a time.  The form of a
 ramified representative is evaluated over (Z/p^N)^2 once per ring, into
 the read-only table _form_values that the torus count, the stabilizer scan
 and the congruence set read.
@@ -292,11 +293,12 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int]]:
     return [(1, 1, 0, 1), (1, 0, 1, 1)] + [(u % m, 0, 0, 1) for u in units if u % m != 1]
 
 
-# class representatives decoded at once; bounds the BFS's temporary arrays
-# to (3G, block) int32 images, 0.375 MB each with G <= 4 generators.  No
-# frontier of verify-local --primes 2,3,5 fills a block (its largest orbit
-# has 1,500 classes).
-_BFS_BLOCK = 1 << 13
+# Rows a blocked kernel takes at once: the class representatives the BFS
+# decodes (its (3G, block) int32 images, 192 KB with G <= 4 generators) and
+# the stabilizer rows coset_normal_form_check factors.  No BFS frontier of
+# verify-local --primes 2,3,5 or --primes 7 fills a block: the largest hold
+# 505 and 2,726 classes.
+_BLOCK = 1 << 12
 
 
 def _unpack(packed: np.ndarray, m: int) -> np.ndarray:
@@ -382,8 +384,8 @@ def _orbit_bitset(form: BinaryQF, ring: ResidueRing) -> tuple[np.ndarray, int]:
     visited = frontier = canonical(np.array([[c % m] for c in form.coeffs()], dtype=np.int32))
     while frontier.size:
         found = []
-        for lo in range(0, frontier.size, _BFS_BLOCK):
-            y = _rem(gens @ _unpack(frontier[lo : lo + _BFS_BLOCK], m), m)
+        for lo in range(0, frontier.size, _BLOCK):
+            y = _rem(gens @ _unpack(frontier[lo : lo + _BLOCK], m), m)
             found.append(canonical(y.reshape(3, -1)))
         # two generators can reach one class; sorted, the lookups run in order
         frontier = _distinct(np.concatenate(found))
@@ -539,10 +541,6 @@ class CosetNormalForm:
     detail: str
 
 
-# stabilizer rows factored at once; bounds the check's temporary arrays
-_COSET_BLOCK = 4096
-
-
 def coset_normal_form_check(
     x: StandardRep,
     ring: ResidueRing,
@@ -564,8 +562,8 @@ def coset_normal_form_check(
     # product of two stays below 2^14 and the check runs in int32
     inv = _unit_inverses(ring)  # 0 stands in for a non-unit's inverse
     keys = np.empty(len(stab), dtype=np.int32)
-    for lo in range(0, len(stab), _COSET_BLOCK):
-        t, a, b, c, d = stab[lo : lo + _COSET_BLOCK].T.astype(np.int32, order="C")
+    for lo in range(0, len(stab), _BLOCK):
+        t, a, b, c, d = stab[lo : lo + _BLOCK].T.astype(np.int32, order="C")
         # top-left entry of g2 reduces to a unit (the form is v1^2 mod p), so
         # the torus element n1 = (det1^-1, N1) clears the top row to (det g2, 0);
         # N1 has top row (d, -b), so the upper-right entry d*b - b*d is 0 identically

@@ -78,9 +78,6 @@ class ResidueRing:
             raise ValueError(f"p = {self.p} is not prime")
         object.__setattr__(self, "modulus", self.p**self.n)
 
-    def __str__(self) -> str:
-        return f"Z/{self.p}^{self.n}"
-
 
 def valuation(q: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero int or Fraction; ValueError on 0."""

@@ -166,12 +166,12 @@ def test_imaginary_head_grid_fits_int32_at_the_table_guard():
     # 2^31, and so does the first index (4a^2 - b^2) // 2 and every later
     # current index, a hit of the row's a, below 2a^2 in n // 2, here at the
     # largest a the guard admits.  A block's running row count, the cumsum
-    # of its a, stays below _HEAD_BLOCK plus its last a.  A row's hit count
+    # of its a, stays below _BLOCK plus its last a.  A row's hit count
     # k <= ceil(b^2 / 4a) <= ceil(a / 4) and its key -k are int16
     limit = fields.MAX_TABLE_LIMIT
     a = math.isqrt(limit // 3)
     assert 4 * a * a < 2**31 and a * a + limit < 2**31
-    assert fields._HEAD_BLOCK + a < 2**31
+    assert fields._BLOCK + a < 2**31
     assert -(-a // 4) == 1444 <= np.iinfo(np.int16).max
     # at 20000 every a meets the bound at b = a, unless the limit cuts its head
     for a in range(1, math.isqrt(20000 // 3) + 1):
@@ -184,7 +184,7 @@ def test_imaginary_head_grid_fits_int32_at_the_table_guard():
 def test_imaginary_head_does_not_depend_on_the_block(monkeypatch, block):
     # one a per block (each a adds at least one row to the block's count),
     # or a single block
-    monkeypatch.setattr(fields, "_HEAD_BLOCK", block)
+    monkeypatch.setattr(fields, "_BLOCK", block)
     for limit in _PER_AB_LIMITS:
         hist = imaginary_class_number_histogram(limit)
         assert np.array_equal(hist, _halved(_per_ab_loop(limit))), limit
@@ -221,7 +221,7 @@ def test_imaginary_head_adds_one_np_add_at_per_hit_count(monkeypatch):
 
     monkeypatch.setattr(fields, "np", recorder)
     monkeypatch.setattr(fields, "_add_head_by_hit_count", block)
-    monkeypatch.setattr(fields, "_HEAD_BLOCK", 1000)
+    monkeypatch.setattr(fields, "_BLOCK", 1000)
     limit = 20000
     assert np.array_equal(imaginary_class_number_histogram(limit), _halved(_per_ab_loop(limit)))
     assert len(blocks) > 1 and [a for a, _ in blocks][-1][-1] == math.isqrt(limit // 3)
@@ -581,7 +581,7 @@ def test_real_histogram_equals_the_per_ac_loop(monkeypatch):
     # forms, past the form count of every group of one or three rows, takes
     # each group in one block)
     assert not np.isin(fundamental_magnitudes(1, 10**5) % 16, (0, 4)).any()
-    sizes, calls = (fields._PAIR_BLOCK, fields._ROW_GROUP), {}
+    sizes, calls = (fields._BLOCK, fields._ROW_GROUP), {}
     for name in ("_add_real_rows", "_log_squared_over"):  # once a group, once a block
         monkeypatch.setattr(fields, name, _counted(calls, name, getattr(fields, name)))
     for limit in (20000, 5000, 4097, 100, 8, 5):
@@ -593,13 +593,13 @@ def test_real_histogram_equals_the_per_ac_loop(monkeypatch):
         hists = [real_hr_histogram(limit)]
         for block in (1, 7, 100, 2 * limit) if limit <= 5000 else (100, 2 * limit):
             for group in (1, 3):
-                monkeypatch.setattr(fields, "_PAIR_BLOCK", block)
+                monkeypatch.setattr(fields, "_BLOCK", block)
                 monkeypatch.setattr(fields, "_ROW_GROUP", group)
                 calls.clear()
                 hists.append(real_hr_histogram(limit))
                 if block == 2 * limit:
                     assert calls["_log_squared_over"] == calls["_add_real_rows"], limit
-        monkeypatch.setattr(fields, "_PAIR_BLOCK", sizes[0])
+        monkeypatch.setattr(fields, "_BLOCK", sizes[0])
         monkeypatch.setattr(fields, "_ROW_GROUP", sizes[1])
         for hist in hists:
             assert np.array_equal(hist[~skipped], ref[~skipped]), limit
@@ -789,8 +789,8 @@ def test_table_compute_columns():
 def test_imaginary_table_gathers_h_in_blocks():
     # h is taken from the histogram _BLOCK rows at a time into one int32
     # column, with no full-length index |D| >> 1, and the head rows are set
-    # up a block of about _HEAD_BLOCK rows at a time: the build at 10^6 peaks
-    # at 4.98 MB by tracemalloc, against 5.45 MB with hist[mags >> 1]
+    # up a block of about _BLOCK rows at a time: the build at 10^6 peaks at
+    # 4.65 MB by tracemalloc, against 5.45 MB with hist[mags >> 1]
     limit = 10**6
     DiscriminantTable.compute(-1, limit)  # the first call allocates more, once
     tracemalloc.start()
@@ -799,7 +799,7 @@ def test_imaginary_table_gathers_h_in_blocks():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 5.26
+    assert peak <= 4.93
     assert len(table) > 4 * fields._BLOCK and table.h.dtype == np.int32
     hist = imaginary_class_number_histogram(limit)
     assert np.array_equal(table.h, hist[table.magnitude >> 1])

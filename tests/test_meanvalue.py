@@ -9,8 +9,13 @@ import pytest
 
 from oracles import algebra, local_type
 from quadmean import meanvalue
-from quadmean.densities import PiPower
-from quadmean.fields import TRACKED_PRIMES, DiscriminantTable, local_type_codes
+from quadmean.densities import PiPower, local_density
+from quadmean.fields import (
+    TRACKED_PRIMES,
+    DiscriminantTable,
+    imaginary_class_number_histogram,
+    local_type_codes,
+)
 from quadmean.meanvalue import (
     EULER_CUTOFF,
     ZETA3,
@@ -256,6 +261,25 @@ def test_predicted_constant_pinning_consistency():
     conds = [parse_conditions(f"inf=C,3={lbl}") for lbl in ("split", "unram", "ram:3", "ram:6")]
     total = sum(predicted_constant(c, cutoff=10**4) for c in conds)
     assert total == pytest.approx(base, rel=1e-12)
+
+
+def test_mertens_sum_of_form_counts_has_two_known_terms():
+    # the residual method of the mean-value check, on a sum whose two terms
+    # are known (Mertens): the reduced positive forms with 4ac - b^2 <= X, as
+    # the imaginary histogram counts them, number c X^(3/2) - X/4 with c =
+    # pi/18, the archimedean prefactor of inf=C, within 0.2 X^(3/4) at 11
+    # log-spaced checkpoints of 10^5..10^6 (the worst residual is 0.073 of
+    # X^(3/4), at 10^5).  Without the X/4 term the residual is 7.8 of X^(3/4)
+    # at 10^6, and with c 3% high about 165
+    c = (PiPower(Fraction(1, 9), 2) * local_density(ALG_COMPLEX, None)).value()
+    hist = imaginary_class_number_histogram(10**6)
+    i = np.arange(hist.size)
+    n = 2 * i + (i & 1)  # hist[i] counts the forms at n = 0 or 3 mod 4
+    running = np.cumsum(hist, dtype=np.int64)
+    for k in range(11):
+        x = round(10 ** (5 + k / 10))
+        s = int(running[np.searchsorted(n, x, "right") - 1])
+        assert abs(s - c * x**1.5 + x / 4) <= 0.2 * x**0.75, x
 
 
 def test_convergence_report_shape():

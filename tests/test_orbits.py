@@ -494,7 +494,11 @@ def _members(form, ring):
     ]), count
 
 
-@pytest.mark.parametrize("p,level", [(2, 3), (3, 2), (5, 1)])
+# at 2^5 and 5^2 the SL2 closure of some representatives is half the
+# orbit (384 of 768 forms for ram:2 and ram:10 at 2^5, 600 of 1,200 for
+# ram:5 and ram:10 at 5^2): only diag(u, 1) for u over the unit square
+# classes reaches the rest
+@pytest.mark.parametrize("p,level", [(2, 3), (3, 2), (5, 1), (2, 5), (5, 2)])
 def test_orbit_bitset_matches_scalar_closure(p, level):
     ring = ResidueRing(p, level)
     m = ring.modulus

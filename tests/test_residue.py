@@ -24,7 +24,6 @@ from quadmean.residue import (
 def test_ring_construction():
     r = ResidueRing(3, 2)
     assert r.modulus == 9
-    assert str(r) == "Z/3^2"
     with pytest.raises(ValueError):
         ResidueRing(4, 1)
     with pytest.raises(ValueError):
