@@ -732,14 +732,15 @@ def test_blocked_passes_equal_a_one_shot_reference(sign):
         assert np.array_equal(local_type_codes(sign, mags[:rows]), codes[:rows]), rows
 
 
-@pytest.mark.parametrize("block", [fields._BLOCK, 777])
+@pytest.mark.parametrize("block", [1 << 16, 777])
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_cell_sums_match_the_scalar_types(monkeypatch, sign, block):
     # each of the 128 cells against math.fsum over the rows up to the
     # checkpoint whose scalar types at 2, 3 and 5 give that code: exact on
     # the imaginary side, within n * 2^-53 of the exact sum of n positive
-    # terms on the real side; at 777 rows a block, the walk crosses block
-    # edges between the checkpoints
+    # terms on the real side; at 2^16 rows a block (as at fields._BLOCK)
+    # the whole table is one block, at 777 the walk crosses block edges
+    # between the checkpoints
     monkeypatch.setattr(fields, "_BLOCK", block)
     t = DiscriminantTable.compute(sign, 2 * 10**4)
     checkpoints = sorted([20000, 37, 5000, 1, 19999, 8])
