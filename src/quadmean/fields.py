@@ -344,9 +344,16 @@ _KEPT_B = ~np.isin((np.arange(4) ** 2 + 4 * np.arange(4)[:, None]) % 16, (0, 4))
 
 
 def real_hr_histogram(limit: int) -> np.ndarray:
-    """hist[D] = h(D)*R(D) for fundamental D <= limit, other indices carrying
-    partial sums or 0: log((b + sqrt(D))^2/(4ac)) summed over reduced forms
-    (a, b, -c) with a <= c: 4ac < limit, a + c <= isqrt(limit), c - a < b.
+    """hist[D] = h(D)*R(D) for fundamental D <= limit: log((b + sqrt(D))^2/(4ac))
+    summed over reduced forms (a, b, -c) with a <= c: 4ac < limit,
+    a + c <= isqrt(limit), c - a < b.  Every other D not 0 or 4 mod 16 holds
+    the same complete sum over all reduced forms of D, imprimitive ones
+    included.  Such a D that is not a square is D0 f^2, D0 fundamental and f
+    odd, and holds h(D0)R(D0) times the sum over g | f of
+    g prod_{p | g} (1 - chi_D0(p)/p), so h(D0)R(D0)(4 - chi_D0(3)) at f = 3,
+    as the class number formula for orders gives.  At an odd square D = k^2
+    every term is log((k + b)/(k - b)), so the entry is the log of a
+    rational number, no h*R.
 
     (a, b, -c) is reduced exactly when (c, b, -a) is, and their terms
     log((b + sqrt(D))/(2c)) + log((b + sqrt(D))/(2a)) make one log; the row

@@ -12,8 +12,8 @@ sieve, for the Euler product and the squarefree sieve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -79,19 +79,15 @@ class ResidueRing:
         object.__setattr__(self, "modulus", self.p**self.n)
 
 
-def valuation(q: int | Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero int or Fraction; ValueError on 0."""
-    q = Fraction(q)
+def valuation(q: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer; ValueError on 0."""
+    q = operator.index(q)
     if q == 0:
         raise ValueError("valuation of 0")
-    num, den = q.numerator, q.denominator
     v = 0
-    while num % p == 0:
-        num //= p
+    while q % p == 0:
+        q //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
@@ -130,24 +126,21 @@ def disc_valuation(label: int, p: int) -> int:
     return 2 if label % 4 == 3 else 0
 
 
-def square_class(a, p: int) -> int:
-    """Label in square_class_labels(p) of the class of a nonzero rational a
+def square_class(a: int, p: int) -> int:
+    """Label in square_class_labels(p) of the class of a nonzero integer a
     in Q_p^x.
 
     The label is p^(v mod 2) times the unit-part label: for odd p that is 1
     or the smallest non-residue by Euler's criterion; for p = 2 the unit
     part mod 8 maps 1 -> 1, 3 -> -5, 5 -> 5, 7 -> -1.
     """
-    a = Fraction(a)
+    a = operator.index(a)
     if a == 0:
         raise ValueError("square class of 0 is undefined")
     v = valuation(a, p)
-    unit = a / Fraction(p) ** v
-    num, den = unit.numerator, unit.denominator
+    unit = a // p**v
     if p == 2:
-        w = num * pow(den, -1, 8) % 8
-        label = _TWO_ADIC_UNIT_LABEL[w]
+        label = _TWO_ADIC_UNIT_LABEL[unit % 8]
     else:
-        w = num * pow(den, -1, p) % p
-        label = 1 if pow(w, (p - 1) // 2, p) == 1 else smallest_nonresidue(p)
+        label = 1 if pow(unit, (p - 1) // 2, p) == 1 else smallest_nonresidue(p)
     return label * p if v % 2 == 1 else label

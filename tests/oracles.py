@@ -6,9 +6,7 @@ action at a time, straight from the definitions, so the tests can check
 the array kernels of quadmean.fields and quadmean.orbits and the closed
 forms of quadmean.densities against them.  act applies one element of
 GL1 x GL2 to one form, the scalar reference for the orbit, stabilizer
-and torus kernels.  imaginary_combs_per_a adds the imaginary comb rows one
-leading coefficient at a time, the reference for the chained passes of
-quadmean.fields.  orbit_bitset_by_generators closes an orbit under every
+and torus kernels.  orbit_bitset_by_generators closes an orbit under every
 element of group_generators, a generating set of GL1 x GL2 that takes the
 whole unit group as scalars and as diag(u, 1) and shares nothing with the
 generators of quadmean.orbits: the reference for its class-quotient
@@ -134,22 +132,6 @@ def class_number_imaginary(d: int) -> int:
             a += 1
         b += 2
     return count
-
-
-def imaginary_combs_per_a(live: np.ndarray, amax: int) -> None:
-    """live[i] += the comb of every a = 1..amax at every index i >= 2a^2, one a
-    at a time.  The comb of a is the weight of the forms (a, b, c),
-    0 <= b <= a, at each residue of n = -b^2 mod 4a; its residues 0 and 3
-    mod 4 make a comb of period 2a in n // 2, tiled over live from 2a^2 on."""
-    for a in range(1, amax + 1):
-        period, full = 4 * a, 2 * a * a  # full: index of n = 4a^2
-        b = np.arange(a + 1)
-        comb = 2 * np.bincount(-b * b % period, minlength=period)
-        comb[0] -= 1  # b = 0
-        comb[-a * a % period] -= 1  # b = a
-        comb = comb.reshape(a, 4)[:, [0, 3]].ravel()
-        tail = live[full:]
-        tail += np.tile(comb, -(-tail.size // comb.size))[: tail.size].astype(live.dtype)
 
 
 def analytic_class_number_imaginary(d: int) -> Fraction:

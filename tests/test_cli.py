@@ -2,10 +2,13 @@
 
 import csv
 import dataclasses
+import fcntl
 import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -280,13 +283,15 @@ def _version_two_with_magnitude(entries):
     ],
 )
 def test_damaged_cache_exits_2(tmp_path, capsys, damage):
+    # the cache is built and read back by the library, not by a gated
+    # mean-value call; only the damaged read goes through the command
     cache = tmp_path / "table.npz"
     cond = getattr(damage, "cond", "inf=C")
-    argv = ["mean-value", "--cond", cond, "--X", "10000", "--cache", str(cache)]
-    assert run_cli(argv)[0] == 0
+    sign = quadmean.meanvalue.parse_conditions(cond).sign
+    quadmean.fields.DiscriminantTable.compute(sign, 10**4).save(str(cache))
+    quadmean.fields.DiscriminantTable.load(str(cache))
     damage(cache)
-    capsys.readouterr()
-    code, out = run_cli(argv)
+    code, out = run_cli(["mean-value", "--cond", cond, "--X", "10000", "--cache", str(cache)])
     assert code == 2
     assert out == ""
     err = capsys.readouterr().err.splitlines()
@@ -499,6 +504,32 @@ def test_error_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["verify-local", "--primes", "2,nope"]) == 2
     capsys.readouterr()
+
+
+def test_a_closed_stdout_exits_2_with_one_error_line():
+    # a real pipe that its reader closes after 10 bytes.  It holds one page,
+    # less than the 11 KB verify-local writes, so the writer is still
+    # writing when the reader is gone, whatever the timing
+    src = os.path.dirname(os.path.dirname(quadmean.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadmean", "verify-local", "--primes", "2,3"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    head = b""
+    while len(head) < 10:
+        chunk = os.read(read_end, 10 - len(head))
+        assert chunk
+        head += chunk
+    os.close(read_end)
+    err = proc.communicate(timeout=120)[1].decode().splitlines()
+    assert head == b"[pass] gro"
+    assert proc.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 @pytest.mark.parametrize(

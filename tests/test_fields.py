@@ -18,7 +18,6 @@ from oracles import (
     class_number_real,
     fundamental_unit_exact,
     hr_real,
-    imaginary_combs_per_a,
     is_fundamental,
     kronecker,
     local_type,
@@ -124,8 +123,16 @@ def _halved(full):
     return ref
 
 
+# every offset of the last chain members a = m, 2m, 4m, ... from the end
+# below 200
+_CHAIN_LIMITS = tuple(range(200)) + (1000, 4321, 20000) + tuple(10**5 + k for k in range(4))
+
+
 def test_imaginary_histogram_equals_the_per_ab_loop():
-    for limit in _PER_AB_LIMITS:
+    # at 1000 the chain 1, 2, 4, 8, 16 has 16 <= amax = 18, but 2 * 16^2 past
+    # the 501 entries, so its last member starts past the end
+    assert 16 <= math.isqrt(1000 // 3) and 2 * 16**2 >= 1000 // 4 + 1001 // 4 + 1
+    for limit in _PER_AB_LIMITS + _CHAIN_LIMITS:
         full = _per_ab_loop(limit)
         n = np.arange(limit + 1)
         kept = (n % 4 == 0) | (n % 4 == 3)
@@ -137,11 +144,22 @@ def test_imaginary_histogram_equals_the_per_ab_loop():
 
 
 def test_imaginary_histogram_flushes_a_narrow_buffer_exactly(monkeypatch):
-    # an int8 buffer holds the sum of the chain charges only up to 127, so
-    # the kernel must flush it into the histogram and empty it mid-loop,
-    # twice at 20000 (the int16 buffer first flushes above 3 * 10^7)
+    # the comb buffer is charged the sum of the members' row tops once per
+    # chain; an int8 one holds the charges only up to 127, so the kernel
+    # must flush it into the histogram and empty it mid-loop.  At 20000 and
+    # 10^5 every chain's charge fits int8 and together they pass 127: the
+    # buffer is flushed mid-loop 2 and 7 times (the int16 buffer first
+    # flushes above 3 * 10^7)
     monkeypatch.setattr(fields, "_COMB_ACC", np.int8)
-    for limit in _PER_AB_LIMITS:
+    for limit in (20000, 10**5):
+        live_size = limit // 4 + (limit + 1) // 4 + 1
+        amax = math.isqrt(limit // 3)
+        charges = []
+        for m in range(1, amax + 1, 2):
+            chain = [m << k for k in range((amax // m).bit_length()) if 2 * (m << k) ** 2 < live_size]
+            charges.append(sum(int(fields._imag_comb(a).max()) for a in chain))
+        assert max(charges) <= 127 < sum(charges), limit
+    for limit in _PER_AB_LIMITS + _CHAIN_LIMITS:
         hist = imaginary_class_number_histogram(limit)
         assert hist.dtype == np.int32
         assert np.array_equal(hist, _halved(_per_ab_loop(limit))), limit
@@ -244,13 +262,13 @@ def test_imaginary_head_adds_one_np_add_at_per_hit_count(monkeypatch):
 
 def test_chained_combs_tile_no_row(monkeypatch):
     # the chain rows are made by broadcast adds in the buffer's dtype; the
-    # reference (which tiles) is computed before np.tile is counted
+    # reference is computed before np.tile is counted
     limits = (20000, 10**5)
-    refs = [_comb_counts(limit, imaginary_combs_per_a) for limit in limits]
+    refs = [_halved(_per_ab_loop(limit)) for limit in limits]
     tiles = []
     monkeypatch.setattr(np, "tile", lambda *args, **kwargs: tiles.append(args))
     for limit, ref in zip(limits, refs):
-        assert np.array_equal(_comb_counts(limit, fields._add_imag_combs), ref), limit
+        assert np.array_equal(imaginary_class_number_histogram(limit), ref), limit
     assert tiles == []
 
 
@@ -269,42 +287,6 @@ def test_imaginary_comb_row_fits_the_buffer_at_the_table_guard():
         assert int(fields._imag_comb(a).max()) <= 2 * a
 
 
-# every offset of the last chain members from the end below 200
-_CHAIN_LIMITS = tuple(range(200)) + (1000, 4321, 20000) + tuple(10**5 + k for k in range(4))
-
-
-def _comb_counts(limit, add_combs):
-    live = np.zeros(limit // 4 + (limit + 1) // 4 + 1, dtype=np.int32)
-    add_combs(live, math.isqrt(limit // 3))
-    return live
-
-
-def test_chained_combs_equal_the_per_a_loop():
-    # at 1000 the chain 1, 2, 4, 8, 16 has 16 <= amax = 18, but 2 * 16^2 past
-    # the 501 entries, so its last member starts past the end
-    assert 16 <= math.isqrt(1000 // 3) and 2 * 16**2 >= 1000 // 4 + 1001 // 4 + 1
-    for limit in _CHAIN_LIMITS:
-        got = _comb_counts(limit, fields._add_imag_combs)
-        assert np.array_equal(got, _comb_counts(limit, imaginary_combs_per_a)), limit
-
-
-def test_chained_combs_flush_a_narrow_buffer_exactly(monkeypatch):
-    # the buffer is charged the sum of the members' row tops once per chain;
-    # here every chain's charge fits int8, and together they pass 127, so
-    # the int8 buffer must be flushed mid-loop
-    monkeypatch.setattr(fields, "_COMB_ACC", np.int8)
-    for limit in (20000, 10**5):
-        live_size = limit // 4 + (limit + 1) // 4 + 1
-        amax = math.isqrt(limit // 3)
-        charges = []
-        for m in range(1, amax + 1, 2):
-            chain = [m << k for k in range((amax // m).bit_length()) if 2 * (m << k) ** 2 < live_size]
-            charges.append(sum(int(fields._imag_comb(a).max()) for a in chain))
-        assert max(charges) <= 127 < sum(charges), limit
-        got = _comb_counts(limit, fields._add_imag_combs)
-        assert np.array_equal(got, _comb_counts(limit, imaginary_combs_per_a)), limit
-
-
 def test_squarefree_sieve_over_primes_equals_the_all_k_loop():
     def all_k(limit):
         sf = np.ones(limit + 1, dtype=bool)
@@ -317,31 +299,44 @@ def test_squarefree_sieve_over_primes_equals_the_all_k_loop():
 
 
 def test_kronecker_hurwitz_class_number_relation():
-    # sum over s^2 <= 4n of H(4n - s^2) = 2 sigma(n) - sum over d | n of
-    # min(d, n/d), for every n <= N, with the Hurwitz class number
-    # 12 H(m) = 12 count(m) - 6 [m = 4k^2] - 8 [m = 3k^2] and 12 H(0) = -1:
-    # it checks the form count at every m <= 4N, fundamental or not
-    N = 300_000  # about 0.3 s on 2 cores; the sum over s costs N^1.5
+    # with the Hurwitz class number 12 H(m) = 12 count(m) - 6 [m = 4k^2]
+    # - 8 [m = 3k^2] and 12 H(0) = -1, for every n <= N:
+    #   sum over t^2 <= 4n of H(4n - t^2) = 2 sigma(n) - sum over d | n of min(d, n/d),
+    #   sum over t^2 <= 4n of (t^2 - n) H(4n - t^2) = -sum over d | n of min(d, n/d)^3,
+    # the Eichler-Selberg trace formula at weights 2 and 4, where no cusp
+    # form of level 1 exists.  Equation n adds H(4n - 1) and H(4n) to those of
+    # the n' < n, with coefficients (2, 1) and (2(1 - n), -n), whose
+    # determinant is -2: the two together fix the form count at every
+    # m <= 4N, fundamental or not, where the first alone lets the pair
+    # (H(4n - 1), H(4n)) move by (1, -2)
+    N = 300_000  # about 0.9 s on 2 cores; the sum over t costs N^1.5
     h12 = 12 * imaginary_class_number_histogram(4 * N).astype(np.int64)
     k = np.arange(1, math.isqrt(4 * N // 3) + 1)
     h12[2 * k[k * k <= N] ** 2] -= 6  # m = 4k^2 sits at 2k^2
     h12[3 * k * k >> 1] -= 8
     h12[0] = -1
-    lhs = np.zeros(N + 1, dtype=np.int64)
-    for s in range(math.isqrt(4 * N) + 1):
-        lo = (s * s + 3) // 4  # the least n with s^2 <= 4n
-        # (4n - s^2) // 2 = 2n - ceil(s^2 / 2): one strided slice per s
-        terms = h12[2 * lo - (s * s + 1) // 2 :: 2][: N + 1 - lo]
-        lhs[lo:] += terms if s == 0 else 2 * terms
+    weight2, weight4 = np.zeros(N + 1, dtype=np.int64), np.zeros(N + 1, dtype=np.int64)
+    for t in range(math.isqrt(4 * N) + 1):
+        lo = (t * t + 3) // 4  # the least n with t^2 <= 4n
+        # (4n - t^2) // 2 = 2n - ceil(t^2 / 2): one strided slice per t, +-t
+        terms = h12[2 * lo - (t * t + 1) // 2 :: 2][: N + 1 - lo] * (2 if t else 1)
+        weight2[lo:] += terms
+        terms *= t * t
+        weight4[lo:] += terms
+    weight4 -= np.arange(N + 1) * weight2  # the sum of t^2 H, less n times the sum of H
     sigma = np.zeros(N + 1, dtype=np.int64)
     mins = np.zeros(N + 1, dtype=np.int64)
+    cubes = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, math.isqrt(N) + 1):  # the divisor pairs d <= n/d = q
         q = np.arange(d, N // d + 1)
         sigma[d * q] += d + q
         mins[d * q] += 2 * d
+        cubes[d * q] += 2 * d**3
         sigma[d * d] -= d
         mins[d * d] -= d
-    assert np.array_equal(lhs[1:], 12 * (2 * sigma - mins)[1:])
+        cubes[d * d] -= d**3
+    assert np.array_equal(weight2[1:], 12 * (2 * sigma - mins)[1:])
+    assert np.array_equal(weight4[1:], -12 * cubes[1:])
 
 
 def test_imaginary_analytic_is_exact_integer():

@@ -290,7 +290,8 @@ def test_congruence_characterization():
         a1, pi = rep.a1, Fraction(rep.a2)
         b1 = 4 * pi * pi / (a1 * a1) - pi
         b2 = a1 - 4 * pi / a1
-        assert valuation(b1, 2) == 1 and valuation(b2, 2) == rep.delta // 2
+        assert b1.denominator == b2.denominator == 1  # valuation takes integers
+        assert valuation(int(b1), 2) == 1 and valuation(int(b2), 2) == rep.delta // 2
         assert -(b2 / b1) * pi == a1
 
 
