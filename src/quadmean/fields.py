@@ -485,19 +485,24 @@ def _regulator_step_bound(d: int) -> int:
     return math.ceil(2 * _hr_bound(d) / math.log(2)) + 1
 
 
-def _regulator_out_of_bounds(mags: np.ndarray, reg: np.ndarray) -> int | None:
-    """The first D in mags whose R (NaN included) is not in
-    [log((1 + sqrt(D))/2), _hr_bound(D)), else None: the least unit above 1,
-    reached at D = 5 (so the bound is taken 1e-12 lower for rounding), and
-    the bound on hR, which R does not exceed since h >= 1."""
+def _first_out_of_range(table: "DiscriminantTable") -> str | None:
+    """What is out of range at the first D of table, with that D, else None:
+    an h below 1 or, on the real side, an R (NaN included) outside
+    [log((1 + sqrt(D))/2), _hr_bound(D)), the least unit above 1, reached at
+    D = 5 (so the bound is taken 1e-12 lower for rounding), and the bound on
+    hR, which R does not exceed since h >= 1."""
+    mags = table.magnitude
     for lo in range(0, mags.size, _BLOCK):
-        d = mags[lo : lo + _BLOCK].astype(np.float64)
-        r = reg[lo : lo + _BLOCK]
-        root = np.sqrt(d)
-        low = np.log((1.0 + root) / 2.0) * (1.0 - 1e-12)
-        ok = (r >= low) & (r < _hr_bound(d))
+        ok = table.h[lo : lo + _BLOCK] >= 1
+        if table.sign > 0:
+            d = mags[lo : lo + _BLOCK].astype(np.float64)
+            r = table.reg[lo : lo + _BLOCK]
+            low = np.log((1.0 + np.sqrt(d)) / 2.0) * (1.0 - 1e-12)
+            ok &= (r >= low) & (r < _hr_bound(d))
         if not ok.all():
-            return int(mags[lo + int(np.argmin(ok))])
+            i = lo + int(np.argmin(ok))
+            what = "a class number below 1" if table.h[i] < 1 else "a regulator out of range"
+            return f"{what} at D={int(mags[i])}"
     return None
 
 
@@ -543,7 +548,11 @@ class DiscriminantTable:
             if not np.all(err < _INTEGRALITY_TOL):
                 raise ArithmeticError(f"non-integral h*R/R at D={int(mags[np.argmax(err)])}")
             h = h_float.astype(np.int32)
-        return cls(sign, limit, mags, h, reg)
+        table = cls(sign, limit, mags, h, reg)
+        bad = _first_out_of_range(table)
+        if bad:  # a kernel fault, caught before any cache is written
+            raise ArithmeticError(bad)
+        return table
 
     @staticmethod
     def _regulators(mags: np.ndarray) -> np.ndarray:
@@ -670,9 +679,9 @@ class DiscriminantTable:
         """Read a cache written by save; |D| is fundamental_magnitudes(sign, limit) and R is 1 on
         the imaginary side.  A damaged cache raises ValueError: a cut or unreadable archive or a
         member failing its CRC, entries other than exactly those save writes for the sign (so a
-        file of an older format), a mistyped entry, a value out of range (an h below 1, an R
-        outside the bounds of _regulator_out_of_bounds), or an h column whose length is not the
-        number of fundamental discriminants up to the stored limit."""
+        file of an older format), a mistyped entry, a value that compute would have refused
+        (_first_out_of_range), or an h column whose length is not the number of fundamental
+        discriminants up to the stored limit."""
 
         def damaged(what: str) -> ValueError:
             return ValueError(f"{path}: {what}{_DAMAGED}")
@@ -708,12 +717,9 @@ class DiscriminantTable:
         n = len(table)
         if (table.h.size, table.reg.size) != (n, n):
             raise damaged(f"columns of other lengths than the {n} fundamental discriminants")
-        if np.any(table.h < 1):
-            raise damaged("a class number below 1")
-        if sign > 0:
-            bad = _regulator_out_of_bounds(mags, table.reg)
-            if bad is not None:
-                raise damaged(f"a regulator out of range at D={bad}")
+        bad = _first_out_of_range(table)
+        if bad:
+            raise damaged(bad)
         return table
 
 

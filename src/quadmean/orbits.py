@@ -4,11 +4,13 @@ A form x = x0*v1^2 + x1*v1*v2 + x2*v2^2 is acted on by g = (t, g2) via
 (g.x)(v) = t * x(v * g2), with v a row vector.  local_algebras(p) lists
 the separable quadratic algebras of Q_p, one per label of
 residue.square_class_labels(p).  The module gives the standard orbital
-representative of each, the stabilizer torus attached to a monic
+representative of each, the order of the stabilizer torus of a ramified
 representative, orbit enumeration by breadth-first closure of the
 unit-scaling classes under the transvections and diag(u, 1) for u over the
-unit square classes, and the unit congruence systems that account for the
-stabilizer's torus cosets, whose second coset is the conjugation.
+unit square classes, the stabilizer scan, the coset normal form of the
+stabilizer over the torus (one closed-form 2x2 solve per row), and the
+unit congruence systems that account for the torus cosets, whose second
+coset is the conjugation.
 
 The array kernels (orbit closure, stabilizer scan, coset normal form)
 reduce with _rem, floor division in place, and work in int32 wherever the
@@ -233,16 +235,6 @@ def standard_representatives(p: int) -> list[StandardRep]:
 # ---------------------------------------------------------------------------
 # the stabilizer torus
 # ---------------------------------------------------------------------------
-
-def torus_matrix(x: StandardRep, ring: ResidueRing, c, d) -> tuple:
-    """Matrix of multiplication by c + d*theta on the order Z[theta] of the
-    algebra of x, in the basis (1, theta): [[c, d], [-a2 d, c + a1 d]].
-    c and d are ints, or integer arrays for a matrix per entry; arrays are
-    left unchanged (c + 0 and d + 0 are copies)."""
-    a1, a2 = x.a1, x.a2
-    m = ring.modulus
-    return (_rem(c + 0, m), _rem(d + 0, m), _rem(-a2 * d, m), _rem(c + a1 * d, m))
-
 
 def torus_order(x: StandardRep, ring: ResidueRing) -> int:
     """|torus(Z/p^N)| by direct count of pairs (c, d) with x(c, d) a unit.
@@ -553,53 +545,33 @@ def coset_normal_form_check(
     per torus coset, and that the (u, v) set is the congruence solution set.
 
     stab, tsize and solutions are stabilizer_elements, torus_order and
-    congruence_solution_set of x at ring.  The factorization is closed-form
-    array arithmetic over blocks of stabilizer rows.
+    congruence_solution_set of x at ring.  Each row is one 2x2 solve, in
+    closed form over blocks of rows.  Write g2 = [[a, b], [c, d]],
+    D = ad - bc and x(c, d) = c^2 + a1 cd + a2 d^2.  g2 = F [[1, 0], [u, v]]
+    with F a multiplication matrix [[c', d'], [-a2 d', c' + a1 d']] is the
+    two linear equations c v - d u = -a2 b and a v - b u = d - a1 b in
+    (u, v), of determinant -D, so exactly one (u, v) solves them:
+    u = (a2 ab + cd - a1 bc)/D and v = x(d, -b)/D.  det F = D/v, so (t, F)
+    fixes x, a torus element, exactly when x(d, -b) = t D^2.  So a row
+    factors exactly when x(d, -b) is a unit (then so are D and t) and
+    x(d, -b) = t D^2 mod p^N, and its representative is (u, t D).
     """
-    m, p = ring.modulus, ring.p
-    a1, a2 = x.a1, x.a2
+    m = ring.modulus
+    a1, a2 = x.a1 % m, x.a2 % m
     # every operand is a residue below m <= 128 (the scan's guard), so each
-    # product of two stays below 2^14 and the check runs in int32
-    inv = _unit_inverses(ring)  # 0 stands in for a non-unit's inverse
+    # sum of three products of three stays below 3 m^3 < 2^31: int32
+    inv = _unit_inverses(ring)  # 0 at a non-unit, so it doubles as the unit test
     keys = np.empty(len(stab), dtype=np.int32)
     for lo in range(0, len(stab), _BLOCK):
         t, a, b, c, d = stab[lo : lo + _BLOCK].T.astype(np.int32, order="C")
-        # top-left entry of g2 reduces to a unit (the form is v1^2 mod p), so
-        # the torus element n1 = (det1^-1, N1) clears the top row to (det g2, 0);
-        # N1 has top row (d, -b), so the upper-right entry d*b - b*d is 0 identically
-        na, nb, nc, nd = torus_matrix(x, ring, d, -b)
-        det1 = _rem(na * nd - nb * nc, m)
-        top = _rem(na * a + nb * c, m)
-        # the scalar torus element det(g2)^-1 normalizes the top row to (1, 0)
-        s = inv[top]
-        u = _rem(s * _rem(nc * a + nd * c, m), m)
-        v = _rem(s * _rem(nc * b + nd * d, m), m)
-        t2 = _rem(_rem(_rem(top * top, m) * inv[det1], m) * t, m)
-        # t2 == 1 forces top to be a unit, and then s * top == 1 already
-        unipotent = t2 == 1
-        accepted = _rem(det1, p) != 0  # det1 is not read again
-        # the left factor g * (1, [[1, 0], [u, v]])^-1 must lie in the torus
-        w = inv[v]
-        fb = _rem(b * w, m)
-        fd = _rem(d * w, m)
-        fa = _rem(a - fb * u, m)
-        fc = _rem(c - fd * u, m)
-        in_torus = (
-            (_rem(fc + a2 * fb, m) == 0)
-            & (_rem(fd - fa - a1 * fb, m) == 0)
-            & (_rem(t * _rem(fa * fd - fb * fc, m), m) == 1)
-        )
-        ok = accepted & unipotent & in_torus
+        det = _rem(a * d - b * c, m)
+        norm = _rem(d * d - a1 * b * d + a2 * b * b, m)  # x(d, -b)
+        ok = (inv[norm] != 0) & (norm == _rem(_rem(det * det, m) * t, m))
         if not ok.all():
-            i = int(np.argmin(ok))
-            if not accepted[i]:
-                detail = f"row reduction rejected at {tuple(int(e) for e in stab[lo + i])}"
-            elif not unipotent[i]:
-                detail = "normal form is not unipotent-diagonal"
-            else:
-                detail = "left factor escaped the torus"
-            return CosetNormalForm(0, False, detail)
-        keys[lo : lo + len(t)] = u * m + v
+            row = tuple(int(e) for e in stab[lo + int(np.argmin(ok))])
+            return CosetNormalForm(0, False, f"row {row} does not factor through the torus")
+        u = _rem(inv[det] * _rem(a2 * a * b + c * d - a1 * b * c, m), m)
+        keys[lo : lo + len(t)] = u * m + _rem(t * det, m)
     fibers, counts = _distinct(keys, counts=True)
     expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int32)
     # the counts sum to len(stab), so with every count tsize there are

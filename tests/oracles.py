@@ -6,7 +6,8 @@ action at a time, straight from the definitions, so the tests can check
 the array kernels of quadmean.fields and quadmean.orbits and the closed
 forms of quadmean.densities against them.  act applies one element of
 GL1 x GL2 to one form, the scalar reference for the orbit, stabilizer
-and torus kernels.  orbit_bitset_by_generators closes an orbit under every
+and torus kernels, and torus_element is the multiplication matrix of the
+torus.  orbit_bitset_by_generators closes an orbit under every
 element of group_generators, a generating set of GL1 x GL2 that takes the
 whole unit group as scalars and as diag(u, 1) and shares nothing with the
 generators of quadmean.orbits: the reference for its class-quotient
@@ -90,6 +91,13 @@ def act(g: tuple[int, int, int, int, int], x: BinaryQF, m: int) -> BinaryQF:
     y1 = t * (2 * x0 * a * c + x1 * (a * d + b * c) + 2 * x2 * b * d) % m
     y2 = t * (x0 * c * c + x1 * c * d + x2 * d * d) % m
     return BinaryQF(y0, y1, y2)
+
+
+def torus_element(x: StandardRep, c, d, m: int) -> tuple:
+    """Matrix of multiplication by c + d*theta on Z[theta], theta a root of
+    v^2 + a1 v + a2, in the basis (1, theta), mod m: [[c, d], [-a2 d, c + a1 d]],
+    the GL2 part of a torus element.  c and d are ints or integer arrays."""
+    return (c % m, d % m, -x.a2 * d % m, (c + x.a1 * d) % m)
 
 
 def is_fundamental(d: int) -> bool:

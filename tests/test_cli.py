@@ -299,6 +299,29 @@ def test_damaged_cache_exits_2(tmp_path, capsys, damage):
     assert err[0].endswith("the cache is damaged, delete it to rebuild")
 
 
+def test_a_class_number_below_1_stops_compute_before_any_cache(tmp_path, capsys, monkeypatch):
+    # a kernel fault (h = 0 at one fundamental D) is refused where the table
+    # is computed, naming its D, and never saved to be read as cache damage
+    d = int(quadmean.fields.fundamental_magnitudes(-1, 10**4)[5])
+    raw = quadmean.fields.imaginary_class_number_histogram
+
+    def faulty(limit):
+        hist = raw(limit)
+        hist[d >> 1] = 0
+        return hist
+
+    monkeypatch.setattr(quadmean.fields, "imaginary_class_number_histogram", faulty)
+    with pytest.raises(ArithmeticError, match=rf"D={d}$"):
+        quadmean.fields.DiscriminantTable.compute(-1, 10**4)
+    cache = tmp_path / "table.npz"
+    code, out = run_cli(["mean-value", "--cond", "inf=C", "--X", "10000", "--cache", str(cache)])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and err[0].endswith(f"D={d}")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("cache", ["missing/dir/neg.csv", "."])
 def test_cache_at_a_bad_path_exits_2(tmp_path, capsys, cache):
     code, out = run_cli(["mean-value", "--cond", "inf=C", "--X", "1000",
@@ -413,7 +436,7 @@ def test_real_mean_value_call_keeps_its_memory():
 
 def test_verify_local_call_keeps_its_memory():
     # an orbit is a sorted array of its unit-scaling class representatives
-    # and a stabilizer int16 rows; one call peaks at 0.93 MB
+    # and a stabilizer int16 rows; one call peaks at 0.69 MB
     argv = ["--format", "json", "verify-local", "--primes", "2,3,5"]
     run_cli(argv)
     assert _traced_peak(argv) <= 1.02
@@ -421,7 +444,7 @@ def test_verify_local_call_keeps_its_memory():
 
 def test_verify_local_at_7_keeps_its_memory():
     # the lift check at 7^3 keeps 8,232 representatives of a ramified orbit
-    # in a space of 343^3 forms; one call peaks at 0.86 MB
+    # in a space of 343^3 forms; one call peaks at 0.63 MB
     argv = ["--format", "json", "verify-local", "--primes", "7"]
     run_cli(argv)
     assert _traced_peak(argv) <= 0.94
@@ -719,10 +742,13 @@ def test_a_wrong_density_fails_orbit_size(monkeypatch):
 
 
 def test_a_corrupted_stabilizer_row_keeps_the_closed_forms_expected(monkeypatch):
+    first = {}
+
     def wrong(raw):
         def corrupted(rep, ring):
             rows = raw(rep, ring)
             rows[0, 1] = (rows[0, 1] + 1) % ring.modulus
+            first[rep.algebra] = tuple(rows[0].tolist())
             return rows
         return corrupted
 
@@ -737,10 +763,9 @@ def test_a_corrupted_stabilizer_row_keeps_the_closed_forms_expected(monkeypatch)
                 "fiber": quadmean.orbits.torus_order_closed(rep, ring),
                 "cosets": quadmean.orbits.congruence_count_closed(rep),
             }
-            # the failing item says why
-            assert item["got"] == {
-                "fiber": -1, "cosets": 0, "detail": "normal form is not unipotent-diagonal"
-            }
+            # the failing item says why: the corrupted row is the first
+            detail = f"row {first[rep.algebra]} does not factor through the torus"
+            assert item["got"] == {"fiber": -1, "cosets": 0, "detail": detail}
 
 
 def test_lift_saturation_prints_the_count_of_every_missing_lift(monkeypatch):

@@ -165,6 +165,23 @@ def test_imaginary_histogram_flushes_a_narrow_buffer_exactly(monkeypatch):
         assert np.array_equal(hist, _halved(_per_ab_loop(limit))), limit
 
 
+def test_comb_buffer_is_charged_up_to_exactly_its_maximum(monkeypatch):
+    # with a comb of ones for every a, each entry of the buffer is charged
+    # exactly the sum of its chains' row tops, one per member it has passed:
+    # an int8 buffer then holds 127 at some entries between flushes, and a
+    # flush threshold one past the room left would wrap them (first at
+    # 65,803 of these limits).  live[i] counts the a <= amax with 2a^2 <= i
+    monkeypatch.setattr(fields, "_COMB_ACC", np.int8)
+    monkeypatch.setattr(fields, "_imag_comb", lambda a: np.ones(2 * a, dtype=np.int64))
+    for limit in range(1, 200_001, 997):
+        live = np.zeros(limit // 4 + (limit + 1) // 4 + 1, dtype=np.int32)
+        amax = math.isqrt(limit // 3)
+        fields._add_imag_combs(live, amax)
+        a = np.arange(1, amax + 1)
+        want = np.searchsorted(2 * a * a, np.arange(live.size), side="right")
+        assert np.array_equal(live, want), limit
+
+
 def test_imaginary_histogram_fits_int32_up_to_the_table_guard():
     # a <= isqrt(n/3) and at most 2a forms per a bound the count at n
     def bound(n):

@@ -15,6 +15,7 @@ from oracles import (
     kronecker,
     orbit_bitset_by_generators,
     stabilizer_elements_by_buckets,
+    torus_element,
 )
 from quadmean.cli import _group_order_direct
 from quadmean.orbits import (
@@ -38,7 +39,6 @@ from quadmean.orbits import (
     stabilizer_elements,
     stabilizer_order,
     standard_representatives,
-    torus_matrix,
     torus_order,
     torus_order_closed,
 )
@@ -192,7 +192,7 @@ def test_torus_fixes_the_form():
                 if norm % p == 0:
                     continue
                 got += 1
-                g = (pow(norm, -1, m), *torus_matrix(rep, ring, c, d))
+                g = (pow(norm, -1, m), *torus_element(rep, c, d, m))
                 y = act(g, rep.form, m)
                 assert y.coeffs() == tuple(v % m for v in rep.form.coeffs())
 
@@ -339,6 +339,64 @@ def test_coset_normal_form_rejects_a_corrupted_row(p, idx, corrupt):
     assert res.detail
 
 
+def _ramified_rings(p):
+    # levels 1, 2, n and n + 1 of each ramified representative, up to 128
+    for rep in standard_representatives(p):
+        if rep.is_ramified:
+            for n in sorted({1, 2, rep.n, rep.n + 1}):
+                if p**n <= 128:
+                    yield rep, ResidueRing(p, n)
+
+
+def _factor_by_search(rep, ring, g):
+    # every (u, v), v a unit, with g = (t, g2) a torus element (t, F),
+    # t det F = 1, times (1, [[1, 0], [u, v]]), all pairs tried at once
+    m = ring.modulus
+    t, a, b, c, d = g
+    u, v = np.divmod(np.arange(m * m), m)
+    u, v = u[v % ring.p != 0], v[v % ring.p != 0]
+    w = _unit_inverses(ring)[v]
+    # F = g2 [[1, 0], [u, v]]^-1 = g2 [[1, 0], [-u w, w]]
+    f = ((a - b * u * w) % m, b * w % m, (c - d * u * w) % m, d * w % m)
+    hit = t * (f[0] * f[3] - f[1] * f[2]) % m == 1
+    for entry, want in zip(f, torus_element(rep, f[0], f[1], m)):
+        hit &= entry == want
+    return set(zip(u[hit].tolist(), v[hit].tolist()))
+
+
+def _factoring_row(rng, rep, ring):
+    # a torus element (t, F), t det F = 1, times (1, [[1, 0], [u, v]])
+    m, p = ring.modulus, ring.p
+    while True:
+        c, d = rng.randrange(m), rng.randrange(m)
+        if rep.form(c, d) % p:
+            break
+    u = rng.randrange(m)
+    v = rng.choice([w for w in range(m) if w % p])
+    fa, fb, fc, fd = torus_element(rep, c, d, m)
+    t = pow(rep.form(c, d), -1, m)
+    return (t, (fa + fb * u) % m, fb * v % m, (fc + fd * u) % m, fd * v % m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_factors_each_row_as_the_search_does(p):
+    # one row at a time: the closed-form solve must accept exactly the rows
+    # that some (u, v), v a unit, factors, and key them by that (u, v);
+    # random rows rarely factor, so half the rows factor by construction
+    rng = random.Random(37 + p)
+    for rep, ring in _ramified_rings(p):
+        m = ring.modulus
+        rows = [_factoring_row(rng, rep, ring) for _ in range(20)]
+        rows += [tuple(rng.randrange(m) for _ in range(5)) for _ in range(20)]
+        for row in rows:
+            found = _factor_by_search(rep, ring, row)
+            assert len(found) <= 1, (rep.algebra, m, row)  # the solve is unique
+            res = coset_normal_form_check(rep, ring, np.array([row], dtype=np.int16), 1, found)
+            assert res.passed == bool(found), (rep.algebra, m, row, res.detail)
+            if not found:
+                assert res.detail == f"row {row} does not factor through the torus"
+
+
 def test_stabilizer_scan_matches_quotient():
     for p, idx in ((3, 2), (2, 2)):
         rep = standard_representatives(p)[idx]
@@ -413,8 +471,8 @@ def test_int32_headroom_at_the_size_guards():
     s = _largest(4, 4 * MAX_ORBIT_SPACE)  # scan: m^4 <= 4 * MAX_ORBIT_SPACE
     assert s == 128
     # form values a^2 + a1 a b + a2 b^2 below 3 s^3, packed keys below s^4;
-    # the coset check adds at most two products of residues below s
-    assert 3 * s**3 < limit and s**4 < limit and 2 * s * s < limit
+    # the coset check's sums, of three products of three residues, too
+    assert 3 * s**3 < limit and s**4 < limit
     # the stabilizer rows are residues below s, kept as int16
     assert s <= np.iinfo(np.int16).max
 
@@ -429,19 +487,6 @@ def test_coset_normal_form_check_leaves_the_stabilizer_unchanged():
     )
     assert res.passed
     assert stab.dtype == np.int16 and np.array_equal(stab, before)
-
-
-def test_torus_matrix_on_arrays_matches_ints_and_keeps_its_arguments():
-    rep = standard_representatives(3)[3]
-    ring = rep.natural_ring()
-    m = ring.modulus
-    c = np.arange(-m, 2 * m, dtype=np.int32)
-    d = -3 * c + 5
-    c0, d0 = c.copy(), d.copy()
-    got = torus_matrix(rep, ring, c, d)
-    assert np.array_equal(c, c0) and np.array_equal(d, d0)
-    for i, (ci, di) in enumerate(zip(c0.tolist(), d0.tolist())):
-        assert tuple(int(e[i]) for e in got) == torus_matrix(rep, ring, ci, di)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (5, 2), (7, 1)])
@@ -731,7 +776,7 @@ def test_multiplication_matrix_determinant_is_the_form_value():
             m = ring.modulus
             for c in range(m):
                 for d in range(m):
-                    a, b, cc, dd = torus_matrix(rep, ring, c, d)
+                    a, b, cc, dd = torus_element(rep, c, d, m)
                     assert (a * dd - b * cc) % m == rep.form(c, d) % m
 
     rng = random.Random(37)
@@ -742,7 +787,7 @@ def test_multiplication_matrix_determinant_is_the_form_value():
         m = ring.modulus
         for _ in range(300):
             c, d = rng.randrange(m), rng.randrange(m)
-            a, b, cc, dd = torus_matrix(rep, ring, c, d)
+            a, b, cc, dd = torus_element(rep, c, d, m)
             assert (a * dd - b * cc) % m == rep.form(c, d) % m
 
 
