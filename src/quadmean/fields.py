@@ -10,14 +10,16 @@ into an int16 buffer that is added into the histogram before it could
 overflow, and the few forms below the comb are added hit by hit, for each
 block of a one pass per hit count j over the rows (a, b) with more than j
 hits.
-For real fields, h*R sums one log((sqrt(D) + b)^2/(4ac))
-per pair of reduced indefinite forms (a, b, -c), (c, b, -a) with 0 < a <= c
-(half of it when a = c), skipping every form whose D is 0 or 4 mod 16 and
-so not fundamental; the regulators walk half of the palindromic
-continued fraction cycle of the maximal order's generator with the same
-kernel, in lockstep over all D, in float64 lanes that stay exact integers
-below 2^53 and are compacted in place once a tenth of them have stopped;
-h is the (checked) integer ratio.  Both real passes compute in the rows
+For real fields, h*R sums one log((sqrt(D) + b)^2/(4n)) per
+(n, b), n = ac, for all the pairs of reduced indefinite forms (a, b, -c),
+(c, b, -a) with 0 < a <= c at once: it is weighted by
+M(n, b) = #{d | n : |d - n/d| < b}/2, their number (half a pair when a = c),
+and each D receives its terms in increasing n; every form whose D is 0 or
+4 mod 16, and so not fundamental, is skipped.  The regulators walk half
+of the palindromic continued fraction cycle of the maximal order's
+generator with the same kernel, in lockstep over all D, in float64 lanes
+that stay exact integers below 2^53 and are compacted in place once a
+tenth of them have stopped; h is the (checked) integer ratio.  Both real passes compute in the rows
 of one workspace made once per call, and both take isqrt as the floor of
 the float root, exact below MAX_TABLE_LIMIT.
 Every large pass walks its array _BLOCK entries, rows or forms at a time.
@@ -334,102 +336,133 @@ def _log_squared_over(w: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.log(w, out=w)
 
 
-# (a, c) rows real_hr_histogram sets up at once: a group of whole a grows
-# until it holds this many (128 KB of int64 per set-up array).
-_ROW_GROUP = 1 << 12
-# [ac mod 4, b mod 4] -> True when D = b^2 + 4ac is not 0 or 4 mod 16, which
-# b mod 4 and ac mod 4 decide: an odd D is neither, and an even b has b^2
+# Pieces real_hr_histogram sets up at once (24 bytes each while they are
+# added): a group of whole n is sized from the last one's piece count to hold
+# about this many.  At 10^5 the histogram peaked at 2.26 MB with 2^13, 2.43 MB
+# with 2^14 and 2.82 MB with 2^15, and took 19.5, 18.0 and 18.7 ms; groups of
+# a fixed 2^11 n took 5% longer at 10^5 and 10^6.
+_PIECE_GROUP = 1 << 14
+# [n mod 4, b mod 4] -> True when D = b^2 + 4n is not 0 or 4 mod 16, which
+# b mod 4 and n mod 4 decide: an odd D is neither, and an even b has b^2
 # mod 16 fixed by b mod 4.
 _KEPT_B = ~np.isin((np.arange(4) ** 2 + 4 * np.arange(4)[:, None]) % 16, (0, 4))
 
 
 def real_hr_histogram(limit: int) -> np.ndarray:
-    """hist[D] = h(D)*R(D) for fundamental D <= limit: log((b + sqrt(D))^2/(4ac))
-    summed over reduced forms (a, b, -c) with a <= c: 4ac < limit,
-    a + c <= isqrt(limit), c - a < b.  Every other D not 0 or 4 mod 16 holds
-    the same complete sum over all reduced forms of D, imprimitive ones
-    included.  Such a D that is not a square is D0 f^2, D0 fundamental and f
-    odd, and holds h(D0)R(D0) times the sum over g | f of
-    g prod_{p | g} (1 - chi_D0(p)/p), so h(D0)R(D0)(4 - chi_D0(3)) at f = 3,
-    as the class number formula for orders gives.  At an odd square D = k^2
-    every term is log((k + b)/(k - b)), so the entry is the log of a
-    rational number, no h*R.
+    """hist[D] = h(D)*R(D) for fundamental D <= limit: the sum of
+    log((b + sqrt(D))/(2c)) over the reduced forms (a, b, -c) of D, a, c > 0
+    and |c - a| < b.  Every other D not 0 or 4 mod 16 holds the same complete
+    sum over all reduced forms of D, imprimitive ones included.  Such a D
+    that is not a square is D0 f^2, D0 fundamental and f odd, and holds
+    h(D0)R(D0) times the sum over g | f of g prod_{p | g} (1 - chi_D0(p)/p),
+    so h(D0)R(D0)(4 - chi_D0(3)) at f = 3, as the class number formula for
+    orders gives.  At an odd square D = k^2 every term is
+    log((k + b)/(k - b)), so the entry is the log of a rational number, no
+    h*R.
 
-    (a, b, -c) is reduced exactly when (c, b, -a) is, and their terms
-    log((b + sqrt(D))/(2c)) + log((b + sqrt(D))/(2a)) make one log; the row
-    c = a, a single form, takes half of it.  Squaring keeps sqrt(D) - b, which
-    cancels, out of the kernel.  No form with D = 0 or 4 mod 16 is built: such
-    a D is not fundamental (D/4 would be 0 or 1 mod 4), and its entry stays 0.
-    The kept b of a row (a, c) are up to four progressions of step 4, one per
-    residue mod 4 that _KEPT_B keeps for ac mod 4, each of at most
-    isqrt(limit) // 4 + 1 terms.  The rows are set up for groups of whole a
-    of about _ROW_GROUP rows, and their progressions go in, in (a, c) order,
-    in blocks of about _BLOCK forms, one np.add.at each, computed with
-    out= in the rows of one workspace.  Within a row every b gives another D,
-    so every D receives its terms in (a, c) order, whatever the blocks.  The
-    kernel runs in float64: b^2 + 4ac <= MAX_TABLE_LIMIT is an exact float."""
+    (a, b, -c) is reduced exactly when (c, b, -a) is, and their terms make
+    one log, t(n, b) = log((b + sqrt(D))^2/(4n)), which depends on a and c
+    only through n = ac.  So each (n, b) adds t(n, b) once, times the weight
+    M(n, b) = #{d | n : |d - n/d| < b}/2: 1 for each pair a < c of divisors
+    with c - a < b, and 1/2 for a = c.  Squaring keeps sqrt(D) - b, which
+    cancels, out of the kernel.  No form with D = 0 or 4 mod 16 is built:
+    such a D is not fundamental (D/4 would be 0 or 1 mod 4), and its entry
+    stays 0.  The n with 4n < limit go in ascending groups of whole n of
+    about _PIECE_GROUP pieces (_real_pieces), whose pieces go in, in order,
+    in blocks of about _BLOCK forms, one np.add.at each, computed with out=
+    in the rows of one workspace (_add_real_pieces).  Within one n every b
+    gives another D, so every D receives its terms in increasing n, whatever
+    the groups and blocks.  The kernel runs in float64: b^2 + 4n <=
+    MAX_TABLE_LIMIT is an exact float."""
     hist = np.zeros(limit + 1, dtype=np.float64)
-    a = np.arange(1, isqrt(max(limit - 1, 0)) // 2 + 1)  # 4a^2 < limit
-    width = np.minimum(isqrt(limit) - a, (limit - 1) // (4 * a)) - a + 1  # rows c = a..
-    ends = np.cumsum(width)
     size = max(_BLOCK, isqrt(limit) // 4 + 1)
-    # rows b, 4ac, D and the log term of a block, and the int32 steps 4j of b
+    # rows b, 4n, D and the log term of a block, and the int32 steps 4j of b
     work, steps = np.empty((4, size)), np.arange(0, 4 * size, 4, dtype=np.int32)
-    lo = 0
-    while lo < a.size:
-        hi = int(np.searchsorted(ends, ends[lo] - width[lo] + _ROW_GROUP)) + 1
-        _add_real_rows(hist, a[lo:hi], width[lo:hi], limit, work, steps)
-        lo = hi
+    # below 2^11 an n has 6 to 11 pieces (10^5 to 10^8), and the pieces per
+    # n fall as n grows: each group's width is the last one's scaled by
+    # _PIECE_GROUP over its piece count, at most doubled
+    n0, width = 1, max(1, _PIECE_GROUP // 8)
+    while 4 * n0 < limit:
+        n1 = min(n0 + width, (limit + 3) // 4)  # 4n < limit
+        pieces = _add_real_pieces(hist, *_real_pieces(n0, n1, limit), work, steps)
+        width = max(1, min(2 * width, width * _PIECE_GROUP // max(pieces, 1)))
+        n0 = n1
     return hist
 
 
-def _add_real_rows(
-    hist: np.ndarray, a: np.ndarray, width: np.ndarray, limit: int, work: np.ndarray,
-    steps: np.ndarray,
-) -> None:
-    """hist[D] += the paired term of every kept form (a, b, -c) of the rows
-    c = a..a + width - 1 of each a, in (a, c) order, in the rows of work."""
-    ends = np.cumsum(width)
-    diag = ends - width  # the rows c = a
+def _real_pieces(n0: int, n1: int, limit: int) -> tuple[np.ndarray, ...]:
+    """The pieces of the b of every n0 <= n < n1, in order of n: the first b
+    and the count of a progression of step 4, 4n, all int32, and the float32
+    weight M(n, b) that holds on it.
+
+    The rows of n are the (a, c) with a <= c and ac = n, one range of c for
+    each a <= sqrt(n).  Only rows with a + c <= isqrt(limit) have a b, since
+    b > c - a and b^2 + 4ac <= limit give (a + c)^2 < limit.  Sorted by n and
+    then by the gap g = c - a (a stable sort of n over rows of descending a),
+    the rows of n have gaps g_0 < g_1 < ...; row j holds the b in
+    (g_j, g_{j+1}], up to isqrt(limit - 4n) on the last row, and M is j + 1
+    there, less 1/2 when g_0 = 0 (a = c).  Each row's b are up to four
+    progressions, one per residue mod 4 that _KEPT_B keeps for n mod 4; the
+    empty ones are dropped.  Up to MAX_TABLE_LIMIT every value
+    fits: 4n < limit < 2^31, b, g and the counts are at most isqrt(limit),
+    there are fewer than isqrt(limit)^2 rows, and M <= d(n)/2 <= sqrt(n) is
+    a multiple of 1/2 that float32 holds exactly."""
+    s = isqrt(limit)
+    a = np.arange(isqrt(n1 - 1), 0, -1, dtype=np.int32)
+    lo = np.maximum(a, -(-n0 // a))
+    width = np.maximum(np.minimum(s - a, (n1 - 1) // a) - lo + 1, 0)
+    ends = np.cumsum(width, dtype=np.int32)
     ra = np.repeat(a, width)
-    c = np.arange(ends[-1]) - np.repeat(diag, width) + ra
-    ac = ra * c
-    lo = (c - ra + 1)[:, None]
-    first = lo + (np.arange(4) - lo) % 4  # the first b >= c - a + 1 of each residue
-    # the largest b is isqrt(limit - 4ac), the float root's floor: exact, as
-    # in _regulators, since (isqrt(n) + 1)^2 < 2^52 up to MAX_TABLE_LIMIT
-    bmax = np.floor(np.sqrt(limit - 4 * ac)).astype(np.int64)
-    count = np.maximum((bmax[:, None] - first) // 4 + 1, 0)
-    count *= _KEPT_B[ac % 4]
-    # b and 4ac are below 2^31 up to MAX_TABLE_LIMIT: the repeats below make int32
-    first, count = first.ravel().astype(np.int32), count.ravel()
-    ac4 = np.repeat((4 * ac).astype(np.int32), 4)
+    c = np.arange(ends[-1], dtype=np.int32) - np.repeat(ends - width - lo, width)
+    n = ra * c
+    order = np.argsort(n, kind="stable")
+    n, g = n[order], (c - ra)[order]
+    i = np.searchsorted(n, n)  # the first row of each n
+    weight = (np.arange(n.size) - i).astype(np.float32)
+    weight += np.where(g[i] == 0, np.float32(0.5), np.float32(1))
+    # the float root's floor is isqrt up to MAX_TABLE_LIMIT, as in _regulators
+    top = np.floor(np.sqrt(limit - 4 * n)).astype(np.int32)
+    np.minimum(top[:-1], np.where(n[1:] == n[:-1], g[1:], top[:-1]), out=top[:-1])
+    first = (g + 1)[:, None] + (np.arange(-1, 3, dtype=np.int32) - g[:, None] & 3)
+    count = (top[:, None] - first) // 4 + 1
+    count *= _KEPT_B.take(n & 3, axis=0)
+    n *= 4
+    keep = np.flatnonzero(count > 0)
+    first, count = first.ravel()[keep], count.ravel()[keep]
+    keep >>= 2  # the row of each piece
+    return first, count, n[keep], weight[keep]
+
+
+def _add_real_pieces(
+    hist: np.ndarray, first: np.ndarray, count: np.ndarray, n4: np.ndarray,
+    weight: np.ndarray, work: np.ndarray, steps: np.ndarray,
+) -> int:
+    """hist[D] += M(n, b) t(n, b) for every b of the pieces, in their order,
+    in blocks of whole pieces of at most _BLOCK forms (or a single longer
+    one) computed in the rows of work; returns the number of pieces."""
     stop = np.cumsum(count)
-    # the forms of the rows c = a, which take half the log: [half_lo, half_hi)
-    half_lo, half_hi = stop[4 * diag] - count[4 * diag], stop[4 * diag + 3]
     lo = 0
     while lo < count.size:
         f0 = int(stop[lo] - count[lo])
         hi = max(lo + 1, int(np.searchsorted(stop, f0 + _BLOCK, "right")))
-        n = count[lo:hi]
+        k = count[lo:hi]
         b, q, ds, w = work[:, : int(stop[hi - 1]) - f0]
         # b = the first b of its progression, less 4 per form before it, plus 4j
-        b0 = first[lo:hi] - 4 * (stop[lo:hi] - n - f0).astype(np.int32)
-        np.add(np.repeat(b0, n), steps[: b.size], out=b)
-        np.copyto(q, np.repeat(ac4[lo:hi], n))
+        b0 = first[lo:hi] - 4 * (stop[lo:hi] - k - f0).astype(np.int32)
+        np.add(np.repeat(b0, k), steps[: b.size], out=b)
+        np.copyto(q, np.repeat(n4[lo:hi], k))
         np.multiply(b, b, out=ds)
         ds += q
         np.sqrt(ds, out=w)
         w += b
         _log_squared_over(w, q)
-        i, j = np.searchsorted(half_hi, f0, "right"), np.searchsorted(half_lo, f0 + w.size)
-        for start, end in zip(half_lo[i:j].tolist(), half_hi[i:j].tolist()):
-            w[max(start - f0, 0) : end - f0] *= 0.5
+        w *= np.repeat(weight[lo:hi], k)
         # q is spent: its bytes take the int index of D
         index = q.view(np.intp)
         np.copyto(index, ds, casting="unsafe")
         np.add.at(hist, index, w)
         lo = hi
+    return count.size
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,9 @@ def test_imaginary_mean_value_call_fits_6_mb(tmp_path, cond):
 
 def test_real_mean_value_call_keeps_its_memory():
     # the regulator lanes are nine float64 rows of one workspace, and the h*R
-    # blocks reuse the rows of another; one call at 10^5 peaks at 2.93 MB, in
-    # the h*R histogram, against 3.04 MB with fresh arrays for each block and
+    # blocks reuse the rows of another; one call at 10^5 peaks at 2.80 MB, in
+    # the h*R histogram, against 2.97 MB with one log per pair (a, c) set up
+    # in groups of 2^12 rows, 3.04 MB with fresh arrays for each block and
     # step, and 3.21 MB with int64 |D|
     # (the first call of a process allocates 0.15 MB more, once)
     argv = ["--format", "json", "mean-value", "--cond", "inf=RxR,5=split", "--X", "100000"]

@@ -545,7 +545,7 @@ def test_real_histogram_matches_per_d():
 
 def _paired_per_ac_loop(limit):
     # one log per pair (a, b, -c), (c, b, -a) with a <= c, half of it at
-    # c = a; the same expression and order as real_hr_histogram
+    # c = a, with each D's terms in (a, c) order
     ref = np.zeros(limit + 1)
     smax = math.isqrt(limit)
     for a in range(1, smax):
@@ -575,6 +575,32 @@ def _unpaired_per_ac_loop(limit):
     return ref
 
 
+def _divisor_gaps(n):
+    """The sorted |d - n/d| over every divisor d of n."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return np.sort([n // d - d for d in small] + [n // d - d for d in small if d * d != n])
+
+
+def _kept_weights(n, limit):
+    """The b with b^2 + 4n <= limit, M(n, b) > 0 and D = b^2 + 4n not 0 or 4
+    mod 16, ascending, and 2 M(n, b) = #{d | n : |d - n/d| < b} at each."""
+    bs = np.arange(1, math.isqrt(limit - 4 * n) + 1)
+    m2 = np.searchsorted(_divisor_gaps(n), bs)
+    kept = (m2 > 0) & ~np.isin((bs * bs + 4 * n) % 16, (0, 4))
+    return bs[kept], m2[kept]
+
+
+def _per_nb_loop(limit):
+    # one log((b + sqrt(D))^2/(4n)) per kept (n, b), times M(n, b), for n
+    # ascending: the expression and the order of real_hr_histogram
+    ref = np.zeros(limit + 1)
+    for n in range(1, (limit + 3) // 4):
+        bs, m2 = _kept_weights(n, limit)
+        ds = bs * bs + 4 * n
+        ref[ds] += m2 / 2 * np.log((np.sqrt(ds) + bs) ** 2 / (4 * n))
+    return ref
+
+
 def _counted(calls, name, f):
     def counted(*args):
         calls[name] = calls.get(name, 0) + 1
@@ -585,44 +611,135 @@ def _counted(calls, name, f):
 
 def test_real_histogram_equals_the_per_ac_loop(monkeypatch):
     # no form with D = 0 or 4 mod 16 is built, as no such D is fundamental:
-    # the histogram is 0 there.  Elsewhere the paired per-(a, c) loop adds
-    # each D's logs in the same order, so the histogram is equal to it, not
-    # just close, whatever the block and row-group sizes
+    # the histogram is 0 there.  Elsewhere the per-(n, b) loop adds each D's
+    # weighted logs in the same order, n ascending, so the histogram is equal
+    # to it, not just close, whatever the block and group sizes
     # (every block is computed in the rows of one workspace: a block of 1
     # makes them as long as the longest progression, and a block of 2 * limit
-    # forms, past the form count of every group of one or three rows, takes
-    # each group in one block)
+    # forms, past the form count of every group of 1 or 40 pieces, takes each
+    # group with a piece in one block; a group of 1 piece is mostly one n
+    # wide, and the first group of 10^6 pieces, 125,000 n wide, takes them all)
     assert not np.isin(fundamental_magnitudes(1, 10**5) % 16, (0, 4)).any()
-    sizes, calls = (fields._BLOCK, fields._ROW_GROUP), {}
-    for name in ("_add_real_rows", "_log_squared_over"):  # once a group, once a block
-        monkeypatch.setattr(fields, name, _counted(calls, name, getattr(fields, name)))
+    sizes, calls = (fields._BLOCK, fields._PIECE_GROUP), {}
+    real_pieces = fields._real_pieces
+
+    def pieces(*args):  # counts the groups that have a piece
+        out = real_pieces(*args)
+        calls["groups"] = calls.get("groups", 0) + (out[0].size > 0)
+        return out
+
+    monkeypatch.setattr(fields, "_real_pieces", pieces)
+    log = fields._log_squared_over  # once a block
+    monkeypatch.setattr(fields, "_log_squared_over", _counted(calls, "blocks", log))
     for limit in (20000, 5000, 4097, 100, 8, 5):
         d = np.arange(limit + 1)
         skipped = (d % 16 == 0) | (d % 16 == 4)
-        ref = _paired_per_ac_loop(limit)
-        if limit >= 100:
-            assert ref[skipped].any(), limit
+        ref = _per_nb_loop(limit)
         hists = [real_hr_histogram(limit)]
         for block in (1, 7, 100, 2 * limit) if limit <= 5000 else (100, 2 * limit):
-            for group in (1, 3):
+            for group in (1, 40, 10**6):
                 monkeypatch.setattr(fields, "_BLOCK", block)
-                monkeypatch.setattr(fields, "_ROW_GROUP", group)
+                monkeypatch.setattr(fields, "_PIECE_GROUP", group)
                 calls.clear()
                 hists.append(real_hr_histogram(limit))
-                if block == 2 * limit:
-                    assert calls["_log_squared_over"] == calls["_add_real_rows"], limit
+                if block == 2 * limit and group < 10**6:
+                    assert calls.get("blocks", 0) == calls.get("groups", 0), limit
         monkeypatch.setattr(fields, "_BLOCK", sizes[0])
-        monkeypatch.setattr(fields, "_ROW_GROUP", sizes[1])
+        monkeypatch.setattr(fields, "_PIECE_GROUP", sizes[1])
         for hist in hists:
-            assert np.array_equal(hist[~skipped], ref[~skipped]), limit
+            assert np.array_equal(hist, ref), limit
             assert not hist[skipped].any(), limit
-        # pairing reorders the sum: the one-log-per-form loop has the same
-        # support and agrees to rounding, off D = 0, 4 mod 16
+        # one log per (n, b) times its weight, where the paired per-(a, c)
+        # loop adds one per pair, and the unpaired loop one per form: each
+        # reorders the sum, and all three agree to rounding off D = 0, 4 mod 16
+        paired = _paired_per_ac_loop(limit)
+        if limit >= 100:
+            assert paired[skipped].any(), limit
         unpaired = _unpaired_per_ac_loop(limit)
         nz = unpaired != 0
-        assert np.array_equal(ref != 0, nz), limit
+        assert np.array_equal(paired != 0, nz), limit
         assert np.array_equal(hists[0] != 0, nz & ~skipped), limit
-        assert np.all(np.abs(ref[nz] - unpaired[nz]) <= 1e-13 * unpaired[nz]), limit
+        assert np.all(np.abs(paired[nz] - unpaired[nz]) <= 1e-13 * unpaired[nz]), limit
+        kept = nz & ~skipped
+        assert np.all(np.abs(hists[0][kept] - paired[kept]) <= 1e-13 * paired[kept]), limit
+
+
+def _expanded(pieces):
+    """n, b and 2 M(n, b) of every form of the pieces, as int64."""
+    first, count, n4, weight = pieces
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    b = np.repeat(first, count) + 4 * j
+    return np.repeat(n4 // 4, count), b, np.repeat(2 * weight, count).astype(np.int64)
+
+
+def test_piece_weights_count_the_divisor_gaps_below_b():
+    # M(n, b) = #{d | n : |d - n/d| < b}/2, by brute force over the divisors,
+    # at every n <= 3000 and every b with b^2 + 4n <= limit (b up to 3000),
+    # for groups of 250 n: the pieces hold exactly the (n, b) with M > 0
+    # whose D is not 0 or 4 mod 16, each once, with its M
+    limit = 3000**2 + 4 * 3000
+    for n0 in range(1, 3001, 250):
+        n, b, m2 = _expanded(fields._real_pieces(n0, n0 + 250, limit))
+        assert np.all(np.diff(n) >= 0)
+        ends = np.searchsorted(n, np.arange(n0, n0 + 251))
+        assert ends[-1] == n.size
+        for k, lo, hi in zip(range(n0, n0 + 250), ends[:-1].tolist(), ends[1:].tolist()):
+            bs, brute = _kept_weights(k, limit)
+            at = lo + np.argsort(b[lo:hi])
+            assert np.array_equal(b[at], bs) and np.array_equal(m2[at], brute), k
+
+
+def test_real_kernel_fits_its_dtypes_at_the_table_guard():
+    # by arithmetic and by the set-up of a few n at the guard: the real
+    # histogram at MAX_TABLE_LIMIT itself is never run (0.8 GB, with the
+    # regulator walk's 2.2 GB)
+    top = fields.MAX_TABLE_LIMIT
+    s = math.isqrt(top)
+    nmax = (top + 3) // 4 - 1  # the last n, 4n < limit
+    # int32 4n; b, the gaps, the counts and each piece's first b are at most
+    # s + 3; the rows a + c <= s number below s^2 in all; a block's steps 4j
+    # and first b less 4 per form before its piece stay within 4 size + s + 3
+    size = max(fields._BLOCK, s // 4 + 1)
+    assert max(4 * nmax, s * s, 4 * size + s + 3) < 2**31
+    # b, 4n and D = b^2 + 4n <= limit are exact integers in float64
+    assert top < 2**53
+    # M(n, b) <= d(n)/2 <= sqrt(n): a multiple of 1/2 that float32 holds exactly
+    halves = np.arange(2 * math.isqrt(nmax) + 3) / 2
+    assert np.array_equal(halves.astype(np.float32).astype(np.float64), halves)
+    # the most divisors of any n < MAX_TABLE_LIMIT / 4: 576, at 2^5 3^3 5^2 7 11 13
+    rich = 21621600
+    assert rich <= nmax and _divisor_gaps(rich).size == 576 <= 2 * math.isqrt(rich)
+    most = {}
+    for n in (rich, nmax):
+        n_, b, m2 = _expanded(fields._real_pieces(n, n + 1, top))
+        bs, brute = _kept_weights(n, top)
+        order = np.argsort(b)
+        assert (n_ == n).all() and np.array_equal(b[order], bs), n
+        assert np.array_equal(m2[order], brute), n
+        most[n] = int(m2.max(initial=0))
+    # at the rich n, M reaches 28 (56 of its 576 divisors); the last n,
+    # 4n = 10^8 - 4, has no reduced form
+    assert most == {rich: 56, nmax: 0}
+
+
+def test_real_histogram_at_p_squared_d_is_the_order_relation():
+    # the entry at D p^2 is the complete sum over the order of conductor p:
+    # h R of the order is hR(D)(p - chi_D(p)), and the imprimitive forms p
+    # times those of D add hR(D), so hist[D p^2] = hist[D](1 + p - chi_D(p))
+    # at every fundamental D, 46,921 rows for p = 3, 5, 7 up to 9 10^5.
+    # The worst relative deviation reads 2.3e-15 (9.0e-15 with one log per
+    # pair (a, c)); with weight 1 instead of 1/2 at a = c it reads 0.44
+    limit = 9 * 10**5
+    hist = real_hr_histogram(limit)
+    worst, rows = 0.0, 0
+    for p in (3, 5, 7):
+        ds = fundamental_magnitudes(1, limit // (p * p)).tolist()
+        factor = np.array([1 + p - kronecker(d, p) for d in ds])
+        got, want = hist[np.array(ds) * p * p], hist[ds] * factor
+        worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        rows += len(ds)
+    assert rows == 46921
+    assert worst <= 1e-12, worst
 
 
 def test_local_type_spot_values():
