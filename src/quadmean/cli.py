@@ -155,7 +155,11 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
     stab = stabilizer_elements(rep, ring)
     solutions = congruence_solution_set(rep, ring)
     # equal exactly when the branches are disjoint and their union is the set
-    described = sorted(sol for branch in congruence_solution_check(rep, ring) for sol in branch)
+    described = np.sort(np.concatenate(congruence_solution_check(rep)))
+
+    def pairs(keys: np.ndarray) -> list[tuple[int, int]]:  # (u, s) of the keys u*m + s
+        return [divmod(k, ring.modulus) for k in keys.tolist()]
+
     cn = coset_normal_form_check(rep, ring, stab, got_torus, solutions)
     cn_got = {"fiber": got_torus if cn.passed else -1, "cosets": cn.coset_count}
     if not cn.passed:  # say why; a passing item prints no detail
@@ -167,7 +171,7 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
         ),
         IdentityCheck.compare(f"stabilizer-scan[{at}]", expected_stab, len(stab)),
         IdentityCheck.compare(f"congruence-count[{at}]", expected_cong, len(solutions)),
-        IdentityCheck.compare(f"congruence-structure[{at}]", sorted(solutions), described),
+        IdentityCheck.compare(f"congruence-structure[{at}]", pairs(solutions), pairs(described)),
         IdentityCheck(
             f"coset-normal-form[{at}]",
             {"fiber": expected_torus, "cosets": expected_cong},

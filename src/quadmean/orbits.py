@@ -18,7 +18,10 @@ size guards bound every intermediate value below 2^31; the closure and the
 coset check take _BLOCK rows at a time.  The form of a
 ramified representative is evaluated over (Z/p^N)^2 once per ring, into
 the read-only table _form_values that the torus count, the stabilizer scan
-and the congruence set read.
+and the congruence set read.  Every (u, s) set (the congruence solutions,
+the branches of their closed description at the working level, the coset
+representatives) is kept as the sorted int32 keys u*m + s, the indices of
+that table.
 """
 
 from __future__ import annotations
@@ -538,18 +541,20 @@ def coset_normal_form_check(
     ring: ResidueRing,
     stab: np.ndarray,
     tsize: int,
-    solutions: set[tuple[int, int]],
+    solutions: np.ndarray,
 ) -> CosetNormalForm:
     """Verify that every stabilizer element factors as (torus element) *
     (1, [[1, 0], [u, v]]) with exactly one lower-triangular representative
     per torus coset, and that the (u, v) set is the congruence solution set.
 
     stab, tsize and solutions are stabilizer_elements, torus_order and
-    congruence_solution_set of x at ring.  Each row is one 2x2 solve, in
-    closed form over blocks of rows.  Write g2 = [[a, b], [c, d]],
-    D = ad - bc and x(c, d) = c^2 + a1 cd + a2 d^2.  g2 = F [[1, 0], [u, v]]
-    with F a multiplication matrix [[c', d'], [-a2 d', c' + a1 d']] is the
-    two linear equations c v - d u = -a2 b and a v - b u = d - a1 b in
+    congruence_solution_set of x at ring; solutions must be the sorted keys
+    u*m + v, since the sorted keys of the representatives are compared with
+    them as arrays.  Each row is one 2x2 solve, in closed form over blocks
+    of rows.  Write g2 = [[a, b], [c, d]], D = ad - bc and
+    x(c, d) = c^2 + a1 cd + a2 d^2.  g2 = F [[1, 0], [u, v]] with F a
+    multiplication matrix [[c', d'], [-a2 d', c' + a1 d']] is the two
+    linear equations c v - d u = -a2 b and a v - b u = d - a1 b in
     (u, v), of determinant -D, so exactly one (u, v) solves them:
     u = (a2 ab + cd - a1 bc)/D and v = x(d, -b)/D.  det F = D/v, so (t, F)
     fixes x, a torus element, exactly when x(d, -b) = t D^2.  So a row
@@ -573,10 +578,9 @@ def coset_normal_form_check(
         u = _rem(inv[det] * _rem(a2 * a * b + c * d - a1 * b * c, m), m)
         keys[lo : lo + len(t)] = u * m + _rem(t * det, m)
     fibers, counts = _distinct(keys, counts=True)
-    expected = np.array(sorted(u * m + v for u, v in solutions), dtype=np.int32)
     # the counts sum to len(stab), so with every count tsize there are
     # len(stab) / tsize fibers
-    ok = bool((counts == tsize).all()) and np.array_equal(fibers, expected)
+    ok = bool((counts == tsize).all()) and np.array_equal(fibers, solutions)
     detail = "" if ok else "fiber sizes or representative set mismatch"
     return CosetNormalForm(len(fibers), ok, detail)
 
@@ -585,15 +589,16 @@ def coset_normal_form_check(
 # the unit congruence system
 # ---------------------------------------------------------------------------
 
-def congruence_solution_set(x: StandardRep, ring: ResidueRing) -> set[tuple[int, int]]:
+def congruence_solution_set(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     """Solutions (u, s), s a unit, of  a1 s + 2u = a1  and
-    u^2 + a1 u s + a2 s^2 = a2  in Z/p^N: the pairs whose form value x(u, s)
-    is a2, filtered by the linear congruence."""
+    u^2 + a1 u s + a2 s^2 = a2  in Z/p^N, as the sorted int32 keys u*m + s:
+    the indices of _form_values at ring whose value x(u, s) is a2, filtered
+    by the linear congruence."""
     m = ring.modulus
     a1 = x.a1 % m
-    u, s = np.divmod(np.flatnonzero(_form_values(x, ring) == x.a2 % m), m)
-    keep = (s % ring.p != 0) & (_rem(2 * u + a1 * s - a1, m) == 0)
-    return set(zip(u[keep].tolist(), s[keep].tolist()))
+    keys = np.flatnonzero(_form_values(x, ring) == x.a2 % m).astype(np.int32)
+    u, s = np.divmod(keys, m)
+    return keys[(s % ring.p != 0) & (_rem(2 * u + a1 * s - a1, m) == 0)]
 
 
 def congruence_count_closed(x: StandardRep) -> int:
@@ -604,10 +609,13 @@ def congruence_count_closed(x: StandardRep) -> int:
     return 2 * x.p**x.delta
 
 
-def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> tuple[frozenset, ...]:
-    """The closed description of the congruence solution set of x at ring,
-    as its branches: the brute-force set congruence_solution_set is their
-    union, and they are disjoint.
+def congruence_solution_check(x: StandardRep) -> tuple[np.ndarray, ...]:
+    """The closed description of the congruence solution set of x at its
+    working level x.n, as its branches: congruence_solution_set at
+    x.natural_ring() is their union, and they are disjoint.  Each branch is
+    one boolean mask over the (u, s) grid of _form_values, kept as its
+    sorted int32 keys u*m + s.  The description holds at the working level
+    only, so no other ring is taken.
 
     Odd trace valuation (delta = 2m+1, trace 0 here): one branch,
     u = 0 mod p^(3m+2) and s^2 = 1 mod p^(4m+1).  Even delta = 2l <= 2m:
@@ -620,31 +628,14 @@ def congruence_solution_check(x: StandardRep, ring: ResidueRing) -> tuple[frozen
     """
     if not x.is_ramified:
         raise ValueError("characterization applies to ramified representatives")
-    m_ord = x.m
-    p = ring.p
-    mod = ring.modulus
-    if x.delta == 2 * m_ord + 1:
-        pu = p ** (3 * m_ord + 2)
-        ps = p ** (4 * m_ord + 1)
-        return (
-            frozenset(
-                (u, s)
-                for u in range(0, mod, pu)
-                for s in range(mod)
-                if s % p and (s * s - 1) % ps == 0
-            ),
-        )
-    a1 = x.a1
-    step = p ** (x.delta // 2 + 2 * m_ord + 1)
-    two_over_a1 = pow(a1 // 2, -1, mod)
-    branches = []
-    for u0 in (0, a1):
-        branch = set()
-        for u in range(u0 % step, mod, step):
-            s0 = (1 - two_over_a1 * u) % step
-            for s in range(s0, mod, step):
-                if s % p:
-                    branch.add((u, s))
-        branches.append(frozenset(branch))
-    return tuple(branches)
-
+    p, mod = x.p, x.natural_ring().modulus
+    keys = np.arange(mod * mod, dtype=np.int32)
+    u, s = np.divmod(keys, mod)
+    unit = s % p != 0
+    if x.delta == 2 * x.m + 1:
+        masks = [(u % p ** (3 * x.m + 2) == 0) & ((s * s - 1) % p ** (4 * x.m + 1) == 0)]
+    else:
+        step = p ** (x.delta // 2 + 2 * x.m + 1)
+        on_line = (s - 1 + pow(x.a1 // 2, -1, mod) * u) % step == 0
+        masks = [((u - u0) % step == 0) & on_line for u0 in (0, x.a1)]
+    return tuple(keys[mask & unit] for mask in masks)

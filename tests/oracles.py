@@ -391,22 +391,23 @@ def stabilizer_elements_by_buckets(x: StandardRep, ring: ResidueRing) -> np.ndar
     return rows
 
 
-def congruence_solution_set_by_loops(x: StandardRep, ring: ResidueRing) -> set[tuple[int, int]]:
+def congruence_solution_set_by_loops(x: StandardRep, ring: ResidueRing) -> list[int]:
     """Solutions (u, s), s a unit, of  a1 s + 2u = a1  and
-    u^2 + a1 u s + a2 s^2 = a2  in Z/p^N, one pair at a time: the reference
-    for quadmean.orbits.congruence_solution_set."""
+    u^2 + a1 u s + a2 s^2 = a2  in Z/p^N, one pair at a time, as the keys
+    u*m + s in increasing order: the reference for
+    quadmean.orbits.congruence_solution_set."""
     m = ring.modulus
     p = ring.p
     a1 = x.a1 % m
     a2 = x.a2 % m
-    out = set()
-    for s in range(m):
-        if s % p == 0:
-            continue
-        for u in range(m):
+    out = []
+    for u in range(m):
+        for s in range(m):
+            if s % p == 0:
+                continue
             if (a1 * s + 2 * u - a1) % m:
                 continue
             if (u * u + a1 * u * s + a2 * s * s - a2) % m:
                 continue
-            out.add((u, s))
+            out.append(u * m + s)
     return out

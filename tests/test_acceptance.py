@@ -87,11 +87,11 @@ def test_criterion_3_congruence_count_and_characterization():
     for p in (2, 3, 5):
         for rep in _ramified_reps(p):
             ring = rep.natural_ring()
-            solutions = congruence_solution_set(rep, ring)
+            solutions = congruence_solution_set(rep, ring).tolist()
             assert len(solutions) == 2 * p**rep.delta, rep.algebra
-            branches = congruence_solution_check(rep, ring)
-            described = [sol for branch in branches for sol in branch]
-            assert set(described) == solutions, rep.algebra
+            branches = congruence_solution_check(rep)
+            described = [key for branch in branches for key in branch.tolist()]
+            assert set(described) == set(solutions), rep.algebra
             assert len(set(described)) == len(described), rep.algebra  # disjoint branches
             if p == 2 and rep.delta % 2 == 0:
                 assert tuple(map(len, branches)) == (p**rep.delta, p**rep.delta)

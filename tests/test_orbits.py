@@ -1,5 +1,6 @@
 """Group action, standard representatives, orbits, stabilizers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -211,10 +212,11 @@ def test_congruence_solution_set_frozen_dyadic():
     rep = standard_representatives(2)[2]
     assert rep.form.coeffs() == (1, 2, 2)
     sols = congruence_solution_set(rep, rep.natural_ring())
-    assert sols == {
-        (0, 1), (0, 17), (16, 1), (16, 17),
-        (2, 15), (2, 31), (18, 15), (18, 31),
-    }
+    assert sols.dtype == np.int32
+    assert [divmod(k, 32) for k in sols.tolist()] == [
+        (0, 1), (0, 17), (2, 15), (2, 31),
+        (16, 1), (16, 17), (18, 15), (18, 31),
+    ]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -228,8 +230,8 @@ def test_congruence_solution_set_equals_the_pairwise_loops(p):
             if ring.modulus > 128:
                 continue
             got = congruence_solution_set(rep, ring)
-            assert got == congruence_solution_set_by_loops(rep, ring), (rep, level)
-            assert all(type(u) is int and type(s) is int for u, s in got)
+            assert got.tolist() == congruence_solution_set_by_loops(rep, ring), (rep, level)
+            assert got.dtype == np.int32
 
 
 def test_form_values_table():
@@ -263,21 +265,26 @@ def test_form_values_guard_boundary():
 
 
 def test_congruence_characterization():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         for rep in standard_representatives(p):
             if not rep.is_ramified:
                 continue
             ring = rep.natural_ring()
-            branches = congruence_solution_check(rep, ring)
-            described = [sol for branch in branches for sol in branch]
-            assert sorted(described) == sorted(congruence_solution_set(rep, ring))
-            assert len(set(described)) == len(described)  # disjoint branches
+            m = ring.modulus
+            branches = congruence_solution_check(rep)
+            for branch in branches:  # sorted keys, each once
+                assert branch.dtype == np.int32 and (np.diff(branch) > 0).all()
+            for one, other in itertools.combinations(branches, 2):  # pairwise disjoint
+                assert np.intersect1d(one, other).size == 0
+            described = np.concatenate(branches)
+            assert sorted(described.tolist()) == congruence_solution_set(rep, ring).tolist()
+            assert len(set(described.tolist())) == len(described)  # disjoint branches
             assert sum(map(len, branches)) == 2 * p**rep.delta
             if rep.delta % 2 == 0:
                 assert len(branches) == 2
                 assert len(branches[0]) == len(branches[1])
                 # the second coset is that of the conjugation (u, s) = (a1, -1)
-                assert (rep.a1, ring.modulus - 1) in branches[1]
+                assert rep.a1 * m + m - 1 in branches[1].tolist()
     # the paper's claims on its second coset u = -b pi at each dyadic
     # delta = 2 representative, with pi = a2 and b = b2/b1
     dyadic = {
@@ -339,6 +346,35 @@ def test_coset_normal_form_rejects_a_corrupted_row(p, idx, corrupt):
     assert res.detail
 
 
+def _drop_key(keys, m):
+    return np.delete(keys, len(keys) // 2)
+
+
+def _replace_key(keys, m):
+    # the least key that solves nothing in place of a middle one, kept sorted
+    other = np.setdiff1d(np.arange(m * m, dtype=np.int32), keys)[0]
+    return np.sort(np.append(np.delete(keys, len(keys) // 2), other))
+
+
+@pytest.mark.parametrize("wrong", [_drop_key, _replace_key])
+@pytest.mark.parametrize("p,idx", [(3, 2), (2, 4)])
+def test_coset_normal_form_rejects_a_representative_set_one_key_off(p, idx, wrong):
+    # the stabilizer is whole and its fibers all have torus size, so only
+    # the comparison of the representatives with the solution keys can fail
+    rep = standard_representatives(p)[idx]
+    ring = rep.natural_ring()
+    stab = stabilizer_elements(rep, ring)
+    tsize = torus_order(rep, ring)
+    solutions = congruence_solution_set(rep, ring)
+    assert coset_normal_form_check(rep, ring, stab, tsize, solutions).passed
+    bad = wrong(solutions, ring.modulus)
+    assert bad.dtype == np.int32 and (np.diff(bad) > 0).all()
+    assert np.setdiff1d(solutions, bad).size == 1
+    res = coset_normal_form_check(rep, ring, stab, tsize, bad)
+    assert not res.passed
+    assert res.detail == "fiber sizes or representative set mismatch"
+
+
 def _ramified_rings(p):
     # levels 1, 2, n and n + 1 of each ramified representative, up to 128
     for rep in standard_representatives(p):
@@ -391,7 +427,8 @@ def test_closed_form_factors_each_row_as_the_search_does(p):
         for row in rows:
             found = _factor_by_search(rep, ring, row)
             assert len(found) <= 1, (rep.algebra, m, row)  # the solve is unique
-            res = coset_normal_form_check(rep, ring, np.array([row], dtype=np.int16), 1, found)
+            keys = np.array(sorted(u * m + v for u, v in found), dtype=np.int32)
+            res = coset_normal_form_check(rep, ring, np.array([row], dtype=np.int16), 1, keys)
             assert res.passed == bool(found), (rep.algebra, m, row, res.detail)
             if not found:
                 assert res.detail == f"row {row} does not factor through the torus"
