@@ -6,8 +6,10 @@ compared with one `diff -r`:
 Each command of COMMANDS runs once per output format (text, json, csv), in
 its own process, with the `src/` of the checkout that holds this file on
 the path.  Run k writes OUTDIR/<k>-<format>.stdout, .stderr and .code (the
-exit code), and OUTDIR/commands.txt lists the command lines in order.  The
-cache that `mean-value --cond inf=C --X 1000000 --cache` writes is saved as
+exit code), and OUTDIR/commands.txt lists the command lines in order.
+First, `mean-value --cond inf=C --X 1000000 --cache` runs once, in text,
+into a temporary path that the saved files spell TMP; it writes
+OUTDIR/cache.stdout, .stderr and .code, and its cache is saved as
 OUTDIR/cache.npz.
 
 There are no golden files: float outputs can differ across numpy builds,
@@ -52,7 +54,6 @@ def main(argv: list[str]) -> int:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         cache = Path(tmp, "cache.npz")
-        # the cache run writes the file once, in text, before any other run
         runs = [(["--format", "text"] + CACHE_RUN + [str(cache)], "cache")]
         for k, cmd in enumerate(COMMANDS):
             runs += [(["--format", fmt] + cmd, f"{k:02d}-{fmt}") for fmt in FORMATS]
@@ -60,7 +61,7 @@ def main(argv: list[str]) -> int:
             done = subprocess.run(
                 [sys.executable, "-m", "quadmean", *args], env=env, capture_output=True
             )
-            # the cache path is the one part of a run that differs between runs
+            # the temporary path is the one part of a run that differs between runs
             (out / f"{name}.stdout").write_bytes(done.stdout.replace(tmp.encode(), b"TMP"))
             (out / f"{name}.stderr").write_bytes(done.stderr.replace(tmp.encode(), b"TMP"))
             (out / f"{name}.code").write_text(f"{done.returncode}\n")
