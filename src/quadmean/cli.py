@@ -144,8 +144,10 @@ def _census_items(p: int) -> list[IdentityCheck]:
 def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list[IdentityCheck]:
     """Torus, stabilizer and congruence checks of a ramified representative.
 
-    The stabilizer list is the largest local artifact; it is dropped on
-    return, before the next representative's BFS or scan.
+    The scan lists the stabilizer's slice a = 1, p^n rows per torus coset,
+    and stabilizer-scan counts each row's phi(p^n) unit multiples.  The
+    slice is the largest local artifact; it is dropped on return, before
+    the next representative's BFS or scan.
     """
     at = f"p={rep.p},{rep.algebra},level={rep.n}"
     expected_torus = torus_order_closed(rep, ring)
@@ -153,6 +155,7 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
     expected_stab = expected_cong * expected_torus
     got_torus = torus_order(rep, ring)
     stab = stabilizer_elements(rep, ring)
+    units = ring.modulus - ring.modulus // rep.p  # phi(p^n)
     solutions = congruence_solution_set(rep, ring)
     # equal exactly when the branches are disjoint and their union is the set
     described = np.sort(np.concatenate(congruence_solution_check(rep)))
@@ -169,7 +172,7 @@ def _ramified_items(rep: StandardRep, ring: ResidueRing, got_orbit: int) -> list
         IdentityCheck.compare(
             f"stabilizer-order[{at}]", expected_stab, stabilizer_order(ring, got_orbit)
         ),
-        IdentityCheck.compare(f"stabilizer-scan[{at}]", expected_stab, len(stab)),
+        IdentityCheck.compare(f"stabilizer-scan[{at}]", expected_stab, units * len(stab)),
         IdentityCheck.compare(f"congruence-count[{at}]", expected_cong, len(solutions)),
         IdentityCheck.compare(f"congruence-structure[{at}]", pairs(solutions), pairs(described)),
         IdentityCheck(

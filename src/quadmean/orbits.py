@@ -7,15 +7,16 @@ residue.square_class_labels(p).  The module gives the standard orbital
 representative of each, the order of the stabilizer torus of a ramified
 representative, orbit enumeration by breadth-first closure of the
 unit-scaling classes under the transvections and diag(u, 1) for u over the
-unit square classes, the stabilizer scan, the coset normal form of the
-stabilizer over the torus (one closed-form 2x2 solve per row), and the
-unit congruence systems that account for the torus cosets, whose second
-coset is the conjugation.
+unit square classes, the stabilizer scan (of the slice a = 1, which the
+unit scalars of the torus carry onto the whole stabilizer), the coset
+normal form of the stabilizer over the torus (one closed-form 2x2 solve
+per slice row), and the unit congruence systems that account for the
+torus cosets, whose second coset is the conjugation.
 
 The array kernels (orbit closure, stabilizer scan, coset normal form)
 reduce with _rem, floor division in place, and work in int32 wherever the
-size guards bound every intermediate value below 2^31; the closure and the
-coset check take _BLOCK rows at a time.  The form of a
+size guards bound every intermediate value below 2^31; the closure takes
+_BLOCK class representatives at a time.  The form of a
 ramified representative is evaluated over (Z/p^N)^2 once per ring, into
 the read-only table _form_values that the torus count, the stabilizer scan
 and the congruence set read.  Every (u, s) set (the congruence solutions,
@@ -288,9 +289,8 @@ def _generators(ring: ResidueRing) -> list[tuple[int, int, int, int]]:
     return [(1, 1, 0, 1), (1, 0, 1, 1)] + [(u % m, 0, 0, 1) for u in units if u % m != 1]
 
 
-# Rows a blocked kernel takes at once: the class representatives the BFS
-# decodes (its (3G, block) int32 images, 192 KB with G <= 4 generators) and
-# the stabilizer rows coset_normal_form_check factors.  No BFS frontier of
+# Class representatives the BFS decodes at once: its (3G, block) int32
+# images, 192 KB with G <= 4 generators.  No BFS frontier of
 # verify-local --primes 2,3,5 or --primes 7 fills a block: the largest hold
 # 505 and 2,726 classes.
 _BLOCK = 1 << 12
@@ -478,26 +478,26 @@ def _form_values(x: StandardRep, ring: ResidueRing) -> np.ndarray:
 
 
 def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
-    """All (t, g2) in G(Z/p^N) fixing the form of x, as an int16 array of
-    rows (t, a, b, c, d): one block per unit u, in increasing u from u = 1,
-    each holding the hits of the slice a = 1 in increasing (b, c, d),
-    written as (t u^-2, u, u b, u c, u d).
+    """The slice a = 1 of the stabilizer of the form of x in G(Z/p^N): the
+    (t, g2) fixing it with top-left entry 1, as an int16 array of rows
+    (t, 1, b, c, d) in increasing (b, c, d).
 
     g fixes x exactly when x(a, b) = t^-1, x(c, d) = a2 t^-1, the cross
     term matches a1, and g2 is invertible.  x is Eisenstein, so
     x(a, b) = a^2 mod p and a is a unit, and x(u v) = u^2 x(v) makes
     (t, g2) -> (u^-2 t, u g2) a bijection of the stabilizer for every unit
-    u.  So the scan searches the slice a = 1 alone: for all b at once, the
-    bottom rows (c, d) of the form-value bucket a2 x(1, b) are tested in
-    one ragged pass of 2 m^2 pairs, and the hits are scaled by each unit.
+    u.  So each orbit of these scalars, phi(p^N) elements, meets the slice
+    once, and the stabilizer has phi(p^N) times as many elements as the
+    slice.  The scalars lie in the torus, so a torus coset holds
+    |torus| / phi(p^N) = p^N slice rows.  For all b at once, the bottom
+    rows (c, d) of the form-value bucket a2 x(1, b) are tested in one
+    ragged pass of 2 m^2 pairs.
     """
     if not x.is_ramified:
         raise ValueError("stabilizer scan implemented for ramified representatives")
     m = ring.modulus
     a1 = x.a1 % m
     a2 = x.a2 % m
-    p = ring.p
-    inv = _unit_inverses(ring)
     # int32 throughout: the table's guard keeps m <= 128, so cross terms stay
     # below 2 m^2 and packed rows below m^2; the rows are residues, so they
     # fit int16
@@ -517,16 +517,9 @@ def stabilizer_elements(x: StandardRep, ring: ResidueRing) -> np.ndarray:
     c, d = np.divmod(bot, m)
     cross = _rem(_rem(2 + a1 * b, m) * c + _rem(a1 + 2 * a2 * b, m) * d, m)
     # t^-1 = r is a unit, so t * cross == a1 exactly when cross == a1 r
-    hit = (cross == _rem(a1 * r[b], m)) & (_rem(d - b * c, p) != 0)
-    t = inv[r[b[hit]]]
-    bcd = np.stack((b[hit], c[hit], d[hit]), axis=1)
-    units = np.flatnonzero(inv)
-    rows = np.empty((units.size, t.size, 5), dtype=np.int16)
-    for block, u in zip(rows, units.tolist()):
-        block[:, 0] = _rem(t * (inv[u] ** 2 % m), m)
-        block[:, 1] = u
-        block[:, 2:] = _rem(u * bcd, m)
-    return rows.reshape(-1, 5)
+    hit = (cross == _rem(a1 * r[b], m)) & (_rem(d - b * c, ring.p) != 0)
+    t = _unit_inverses(ring)[r[b[hit]]]
+    return np.stack((t, np.ones_like(t), b[hit], c[hit], d[hit]), axis=1).astype(np.int16)
 
 
 @dataclass(frozen=True)
@@ -550,37 +543,37 @@ def coset_normal_form_check(
     stab, tsize and solutions are stabilizer_elements, torus_order and
     congruence_solution_set of x at ring; solutions must be the sorted keys
     u*m + v, since the sorted keys of the representatives are compared with
-    them as arrays.  Each row is one 2x2 solve, in closed form over blocks
-    of rows.  Write g2 = [[a, b], [c, d]], D = ad - bc and
-    x(c, d) = c^2 + a1 cd + a2 d^2.  g2 = F [[1, 0], [u, v]] with F a
-    multiplication matrix [[c', d'], [-a2 d', c' + a1 d']] is the two
-    linear equations c v - d u = -a2 b and a v - b u = d - a1 b in
-    (u, v), of determinant -D, so exactly one (u, v) solves them:
-    u = (a2 ab + cd - a1 bc)/D and v = x(d, -b)/D.  det F = D/v, so (t, F)
-    fixes x, a torus element, exactly when x(d, -b) = t D^2.  So a row
-    factors exactly when x(d, -b) is a unit (then so are D and t) and
-    x(d, -b) = t D^2 mod p^N, and its representative is (u, t D).
+    them as arrays.  stab is the slice a = 1: its unit multiples u*I lie in
+    the torus, so they are the rest of the stabilizer, each in the coset of
+    its slice row, and a coset holds tsize / phi(p^N) = p^N slice rows.
+    Each row is one 2x2 solve, in closed form over all rows at once.  Write
+    g2 = [[a, b], [c, d]], D = ad - bc and x(c, d) = c^2 + a1 cd + a2 d^2.
+    g2 = F [[1, 0], [u, v]] with F a multiplication matrix
+    [[c', d'], [-a2 d', c' + a1 d']] is the two linear equations
+    c v - d u = -a2 b and a v - b u = d - a1 b in (u, v), of determinant
+    -D, so exactly one (u, v) solves them: u = (a2 ab + cd - a1 bc)/D and
+    v = x(d, -b)/D.  det F = D/v, so (t, F) fixes x, a torus element,
+    exactly when x(d, -b) = t D^2.  So a row factors exactly when x(d, -b)
+    is a unit (then so are D and t) and x(d, -b) = t D^2 mod p^N, and its
+    representative is (u, t D).
     """
     m = ring.modulus
     a1, a2 = x.a1 % m, x.a2 % m
     # every operand is a residue below m <= 128 (the scan's guard), so each
     # sum of three products of three stays below 3 m^3 < 2^31: int32
     inv = _unit_inverses(ring)  # 0 at a non-unit, so it doubles as the unit test
-    keys = np.empty(len(stab), dtype=np.int32)
-    for lo in range(0, len(stab), _BLOCK):
-        t, a, b, c, d = stab[lo : lo + _BLOCK].T.astype(np.int32, order="C")
-        det = _rem(a * d - b * c, m)
-        norm = _rem(d * d - a1 * b * d + a2 * b * b, m)  # x(d, -b)
-        ok = (inv[norm] != 0) & (norm == _rem(_rem(det * det, m) * t, m))
-        if not ok.all():
-            row = tuple(int(e) for e in stab[lo + int(np.argmin(ok))])
-            return CosetNormalForm(0, False, f"row {row} does not factor through the torus")
-        u = _rem(inv[det] * _rem(a2 * a * b + c * d - a1 * b * c, m), m)
-        keys[lo : lo + len(t)] = u * m + _rem(t * det, m)
-    fibers, counts = _distinct(keys, counts=True)
-    # the counts sum to len(stab), so with every count tsize there are
-    # len(stab) / tsize fibers
-    ok = bool((counts == tsize).all()) and np.array_equal(fibers, solutions)
+    t, a, b, c, d = stab.T.astype(np.int32, order="C")
+    det = _rem(a * d - b * c, m)
+    norm = _rem(d * d - a1 * b * d + a2 * b * b, m)  # x(d, -b)
+    ok = (inv[norm] != 0) & (norm == _rem(_rem(det * det, m) * t, m))
+    if not ok.all():
+        row = tuple(int(e) for e in stab[int(np.argmin(ok))])
+        return CosetNormalForm(0, False, f"row {row} does not factor through the torus")
+    u = _rem(inv[det] * _rem(a2 * a * b + c * d - a1 * b * c, m), m)
+    fibers, counts = _distinct(u * m + _rem(t * det, m), counts=True)
+    # a slice row stands for its phi(p^N) unit multiples, so with every
+    # fiber tsize elements there are |Stab| / tsize fibers
+    ok = bool((counts * (m - m // ring.p) == tsize).all()) and np.array_equal(fibers, solutions)
     detail = "" if ok else "fiber sizes or representative set mismatch"
     return CosetNormalForm(len(fibers), ok, detail)
 

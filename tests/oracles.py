@@ -13,9 +13,10 @@ whole unit group as scalars and as diag(u, 1) and shares nothing with the
 generators of quadmean.orbits: the reference for its class-quotient
 closure.  stabilizer_elements_by_buckets pairs every unit
 form-value bucket of top rows with its bucket of bottom rows, the
-reference for the unit-normalized stabilizer scan: the same rows as a
-multiset, listed in increasing (a, b, c, d) where the scan lists them
-by unit block.  congruence_solution_set_by_loops tries every pair (u, s)
+reference for the stabilizer scan, which lists the slice a = 1 only: its
+rows with a = 1 are the scan's, in the same increasing (b, c, d), and all
+of them are the scan's rows times the units, as a multiset.
+congruence_solution_set_by_loops tries every pair (u, s)
 in turn, the reference for the table read of
 quadmean.orbits.congruence_solution_set.  algebra(p, label)
 looks up the local type of a square class, and local_type(d, p) that of

@@ -437,15 +437,16 @@ def test_real_mean_value_call_keeps_its_memory():
 
 def test_verify_local_call_keeps_its_memory():
     # an orbit is a sorted array of its unit-scaling class representatives
-    # and a stabilizer int16 rows; one call peaks at 0.69 MB
+    # and a stabilizer the int16 rows of its slice a = 1; one call peaks at
+    # 0.41 MB, against 0.69 MB with the slice scaled by every unit
     argv = ["--format", "json", "verify-local", "--primes", "2,3,5"]
     run_cli(argv)
-    assert _traced_peak(argv) <= 1.02
+    assert _traced_peak(argv) <= 0.60
 
 
 def test_verify_local_at_7_keeps_its_memory():
     # the lift check at 7^3 keeps 8,232 representatives of a ramified orbit
-    # in a space of 343^3 forms; one call peaks at 0.63 MB
+    # in a space of 343^3 forms; one call peaks at 0.57 MB
     argv = ["--format", "json", "verify-local", "--primes", "7"]
     run_cli(argv)
     assert _traced_peak(argv) <= 0.94

@@ -304,17 +304,22 @@ def test_congruence_characterization():
 
 def test_coset_normal_form():
     # every stabilizer element factors through a unique lower unipotent
-    # representative over the torus; fibers all have torus size
-    for p, idx in ((3, 2), (3, 3), (2, 2), (2, 3), (2, 4)):
-        rep = standard_representatives(p)[idx]
-        ring = rep.natural_ring()
-        stab = stabilizer_elements(rep, ring)
-        res = coset_normal_form_check(
-            rep, ring, stab, torus_order(rep, ring), congruence_solution_set(rep, ring)
-        )
-        assert res.passed, res.detail
-        assert res.coset_count == 2 * p**rep.delta
-        assert len(stab) == res.coset_count * torus_order(rep, ring)
+    # representative over the torus; fibers all have torus size, p^n rows
+    # of the slice a = 1 times the phi(p^n) unit scalars
+    for p in (2, 3, 5, 7):
+        for rep in standard_representatives(p):
+            if not rep.is_ramified:
+                continue
+            ring = rep.natural_ring()
+            m = ring.modulus
+            stab = stabilizer_elements(rep, ring)
+            res = coset_normal_form_check(
+                rep, ring, stab, torus_order(rep, ring), congruence_solution_set(rep, ring)
+            )
+            assert res.passed, res.detail
+            assert res.coset_count == 2 * p**rep.delta
+            assert len(stab) == 2 * p**rep.delta * m, rep.algebra
+            assert len(stab) * (m - m // p) == res.coset_count * torus_order(rep, ring)
 
 
 def _move_c(stab, i, m):
@@ -334,7 +339,7 @@ def _duplicate_row(stab, i, m):
 @pytest.mark.parametrize("corrupt", [_move_c, _scale_t, _duplicate_row])
 @pytest.mark.parametrize("p,idx", [(3, 2), (2, 4)])
 def test_coset_normal_form_rejects_a_corrupted_row(p, idx, corrupt):
-    # five eighths in: in the sixth of the 8 blocks of (2, 4)'s 32768 rows
+    # five eighths in: row 643 of (2, 4)'s 1024 slice rows
     rep = standard_representatives(p)[idx]
     ring = rep.natural_ring()
     stab = stabilizer_elements(rep, ring)
@@ -359,7 +364,7 @@ def _replace_key(keys, m):
 @pytest.mark.parametrize("wrong", [_drop_key, _replace_key])
 @pytest.mark.parametrize("p,idx", [(3, 2), (2, 4)])
 def test_coset_normal_form_rejects_a_representative_set_one_key_off(p, idx, wrong):
-    # the stabilizer is whole and its fibers all have torus size, so only
+    # the slice is whole and each of its fibers holds p^n rows, so only
     # the comparison of the representatives with the solution keys can fail
     rep = standard_representatives(p)[idx]
     ring = rep.natural_ring()
@@ -428,7 +433,10 @@ def test_closed_form_factors_each_row_as_the_search_does(p):
             found = _factor_by_search(rep, ring, row)
             assert len(found) <= 1, (rep.algebra, m, row)  # the solve is unique
             keys = np.array(sorted(u * m + v for u, v in found), dtype=np.int32)
-            res = coset_normal_form_check(rep, ring, np.array([row], dtype=np.int16), 1, keys)
+            # one row stands for its phi(m) unit multiples, a whole fiber
+            res = coset_normal_form_check(
+                rep, ring, np.array([row], dtype=np.int16), m - m // p, keys
+            )
             assert res.passed == bool(found), (rep.algebra, m, row, res.detail)
             if not found:
                 assert res.detail == f"row {row} does not factor through the torus"
@@ -440,8 +448,8 @@ def test_stabilizer_scan_matches_quotient():
         ring = rep.natural_ring()
         elems = stabilizer_elements(rep, ring)
         assert elems.dtype == np.int16 and elems.shape == (len(elems), 5)
-        assert len(elems) == stabilizer_order(ring, orbit_size(rep, ring))
         m = ring.modulus
+        assert (m - m // p) * len(elems) == stabilizer_order(ring, orbit_size(rep, ring))
         for g in elems[:: max(1, len(elems) // 40)]:
             g = tuple(int(v) for v in g)
             assert act(g, rep.form, m).coeffs() == tuple(v % m for v in rep.form.coeffs())
@@ -656,10 +664,23 @@ def test_canonical_map_is_a_unit_scaling_invariant(p, level):
 
 
 def _by_entries(rows):
-    """The rows (t, a, b, c, d) in increasing (a, b, c, d): the scan lists
-    them by unit block, so a comparison of its rows is one of multisets."""
+    """The rows (t, a, b, c, d) in increasing (a, b, c, d), so that a
+    comparison of rows is one of multisets."""
     rows = np.asarray(rows)
     return rows[np.lexsort(rows[:, :0:-1].T)]
+
+
+def _whole_stabilizer(rows, ring):
+    """The rows (t, a, b, c, d) scaled by every unit u to
+    (t u^-2, u a, u b, u c, u d): the whole stabilizer from its slice a = 1,
+    one block per unit in increasing u."""
+    m = ring.modulus
+    rows = np.asarray(rows, dtype=np.int64)
+    return np.concatenate([
+        np.column_stack((rows[:, 0] * pow(u, -2, m) % m, u * rows[:, 1:] % m))
+        for u in range(m)
+        if u % ring.p
+    ])
 
 
 @pytest.mark.parametrize("p,level", [(3, 2), (2, 3)])
@@ -682,13 +703,15 @@ def test_stabilizer_elements_matches_brute_force(p, level):
             if act((t, a, b, c, d), x, m) == x
         ]
         got = stabilizer_elements(rep, ring)
-        assert got.dtype == np.int16 and len(got) == len(brute), rep.algebra
+        assert got.dtype == np.int16, rep.algebra
+        got = _whole_stabilizer(got, ring)
+        assert len(got) == len(brute), rep.algebra
         assert np.array_equal(_by_entries(got), _by_entries(brute)), rep.algebra
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_stabilizer_elements_match_the_bucket_scan(p):
-    # every unit top row, against the slice a = 1 expanded by the units:
+    # every unit top row, against the slice a = 1 scaled by the units:
     # the same rows as a multiset, at the working level and, where the
     # scan's guard admits it (m <= 128), one level deeper.  At level 1 the
     # bucket a2 x(1, b) = 0 holds the singular bottom row (0, 0), which only
@@ -703,29 +726,29 @@ def test_stabilizer_elements_match_the_bucket_scan(p):
                 continue
             got = stabilizer_elements(rep, ring)
             want = stabilizer_elements_by_buckets(rep, ring)
-            assert got.dtype == np.int16 and len(got) == len(want), (rep, level)
+            assert got.dtype == np.int16, (rep, level)
+            # the slice is the reference's rows with a = 1, in their order
+            assert np.array_equal(got, want[want[:, 1] == 1]), (rep, level)
+            got = _whole_stabilizer(got, ring)
+            assert len(got) == len(want), (rep, level)
             assert np.array_equal(_by_entries(got), _by_entries(want)), (rep, level)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_stabilizer_elements_come_in_unit_blocks(p):
-    # block k scales block 0, the slice a = 1 in increasing (b, c, d), by
-    # the k-th unit u in increasing order: t u^-2 and u (1, b, c, d) mod m
+    # the scan lists one row per unit block of the stabilizer: the slice
+    # a = 1, in strictly increasing (b, c, d), with t = x(1, b)^-1
     for rep in standard_representatives(p):
         if not rep.is_ramified:
             continue
         ring = rep.natural_ring()
         m = ring.modulus
-        units = [u for u in range(m) if u % p]
-        blocks = stabilizer_elements(rep, ring).astype(np.int64).reshape(len(units), -1, 5)
-        t, a, bcd = blocks[0, :, 0], blocks[0, :, 1], blocks[0, :, 2:]
+        rows = stabilizer_elements(rep, ring).astype(np.int64)
+        t, a, bcd = rows[:, 0], rows[:, 1], rows[:, 2:]
         assert (a == 1).all()
         keys = (bcd[:, 0] * m + bcd[:, 1]) * m + bcd[:, 2]
         assert (np.diff(keys) > 0).all(), rep
-        for block, u in zip(blocks, units):
-            assert np.array_equal(block[:, 0], t * pow(u, -2, m) % m), (rep, u)
-            assert (block[:, 1] == u).all(), (rep, u)
-            assert np.array_equal(block[:, 2:], u * bcd % m), (rep, u)
+        assert (t * np.array([rep.form(1, b) for b in bcd[:, 0].tolist()]) % m == 1).all(), rep
 
 
 def test_unit_inverses_table():
@@ -835,7 +858,8 @@ def test_orbit_stabilizer_product_from_independent_counts():
             if not rep.is_ramified:
                 continue
             ring = rep.natural_ring()
-            scanned = len(stabilizer_elements(rep, ring))
+            m = ring.modulus
+            scanned = (m - m // p) * len(stabilizer_elements(rep, ring))
             assert orbit_size(rep, ring) * scanned == group_order(ring), rep.algebra
 
 
