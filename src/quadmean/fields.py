@@ -19,9 +19,11 @@ and each D receives its terms in increasing n; every form whose D is 0 or
 of the palindromic continued fraction cycle of the maximal order's
 generator with the same kernel, in lockstep over all D, in float64 lanes
 that stay exact integers below 2^53 and are compacted in place once a
-tenth of them have stopped; h is the (checked) integer ratio.  Both real passes compute in the rows
-of one workspace made once per call, and both take isqrt as the floor of
-the float root, exact below MAX_TABLE_LIMIT.
+tenth of them have stopped; h is the (checked) integer ratio.  Each real
+pass computes in the rows of its own workspace, made once per call: four
+float64 rows for real_hr_histogram, nine float64 and three bool rows for
+the regulators.  Both take isqrt as the floor of the float root, exact
+below MAX_TABLE_LIMIT.
 Every large pass walks its array _BLOCK entries, rows or forms at a time.
 The scalar per-field oracles that cross-check these kernels live in
 tests/oracles.py.
@@ -184,11 +186,6 @@ def cell_sums(table: DiscriminantTable, checkpoints: list[int]) -> np.ndarray:
 # imaginary class numbers
 # ---------------------------------------------------------------------------
 
-# Width of the tiled comb row in imaginary_class_number_histogram, in entries of the n // 2
-# histogram: one in-place add covers a block of rows this wide.  The cost of
-# the adds follows the bytes they touch, not the number of entries; widths
-# from 512 to 4096 took the same time.
-_COMB_ROW = 1024
 # dtype of the buffer the chain rows are added into before they reach the
 # int32 histogram: half the bytes of int32 per add.  An entry of the comb of
 # a counts at most the a + 1 values of b, two each, so an entry of the row of
@@ -242,28 +239,31 @@ def _imag_comb(a: int) -> np.ndarray:
 
 def _add_imag_combs(live: np.ndarray, amax: int) -> None:
     """live[i] += the comb of every a = 1..amax at every index i >= 2a^2,
-    through one _COMB_ACC buffer of the size of live.
+    through one _COMB_ACC buffer 2 * amax entries longer than live.
 
     The a are taken in chains a = m, 2m, 4m, ... with m odd, one pass over
     the buffer each, from 2m^2 on, in segments [2a^2, 2(2a)^2): the row of a
-    segment is the sum of the combs of the chain up to a, tiled to period 2a.
+    segment is the sum of the combs of the chain up to a, of period 2a.
     Each of those periods divides 2a, and 2a^2 = 0 mod 2a, so every comb keeps
-    its phase.  Members with 2a^2 past the buffer add nothing and are left
-    out.  No entry receives more than one segment row per chain, so the
-    buffer is charged once per chain, with the sum of its members' row tops;
-    it goes into the histogram whenever that charge since it was last emptied
-    could pass its maximum, and once at the end.  The rows are non-negative,
-    so no entry of the buffer can overflow.  Each comb is cast to _COMB_ACC
-    once, and every row is made in it by broadcast adds: no row is tiled."""
-    acc = np.zeros(live.size, dtype=_COMB_ACC)
+    its phase.  A segment is 3a whole periods and is added as one (rows, 2a)
+    view; the last member's segment runs on to the first multiple of 2a at
+    or past the end of live, into the spare entries, which never reach
+    live.  Members with 2a^2 past live add nothing and are left out.  No
+    entry receives more than one segment row per chain, so the buffer is
+    charged once per chain, with the sum of its members' row tops; its live
+    part goes into live whenever that charge since it was last emptied could
+    pass its maximum, and once at the end.  The rows are non-negative, so no
+    entry of the buffer can overflow.  Each comb is cast to _COMB_ACC once,
+    and every row is made in it by broadcast adds: no row is tiled."""
+    amax = min(amax, isqrt((live.size - 1) // 2))  # 2a^2 inside live
+    acc = np.zeros(live.size + 2 * amax, dtype=_COMB_ACC)
     room = cap = int(np.iinfo(_COMB_ACC).max)
-    amax = min(amax, isqrt((acc.size - 1) // 2))  # 2a^2 inside the buffer
     for m in range(1, amax + 1, 2):
         chain = [m << k for k in range((amax // m).bit_length())]
         combs = [_imag_comb(a).astype(_COMB_ACC) for a in chain]
         top = sum(int(comb.max()) for comb in combs)
         if top > room:
-            live += acc
+            live += acc[: live.size]
             acc[:] = 0
             room = cap
         room -= top
@@ -271,19 +271,10 @@ def _add_imag_combs(live: np.ndarray, amax: int) -> None:
         for k, a in enumerate(chain):
             if k:  # the row of period a, twice, plus the comb of a
                 row = (combs[k].reshape(2, -1) + row).reshape(-1)
-            end = 8 * a * a if k + 1 < len(chain) else acc.size
-            _add_tiled(acc[2 * a * a : end], row)
-    live += acc
-
-
-def _add_tiled(segment: np.ndarray, period: np.ndarray) -> None:
-    """segment += period repeated over it, from its first entry on."""
-    # ndarray.repeat: np.tile and np.broadcast_to took 2.3 and 2.6 us a call, this 0.6
-    row = period[None].repeat(max(1, _COMB_ROW // period.size), 0).reshape(-1)
-    rows = segment.size // row.size
-    body = segment[: rows * row.size].reshape(rows, row.size)
-    body += row
-    segment[rows * row.size :] += row[: segment.size - rows * row.size]
+            end = 8 * a * a if k + 1 < len(chain) else -(-live.size // (2 * a)) * 2 * a
+            segment = acc[2 * a * a : end].reshape(-1, 2 * a)
+            segment += row
+    live += acc[: live.size]
 
 
 def _add_head_by_hit_count(live: np.ndarray, a: np.ndarray, limit: int) -> None:

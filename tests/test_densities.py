@@ -71,6 +71,21 @@ def test_one_rule_equals_the_textbook_formulas_and_serre_mass():
         assert sum(q ** (1 - delta) / 2 for delta in ramified) == 1, p
 
 
+def test_orders_fill_the_space():
+    # by the class number formula for orders (Cox, Primes of the form
+    # x^2 + ny^2, 7), the orders of conductor p^k, k >= 0, of an algebra of
+    # character chi weigh sum_k w_{p^k}(chi) T^k = (1 - chi T)/((1 - T)(1 - pT))
+    # at T = p^-3, and the densities of all orders fill the whole space:
+    # sum_t d_t(p) (1 - chi_t p^-3) = (1 - p^-2)(1 - p^-3), the factor g(p)
+    # of euler_product.  Unlike the mass identity it weighs each density by
+    # chi, so swapping the split and unramified densities fails it
+    chi = {"split": 1, "unramified": -1, "ramified": 0}
+    for p in (2, 3, 5, 7, 11, 13):
+        q = Fraction(p)
+        total = sum(local_density(alg, p) * (1 - chi[alg.kind] * q**-3) for alg in local_algebras(p))
+        assert total == (1 - q**-2) * (1 - q**-3), p
+
+
 def test_closed_volume_equals_bruteforce_at_working_level():
     for p in (2, 3):
         for rep in standard_representatives(p):

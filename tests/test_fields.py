@@ -304,6 +304,46 @@ def test_imaginary_comb_row_fits_the_buffer_at_the_table_guard():
         assert int(fields._imag_comb(a).max()) <= 2 * a
 
 
+def _chain_ends(live_size, amax):
+    # (end, members) of each chain m, 2m, 4m, ... whose members start inside
+    # live: its last member a adds whole periods of 2a from 2a^2 on, up to
+    # the first multiple of 2a at or past the end of live
+    amax = min(amax, math.isqrt((live_size - 1) // 2))
+    ends = []
+    for m in range(1, amax + 1, 2):
+        a = m << ((amax // m).bit_length() - 1)
+        ends.append((-(-live_size // (2 * a)) * 2 * a, (amax // m).bit_length()))
+    return ends
+
+
+def test_imaginary_comb_segments_end_in_the_spare_entries(monkeypatch):
+    # with a comb of ones for every a, spare entry i >= live.size of the
+    # buffer counts the members of every chain whose last segment runs past
+    # i, and none of them reaches live.  Every chain's last segment covers
+    # live and ends within live.size + 2 amax, also at the table guard
+    zeros, made = np.zeros, []
+    monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: made.append(zeros(*args, **kwargs)) or made[-1])
+    monkeypatch.setattr(fields, "_imag_comb", lambda a: np.ones(2 * a, dtype=np.int64))
+    for limit in _CHAIN_LIMITS + (10**6,):
+        live = zeros(limit // 4 + (limit + 1) // 4 + 1, dtype=np.int32)
+        amax = math.isqrt(limit // 3)
+        made.clear()
+        fields._add_imag_combs(live, amax)
+        [acc] = made
+        ends = _chain_ends(live.size, amax)
+        assert all(live.size <= end <= acc.size <= live.size + 2 * amax for end, _ in ends), limit
+        spare = zeros(acc.size - live.size, dtype=np.int64)
+        for end, members in ends:
+            spare[: end - live.size] += members
+        assert np.array_equal(acc[live.size :], spare), limit
+        a = np.arange(1, amax + 1)
+        assert np.array_equal(live, np.searchsorted(2 * a * a, np.arange(live.size), side="right")), limit
+    live_size = fields.MAX_TABLE_LIMIT // 4 + (fields.MAX_TABLE_LIMIT + 1) // 4 + 1
+    amax = math.isqrt(fields.MAX_TABLE_LIMIT // 3)
+    ends = _chain_ends(live_size, amax)
+    assert ends and all(live_size <= end <= live_size + 2 * amax for end, _ in ends)
+
+
 def test_squarefree_sieve_over_primes_equals_the_all_k_loop():
     def all_k(limit):
         sf = np.ones(limit + 1, dtype=bool)
